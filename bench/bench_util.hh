@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/simd.hh"
 #include "common/logging.hh"
 #include "common/table_printer.hh"
 #include "registry/registry.hh"
@@ -61,8 +60,9 @@ struct BenchScale
 
     /**
      * Parse the shared knobs. A key outside the shared set (plus any
-     * bench-specific `extra_keys`) is fatal — a typo'd knob must not
-     * silently run the default configuration.
+     * bench-specific `extra_keys`) or a bare token such as `--help`
+     * is fatal — a typo'd knob must not silently run the default
+     * configuration.
      */
     static BenchScale
     fromArgs(int argc, char **argv,
@@ -73,6 +73,9 @@ struct BenchScale
             "progress", "json", "csv",
         };
         ParamSet params = ParamSet::fromArgs(argc, argv);
+        if (!params.positional().empty())
+            fatal("unexpected argument '%s': all knobs are key=value",
+                  params.positional().front().c_str());
         for (const std::string &key : params.keys()) {
             if (std::find(kSharedKeys.begin(), kSharedKeys.end(),
                           key) == kSharedKeys.end() &&
@@ -309,12 +312,12 @@ physicalCoreCount()
 
 /**
  * Write the shared "meta" member of a bench JSON artifact: the host's
- * CPU model, physical vs logical core counts, the active SIMD
- * dispatch level, the CMake build type, and the bench's thread/shard
- * configuration — the context a perf trajectory needs to tell a
- * regression from a machine change. A thread count beyond the host's
- * concurrency is recorded in "warnings" (and echoed to stderr): those
- * scaling points time oversubscription, not the engine.
+ * CPU model, physical vs logical core counts, the CMake build type,
+ * and the bench's thread/shard configuration — the context a perf
+ * trajectory needs to tell a regression from a machine change. A
+ * thread count beyond the host's concurrency is recorded in
+ * "warnings" (and echoed to stderr): those scaling points time
+ * oversubscription, not the engine.
  */
 inline void
 writeMetaJson(std::FILE *f, const std::vector<unsigned> &threads,
@@ -328,11 +331,10 @@ writeMetaJson(std::FILE *f, const std::vector<unsigned> &threads,
     std::fprintf(f,
                  "  \"meta\": {\"hardware_concurrency\": %u, "
                  "\"physical_cores\": %u, \"logical_cores\": %u, "
-                 "\"cpu_model\": \"%s\", \"simd\": \"%s\", "
+                 "\"cpu_model\": \"%s\", "
                  "\"build_type\": \"%s\", \"threads\": [",
                  logical, physical, logical,
-                 jsonEscape(cpuModelName()).c_str(),
-                 simd::activeLevelName(), MITHRIL_BUILD_TYPE);
+                 jsonEscape(cpuModelName()).c_str(), MITHRIL_BUILD_TYPE);
     for (std::size_t i = 0; i < threads.size(); ++i)
         std::fprintf(f, "%s%u", i ? ", " : "", threads[i]);
     std::fprintf(f, "], \"shards\": %u, \"warnings\": [", shards);

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "common/simd.hh"
 #include "engine/act_stream_engine.hh"
 #include "engine/sharded_engine.hh"
 #include "registry/scheme_registry.hh"
@@ -323,25 +322,21 @@ writeJson(const std::string &path, std::uint32_t banks,
         const SchemeResult &r = results[i];
         std::fprintf(f,
                      "    {\"scheme\": \"%s\", \"display\": \"%s\", "
-                     "\"simd\": \"%s\", "
                      "\"batched_acts_per_sec\": %.0f, "
                      "\"scalar_acts_per_sec\": %.0f, "
                      "\"speedup\": %.3f, \"sharded\": [",
-                     r.name.c_str(), r.display.c_str(),
-                     simd::activeLevelName(), r.batched, r.scalar,
-                     r.speedup());
+                     r.name.c_str(), r.display.c_str(), r.batched,
+                     r.scalar, r.speedup());
         for (std::size_t j = 0; j < r.sharded.size(); ++j) {
             const ShardedPoint &p = r.sharded[j];
             std::fprintf(f,
                          "%s{\"threads\": %u, \"shards\": %u, "
-                         "\"simd\": \"%s\", "
                          "\"acts_per_sec\": %.0f, "
                          "\"scaling\": %.3f, "
                          "\"source_sec\": %.4f, "
                          "\"dispatch_sec\": %.4f, "
                          "\"join_sec\": %.4f}",
-                         j ? ", " : "", p.threads, p.shards,
-                         simd::activeLevelName(), p.actsPerSec,
+                         j ? ", " : "", p.threads, p.shards, p.actsPerSec,
                          r.scalingAt(j), p.sourceSec, p.dispatchSec,
                          p.joinSec);
         }
@@ -381,8 +376,7 @@ main(int argc, char **argv)
     }
 
     bench::banner("ActStream engine throughput (" +
-                  std::to_string(banks) + " banks, oracle off, simd " +
-                  simd::activeLevelName() + ")");
+                  std::to_string(banks) + " banks, oracle off)");
 
     // One reused pool per thread count, shared by every scheme.
     std::vector<std::unique_ptr<runner::ThreadPool>> pools;

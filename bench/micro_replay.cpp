@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "common/simd.hh"
 #include "engine/act_trace.hh"
 #include "runner/thread_pool.hh"
 #include "trace/pipeline.hh"
@@ -141,12 +140,10 @@ writeJson(const std::string &path, const sim::ExperimentSpec &sys_spec,
             const ReplayPoint &p = cr.points[i];
             std::fprintf(f,
                          "%s{\"threads\": %u, \"shards\": %u, "
-                         "\"mmap\": %d, \"simd\": \"%s\", "
-                         "\"acts_per_sec\": %.0f, "
+                         "\"mmap\": %d, \"acts_per_sec\": %.0f, "
                          "\"speedup_vs_system\": %.1f}",
                          i ? ", " : "", p.threads, p.shards,
-                         p.mmap ? 1 : 0, simd::activeLevelName(),
-                         p.actsPerSec,
+                         p.mmap ? 1 : 0, p.actsPerSec,
                          system_acts_per_sec > 0.0
                              ? p.actsPerSec / system_acts_per_sec
                              : 0.0);

@@ -347,7 +347,7 @@ CbsTable::touchRun(const RowId *rows, std::size_t n,
 
         // A run of cache hits performs no eviction, so neither way
         // can be renamed inside it: classify its full length in one
-        // SIMD sweep, then increment without re-validating. A way is
+        // sweep, then increment without re-validating. A way is
         // usable for the run only while it is currently valid.
         const bool ok0 = (rows_[ce0] == cr0);
         const bool ok1 = (rows_[ce1] == cr1);

@@ -100,7 +100,7 @@ class CbsTable
      * first touch whose new estimate is a multiple of `divisor` —
      * the Graphene-family ARR/buffer trigger, evaluated without a
      * per-touch division (Lemire divisibility) — and set *hit.
-     * Runs of cache hits are classified in one SIMD sweep
+     * Runs of cache hits are classified in one sweep
      * (simd::pairMatchPrefix): no eviction can rename an entry inside
      * a hit run, so the two ways stay valid for its whole length.
      * Returns the number of rows touched; value-identical to calling

@@ -236,9 +236,8 @@ JsonSink::write(const SweepResult &result, std::ostream &os) const
        << ",\n";
     os << "    \"blastRadius\": " << spec.blastRadius << ",\n";
     // channels is result-affecting geometry, so it belongs in the
-    // provenance block; mc-threads is deliberately absent — it is an
-    // execution knob with byte-identical results, and keeping it out
-    // lets CI diff sweeps across thread counts verbatim.
+    // provenance block; execution knobs such as jobs= stay out, so
+    // sweeps diff verbatim across them.
     os << "    \"channels\": " << spec.channels << ",\n";
     os << "    \"includeBaseline\": "
        << (spec.includeBaseline ? "true" : "false") << "\n";

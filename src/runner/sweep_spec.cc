@@ -147,8 +147,7 @@ SweepSpec::fromParams(const ParamSet &params,
     static const std::vector<std::string> kSpecKeys = {
         "schemes",      "flip",    "rfm",      "workloads",
         "attacks",      "cores",   "instr",    "seed",
-        "channels",     "mc-threads",
-        "blast-radius", "ad",      "warmup",   "baseline",
+        "channels",     "blast-radius", "ad",  "warmup",   "baseline",
         "seed-policy",  "sources", "shards",   "acts",
         "record",       "telemetry", "trace-events",
         "heatmap-regions", "trace-capacity", "trace-pipeline",
@@ -208,7 +207,6 @@ SweepSpec::fromParams(const ParamSet &params,
         // per-job FAILED cells.
         fatal("channels=%u is not a power of two", spec.channels);
     }
-    spec.mcThreads = params.getUint32("mc-threads", spec.mcThreads);
     spec.engineActs = params.getUint("acts", spec.engineActs);
     spec.seed = params.getUint("seed", spec.seed);
     spec.trackerWarmupActs =
@@ -332,7 +330,6 @@ SweepSpec::expand() const
         spec.trackerWarmupActs = trackerWarmupActs;
         spec.warmupFromWorkload = (c.attack == "none");
         spec.channels = channels;
-        spec.mcThreads = mcThreads;
         spec.record = record;
         spec.telemetry = telemetry;
         spec.traceEvents = traceEvents;

@@ -78,11 +78,6 @@ struct SweepSpec
     /** DRAM channel-count override for System jobs (power of two);
      *  0 = the paper geometry. */
     std::uint32_t channels = 0;
-    /** Worker threads for each System job's channel lanes; 0 = inherit
-     *  the SystemConfig default (inline). Results are byte-identical
-     *  at any value — this knob trades threads between the sweep pool
-     *  and the per-job frontend. */
-    std::uint32_t mcThreads = 0;
     /** ACT budget per engine-only job (sources axis). */
     std::uint64_t engineActs = 1000000;
     std::uint64_t seed = 42;
@@ -144,12 +139,11 @@ struct SweepSpec
      * `schemes=`, `flip=`, `rfm=`, `workloads=`, `attacks=`,
      * `sources=` (engine-only jobs), `shards=` (engine shard counts),
      * scalars `cores=`, `instr=`, `acts=` (engine ACT budget),
-     * `channels=` and `mc-threads=` (System frontend geometry and
-     * lane threading), `seed=`, `ad=`, `warmup=`, `baseline=`,
-     * `seed-policy=shared|per-job`, and the telemetry knobs
-     * `telemetry=`, `trace-events=` (single-job grids only),
-     * `heatmap-regions=`, `trace-capacity=`, and the fault-injection
-     * knob `failpoints=`. Axis names resolve through the
+     * `channels=` (System frontend geometry), `seed=`, `ad=`,
+     * `warmup=`, `baseline=`, `seed-policy=shared|per-job`, the
+     * telemetry knobs `telemetry=`, `trace-events=` (single-job grids
+     * only), `heatmap-regions=`, `trace-capacity=`, and the
+     * fault-injection knob `failpoints=`. Axis names resolve through the
      * registries — an unknown name is fatal and lists every
      * registered candidate. Keys declared by a selected registry
      * entry (e.g. `victims=` with a multi-sided attack) are forwarded

@@ -1,9 +1,8 @@
 #include "experiment.hh"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 
+#include "common/file_util.hh"
 #include "common/logging.hh"
 #include "engine/act_trace.hh"
 #include "engine/sharded_engine.hh"
@@ -21,19 +20,6 @@ namespace mithril::sim
 
 namespace
 {
-
-/** True when two paths name the same existing file, through any
- *  aliasing (relative vs absolute spellings, symlinks, hardlinks). */
-bool
-sameFile(const std::string &a, const std::string &b)
-{
-    if (a == b)
-        return true;
-    struct stat sa, sb;
-    if (::stat(a.c_str(), &sa) != 0 || ::stat(b.c_str(), &sb) != 0)
-        return false;
-    return sa.st_dev == sb.st_dev && sa.st_ino == sb.st_ino;
-}
 
 /**
  * The engine-only experiment body: scheme x source at maximum ACT
@@ -232,8 +218,6 @@ runExperiment(const ExperimentSpec &spec)
     sys.blastRadius = spec.blastRadius;
     if (spec.channels != 0)
         sys.geometry.channels = spec.channels;
-    if (spec.mcThreads != 0)
-        sys.mcThreads = spec.mcThreads;
 
     const ParamSet params = spec.toParams();
     const registry::SchemeContext scheme_ctx{sys.timing,
@@ -315,7 +299,7 @@ runExperiment(const ExperimentSpec &spec)
     if (recorder || heatmap) {
         // System delivers ACTs channel-major per service window with
         // per-bank ticks monotone — the exact order contract of the
-        // acttrace writer, at any mcThreads value.
+        // acttrace writer.
         system.setActObserver(
             [&recorder, &heatmap](BankId bank, RowId row, Tick t) {
                 if (recorder)
@@ -328,8 +312,8 @@ runExperiment(const ExperimentSpec &spec)
     // trace-events=: mitigation events from the controllers (RFM
     // issue/skip, executed ARRs, throttle stalls), the oracles (flips
     // and near misses), and the trackers (CBS inserts/evictions).
-    // One recorder per channel lane — a shared recorder would race
-    // when lanes run in parallel — merged in channel order on output.
+    // One recorder per channel lane, merged in channel order on
+    // output.
     // Observation only — scheduling and outcomes are unchanged.
     std::vector<std::unique_ptr<telemetry::EventRecorder>> events;
     if (!spec.traceEvents.empty()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/file_util.hh"
 #include "common/logging.hh"
 #include "registry/attack_registry.hh"
 #include "registry/scheme_registry.hh"
@@ -80,9 +81,6 @@ coreParams()
         {"channels", ParamDesc::Type::Uint, "0", 0, 64,
          "DRAM channels (0 = geometry preset; must be a power of "
          "two); System runs build one frontend lane per channel"},
-        {"mc-threads", ParamDesc::Type::Uint, "0", 0, 1024,
-         "worker threads for the System's channel lanes (0/1 = "
-         "inline); never affects results, only wall-clock"},
     };
     return descs;
 }
@@ -238,7 +236,6 @@ ExperimentSpec::parse(const ParamSet &params,
     spec.shards = params.getUint32("shards", spec.shards);
     spec.threads = params.getUint32("threads", spec.threads);
     spec.channels = params.getUint32("channels", spec.channels);
-    spec.mcThreads = params.getUint32("mc-threads", spec.mcThreads);
     spec.validate();
     return spec;
 }
@@ -247,6 +244,11 @@ ExperimentSpec
 ExperimentSpec::fromParams(const ParamSet &params,
                            const std::vector<std::string> &ignore_keys)
 {
+    // A bare token (e.g. `--help`) is never a knob: running the
+    // default experiment anyway would hide the typo.
+    if (!params.positional().empty())
+        fatal("unexpected argument '%s': all knobs are key=value",
+              params.positional().front().c_str());
     try {
         return parse(params, ignore_keys);
     } catch (const SpecError &err) {
@@ -279,11 +281,17 @@ ExperimentSpec::validate() const
     checkCoreRange("heatmap-regions", heatmapRegions);
     checkCoreRange("trace-capacity", traceCapacity);
     checkCoreRange("channels", channels);
-    checkCoreRange("mc-threads", mcThreads);
     if (channels != 0 && (channels & (channels - 1)) != 0) {
         throw SpecError("channels=" + std::to_string(channels) +
                         " must be a power of two (the address map "
                         "interleaves by channel bits)");
+    }
+    if (!record.empty() && !traceEvents.empty() &&
+        sameFile(record, traceEvents)) {
+        // The event trace is written last and would replace the
+        // capture, leaving a "successful" run with no ACT trace.
+        throw SpecError("record= and trace-events= name the same file '" +
+                        record + "'; each output needs its own path");
     }
     if (attacking() && !engineRun() && cores < 2) {
         throw SpecError("attack '" + attack +
@@ -353,8 +361,6 @@ ExperimentSpec::toParams() const
         params.set("trace-capacity", std::to_string(traceCapacity));
     if (channels != 0)
         params.set("channels", std::to_string(channels));
-    if (mcThreads != 0)
-        params.set("mc-threads", std::to_string(mcThreads));
     params.set("source", source);
     params.set("acts", std::to_string(engineActs));
     params.set("shards", std::to_string(shards));

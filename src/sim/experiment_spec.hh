@@ -103,10 +103,6 @@ struct ExperimentSpec
      *  two). A System run builds one frontend lane per channel; an
      *  engine run shards over the same widened geometry. */
     std::uint32_t channels = 0;
-    /** Worker threads for the System's channel lanes (0 or 1 =
-     *  inline). Never affects results — lane interleave is
-     *  deterministic at any value — only wall-clock. */
-    std::uint32_t mcThreads = 0;
 
     /** Entry-declared extra tunables (e.g. victims=, mean-gap=),
      *  validated against the selected entries' declarations. */
@@ -142,7 +138,8 @@ struct ExperimentSpec
     parse(const ParamSet &params,
           const std::vector<std::string> &ignore_keys = {});
 
-    /** As parse(), but fatal() on invalid input (CLI front ends). */
+    /** As parse(), but fatal() on invalid input, including any bare
+     *  (non key=value) token (CLI front ends). */
     static ExperimentSpec
     fromParams(const ParamSet &params,
                const std::vector<std::string> &ignore_keys = {});

@@ -28,10 +28,9 @@ System::System(const SystemConfig &config, TrackerFactory make_tracker)
             *lane->device, *map_, config_.mcParams, ch);
 
         // Completions are buffered lane-locally and turned into event
-        // queue entries only at the window drain (in channel order):
-        // the callback may fire on a worker thread, and the drain
-        // order is what keeps the event queue's tie-breaking sequence
-        // numbers deterministic at any pool size.
+        // queue entries only at the window drain, in channel order:
+        // that order fixes the event queue's tie-breaking sequence
+        // numbers.
         Lane *lp = lane.get();
         lane->controller->setCompletionCallback(
             [this, lp](const mc::Request &req, Tick completion) {
@@ -196,15 +195,16 @@ System::benignDone() const
     return any_benign;
 }
 
-void
+Tick
 System::advanceLane(Lane &lane, Tick window_end)
 {
+    Tick t = lane.next;
     while (lane.next <= window_end) {
-        const Tick t = lane.next;
-        lane.lastServiced = t;
+        t = lane.next;
         lane.next = lane.controller->service(t);
         MITHRIL_ASSERT(lane.next > t);
     }
+    return t;
 }
 
 void
@@ -215,22 +215,6 @@ System::run()
 
     for (std::uint32_t i = 0; i < cores_.size(); ++i)
         scheduleWake(i, 0);
-
-    // Lane pool policy: opt-in only. Window granularity is a few ns of
-    // simulated time, so the parallelFor hand-off must be paid for by
-    // real per-lane work — sweeps running many Systems concurrently
-    // keep mcThreads=1 and parallelize across jobs instead.
-    runner::ThreadPool *pool = nullptr;
-    if (config_.mcThreads > 1 && lanes_.size() > 1) {
-        pool = runner::ThreadPool::current();
-        if (!pool) {
-            const unsigned workers =
-                std::min<unsigned>(config_.mcThreads,
-                                   static_cast<unsigned>(lanes_.size()));
-            ownPool_ = std::make_unique<runner::ThreadPool>(workers);
-            pool = ownPool_.get();
-        }
-    }
 
     while (!benignDone()) {
         Tick t_mc = kTickMax;
@@ -244,34 +228,20 @@ System::run()
             // issued inside [t_mc, window_end] can produce a
             // completion (hence a core wakeup, hence a new request)
             // before t_mc + lookahead_, so the lanes are mutually
-            // independent over the whole window and may run in
-            // parallel — or serially in channel order — with
-            // byte-identical results.
+            // independent over the whole window.
             if (t_mc > config_.horizon)
                 break;
             Tick window_end = std::min(t_ev, config_.horizon);
             window_end = std::min(window_end, t_mc + lookahead_);
 
-            due_.clear();
-            for (auto &lane : lanes_)
-                if (lane->next <= window_end)
-                    due_.push_back(lane.get());
-            if (pool && due_.size() > 1) {
-                pool->parallelFor(due_.size(), [&](std::size_t i) {
-                    advanceLane(*due_[i], window_end);
-                });
-            } else {
-                for (Lane *lane : due_)
-                    advanceLane(*lane, window_end);
-            }
-            for (const Lane *lane : due_)
-                now_ = std::max(now_, lane->lastServiced);
-
-            // Drain the lane buffers in channel order: completions
-            // become event-queue entries (tie-broken by insertion
-            // sequence — hence by channel), ACT records reach the
-            // observer channel-major with per-bank ticks monotone.
+            // Service and drain lane by lane in channel order:
+            // completions become event-queue entries (tie-broken by
+            // insertion sequence — hence by channel), ACT records
+            // reach the observer channel-major with per-bank ticks
+            // monotone.
             for (auto &lane : lanes_) {
+                if (lane->next <= window_end)
+                    now_ = std::max(now_, advanceLane(*lane, window_end));
                 if (actObserver_) {
                     for (const Lane::Act &act : lane->acts)
                         actObserver_(act.bank, act.row, act.tick);

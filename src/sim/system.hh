@@ -7,14 +7,13 @@
  * frontend lane (Device slice, Controller, tracker instance,
  * completion/ACT buffers) and the event loop interleaves lane service
  * ticks deterministically — minimum next-tick first, ties broken by
- * channel index. Lanes may also advance *in parallel* inside a
- * causality window bounded by the DRAM data latency: a command issued
- * at tick t cannot produce a cross-lane effect (a core wakeup, hence a
- * new request) before t + min(tCL, tCWL) + tBL, so every lane can run
- * up to that horizon without observing the others. Buffered
+ * channel index. Due lanes advance serially, in channel order, through
+ * a causality window bounded by the DRAM data latency: a command
+ * issued at tick t cannot produce a cross-lane effect (a core wakeup,
+ * hence a new request) before t + min(tCL, tCWL) + tBL, so every lane
+ * can run up to that horizon without observing the others. Buffered
  * completions and ACT-trace records are drained in channel order after
- * each window, which makes runs byte-identical at any `mcThreads`
- * value, including 1 — the same partition-and-merge discipline the
+ * each lane's window — the same partition-and-merge discipline the
  * sharded ActStream engine applies to banks.
  */
 
@@ -30,7 +29,6 @@
 #include "cpu/core.hh"
 #include "dram/device.hh"
 #include "mc/controller.hh"
-#include "runner/thread_pool.hh"
 #include "sim/event_queue.hh"
 #include "trackers/rh_protection.hh"
 #include "workload/trace.hh"
@@ -48,11 +46,6 @@ struct SystemConfig
     mc::ControllerParams mcParams;
     cpu::CacheParams cacheParams;
     Tick horizon = msToTick(200.0);   //!< Hard stop for attack-only runs.
-    /** Worker threads for the channel lanes. 0 or 1 services lanes
-     *  inline; >1 runs due lanes on a thread pool (the ambient
-     *  runner::ThreadPool when inside one, else a private pool).
-     *  Results are byte-identical at every value. */
-    std::uint32_t mcThreads = 1;
 };
 
 /** The simulated machine. */
@@ -177,10 +170,7 @@ class System
         std::unique_ptr<mc::Controller> controller;
         std::vector<Completion> completions;
         std::vector<Act> acts;
-        /** Next tick the lane's controller needs service. On its own
-         *  cache line: the hot word written concurrently per lane. */
-        alignas(64) Tick next = 0;
-        Tick lastServiced = 0;
+        Tick next = 0;  //!< Next tick the controller needs service.
     };
 
     /** Core memory-access callback: LLC then MC. */
@@ -188,8 +178,9 @@ class System
                                     const workload::TraceRecord &rec,
                                     Tick now);
 
-    /** Service `lane` through every tick it owes in [*, window_end]. */
-    void advanceLane(Lane &lane, Tick window_end);
+    /** Service `lane` through every tick it owes in [*, window_end];
+     *  returns the last tick serviced. */
+    Tick advanceLane(Lane &lane, Tick window_end);
 
     void wakeCore(std::uint32_t core_id, Tick now);
 
@@ -211,8 +202,6 @@ class System
     EventQueue evq_;
     std::vector<Tick> coreWake_;      //!< Pending wake per core.
     dram::Device::ActObserver actObserver_;
-    std::unique_ptr<runner::ThreadPool> ownPool_;
-    std::vector<Lane *> due_;         //!< Window scratch.
     Tick lookahead_;                  //!< min(tCL,tCWL)+tBL causality.
     Tick now_ = 0;
     bool started_ = false;

@@ -1,6 +1,6 @@
 #include "trace/pipeline.hh"
 
-#include <sys/stat.h>
+#include "common/file_util.hh"
 
 namespace mithril::trace
 {
@@ -24,16 +24,6 @@ split(const std::string &text, char sep)
         out.push_back(text.substr(start, pos - start));
         start = pos + 1;
     }
-}
-
-/** Same dev/inode — catches `merge:a.trc|...` writing onto a.trc. */
-bool
-sameFile(const std::string &a, const std::string &b)
-{
-    struct stat sa, sb;
-    if (::stat(a.c_str(), &sa) != 0 || ::stat(b.c_str(), &sb) != 0)
-        return a == b; // Missing file: fall back to path equality.
-    return sa.st_dev == sb.st_dev && sa.st_ino == sb.st_ino;
 }
 
 PipelineStage

@@ -56,7 +56,7 @@ class BlockHammer : public RhProtection
                     std::vector<RowId> &arr_aggressors) override;
 
     /** Batched hot path: the span's rows are hashed block-at-a-time
-     *  through simd::bloomHashRows (lane-parallel mix64 + exact
+     *  through simd::bloomHashRows (mix64 + exact
      *  Barrett modulo — no hardware divide), and each row's slots are
      *  reused for both filters' inserts *and* the blacklist estimate
      *  (the scalar path hashes 4x per ACT: two filter inserts plus

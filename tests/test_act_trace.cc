@@ -1072,6 +1072,54 @@ TEST(ActTraceRunner, RecordingOverTheReplayedTraceIsRejected)
     EXPECT_FALSE(readFile(instr_trace).empty());  // Not truncated.
 }
 
+TEST(ActTraceRunner, RecordAndTraceEventsOnOneFileAreRejected)
+{
+    // The event trace is written after the capture is finalized, so
+    // one path for both used to leave Chrome JSON where the ACT trace
+    // should be, with the job reported ok. Both spellings of one file
+    // must fail the job before it writes anything.
+    EXPECT_THROW(sim::ExperimentSpec::parse(ParamSet::fromString(
+                     "record=x.out trace-events=x.out")),
+                 SpecError);
+
+    const std::string path = tmpPath("record_and_events");
+    const std::string aliased = tmpPath("record_and_events_link");
+    writeFile(path, {'k', 'e', 'e', 'p'});
+    const std::vector<std::uint8_t> before = readFile(path);
+    std::remove(aliased.c_str());
+    ASSERT_EQ(
+        std::system(("ln -s " + path + " " + aliased).c_str()), 0);
+
+    for (const bool engine_job : {false, true}) {
+        for (const std::string &events : {path, aliased}) {
+            runner::SweepSpec spec;
+            spec.schemes = {"mithril"};
+            spec.cores = 2;
+            spec.instrPerCore = 2000;
+            if (engine_job) {
+                spec.sources = {"attack"};
+                spec.cases = {{"mix-high", "multi-sided"}};
+                spec.engineActs = 1000;
+            }
+            spec.record = path;
+            spec.traceEvents = events;
+
+            runner::RunnerOptions options;
+            options.jobs = 1;
+            options.progress = false;
+            const runner::SweepResult result =
+                runner::SweepRunner(options).run(spec);
+            ASSERT_EQ(result.results.size(), 1u);
+            EXPECT_EQ(result.failedCount(), 1u)
+                << "engine=" << engine_job << " events=" << events;
+            EXPECT_NE(result.results[0].error.find("trace-events="),
+                      std::string::npos)
+                << result.results[0].error;
+            EXPECT_EQ(readFile(path), before);
+        }
+    }
+}
+
 TEST(ActTraceRunner, RecordRoundTripsThroughDescribe)
 {
     sim::ExperimentSpec spec;

@@ -1,9 +1,8 @@
 /**
  * @file
  * Multi-channel System frontend tests: the cross-channel writeback
- * conservation law (the silent-drop regression), byte-identical runs
- * across mc-thread counts, and full-channel coverage of the ACT
- * capture tap.
+ * conservation law (the silent-drop regression), and full-channel
+ * coverage and ACT conservation of the capture tap.
  */
 
 #include <gtest/gtest.h>
@@ -146,33 +145,26 @@ TEST(MultiChannel, WritebackConservationUnderVictimChannelPressure)
     EXPECT_EQ(system.stats().writes, system.cache().writebacks());
 }
 
-// -------------------------------------- determinism across threads
+// ------------------------------------------- capture tap coverage
 
-struct RunArtifacts
+TEST(MultiChannel, CapturedActsCoverEveryChannel)
 {
-    std::vector<std::tuple<BankId, RowId, Tick>> acts;
-    std::string statsDump;
-    double aggIpc = 0.0;
-    Tick end = 0;
-};
-
-RunArtifacts
-runMixOnce(std::uint32_t mc_threads)
-{
+    // record= capture taps the merged observer: the stream must carry
+    // ACTs from every channel's banks, with per-bank ticks monotone
+    // (the act-trace format's ordering requirement), and every ACT a
+    // lane's controller issues must reach its device and the tap
+    // exactly once.
     SystemConfig cfg;
-    cfg.mcThreads = mc_threads;
     core::MithrilParams mp;
     mp.nEntry = 64;
     System system(cfg, [&] {
         return std::make_unique<core::Mithril>(
             cfg.geometry.totalBanks(), mp);
     });
-
-    RunArtifacts out;
+    std::vector<std::tuple<BankId, RowId, Tick>> acts;
     system.setActObserver([&](BankId b, RowId r, Tick t) {
-        out.acts.emplace_back(b, r, t);
+        acts.emplace_back(b, r, t);
     });
-
     for (std::uint32_t i = 0; i < 4; ++i) {
         cpu::CoreParams params;
         params.instrBudget = 20000;
@@ -181,45 +173,17 @@ runMixOnce(std::uint32_t mc_threads)
     }
     system.run();
 
-    StatRegistry registry;
-    system.exportStats(registry);
-    out.statsDump = registry.dump();
-    out.aggIpc = system.aggregateIpc();
-    out.end = system.now();
-    return out;
-}
+    EXPECT_GT(acts.size(), 100u);
+    EXPECT_EQ(system.stats().activates, acts.size());
+    EXPECT_EQ(system.energy().acts(), acts.size());
 
-TEST(MultiChannel, ByteIdenticalAcrossMcThreads)
-{
-    // The tentpole's determinism contract: a 2-channel run must be
-    // byte-identical whether the lanes are serviced inline or on a
-    // 4-worker pool — same ACT stream (order included), same stats
-    // dump, same IPC, same final tick.
-    const RunArtifacts serial = runMixOnce(1);
-    const RunArtifacts threaded = runMixOnce(4);
-
-    EXPECT_GT(serial.acts.size(), 100u);
-    EXPECT_EQ(serial.acts, threaded.acts);
-    EXPECT_EQ(serial.statsDump, threaded.statsDump);
-    EXPECT_DOUBLE_EQ(serial.aggIpc, threaded.aggIpc);
-    EXPECT_EQ(serial.end, threaded.end);
-}
-
-// ------------------------------------------- capture tap coverage
-
-TEST(MultiChannel, CapturedActsCoverEveryChannel)
-{
-    // record= capture taps the merged observer: the stream must carry
-    // ACTs from every channel's banks, with per-bank ticks monotone
-    // (the act-trace format's ordering requirement).
-    const RunArtifacts run = runMixOnce(1);
-    const dram::Geometry geom = SystemConfig{}.geometry;
+    const dram::Geometry geom = cfg.geometry;
     const std::uint32_t banks_per_channel =
         geom.ranksPerChannel * geom.banksPerRank;
 
     std::vector<std::uint64_t> per_channel(geom.channels, 0);
     std::map<BankId, Tick> last_tick;
-    for (const auto &[bank, row, tick] : run.acts) {
+    for (const auto &[bank, row, tick] : acts) {
         ASSERT_LT(bank, geom.totalBanks());
         ++per_channel[bank / banks_per_channel];
         auto [it, fresh] = last_tick.try_emplace(bank, tick);
