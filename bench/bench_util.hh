@@ -68,21 +68,13 @@ struct BenchScale
     fromArgs(int argc, char **argv,
              const std::vector<std::string> &extra_keys = {})
     {
-        static const std::vector<std::string> kSharedKeys = {
+        std::vector<std::string> known = {
             "cores", "instr", "seed", "jobs",
             "progress", "json", "csv",
         };
+        known.insert(known.end(), extra_keys.begin(), extra_keys.end());
         ParamSet params = ParamSet::fromArgs(argc, argv);
-        if (!params.positional().empty())
-            fatal("unexpected argument '%s': all knobs are key=value",
-                  params.positional().front().c_str());
-        for (const std::string &key : params.keys()) {
-            if (std::find(kSharedKeys.begin(), kSharedKeys.end(),
-                          key) == kSharedKeys.end() &&
-                std::find(extra_keys.begin(), extra_keys.end(),
-                          key) == extra_keys.end())
-                fatal("unknown parameter: %s", key.c_str());
-        }
+        params.requireKnown(known);
         BenchScale scale;
         scale.params = params;
         scale.cores = params.getUint32("cores", scale.cores);

@@ -53,6 +53,8 @@ def check_engine_schema(d):
     for r in d["results"]:
         assert r["scalar_acts_per_sec"] > 0, r
         assert r["batched_acts_per_sec"] > 0, r
+        # Fresh runs only: the committed baseline predates the field.
+        assert r["oracle_acts_per_sec"] > 0, r
         assert r["speedup"] > 0, r
         sharded = {p["threads"]: p for p in r["sharded"]}
         assert set(sharded) == {1, 4}, r

@@ -11,16 +11,18 @@
  * filtering cost), and the ground-truth oracle is disabled, so the
  * measurement isolates exactly what the optimized paths touch:
  * tracker dispatch, the engine's REF/RFM interleaving bookkeeping,
- * and the shard fan-out/merge. Safety runs keep the oracle on and are
- * bounded by it equally in all modes.
+ * and the shard fan-out/merge. Sweeps and replays keep the oracle on,
+ * so each scheme also gets one single-thread batched run with it
+ * enabled (oracle_acts_per_sec).
  *
  * Knobs: acts=N per timed run (default 2M), banks=N (default 16),
  * threads=LIST sharded thread counts (default "1,4"), shards=N shard
  * count override (default 0 = one shard per worker thread),
- * json=FILE writes the BENCH_engine.json artifact (schema v4: adds
- * the SIMD dispatch level per point and the cpu-model/core-count
- * meta fields, on top of v3's host/build "meta" block and per-point
- * phase breakdown — source-pull, tracker-dispatch, join seconds).
+ * json=FILE writes the BENCH_engine.json artifact (schema v4: the
+ * cpu-model/core-count meta fields on top of v3's host/build "meta"
+ * block and per-point phase breakdown — source-pull,
+ * tracker-dispatch, join seconds — plus each scheme's
+ * oracle_acts_per_sec).
  */
 
 #include <chrono>
@@ -143,7 +145,8 @@ class ShardHammerSource : public engine::ActSource
 
 engine::EngineConfig
 makeEngineConfig(std::uint32_t banks,
-                 engine::EngineConfig::Dispatch dispatch)
+                 engine::EngineConfig::Dispatch dispatch,
+                 bool oracle = false)
 {
     engine::EngineConfig cfg;
     cfg.timing = dram::ddr5_4800();
@@ -153,7 +156,7 @@ makeEngineConfig(std::uint32_t banks,
     cfg.geometry.banksPerRank = banks;
     cfg.flipTh = 6250;
     cfg.dispatch = dispatch;
-    cfg.enableOracle = false;  // Time the tracker/dispatch loop.
+    cfg.enableOracle = oracle;
     return cfg;
 }
 
@@ -170,9 +173,11 @@ makeTracker(const std::string &scheme,
 double
 measureActsPerSec(const std::string &scheme, std::uint32_t banks,
                   std::uint64_t acts,
-                  engine::EngineConfig::Dispatch dispatch)
+                  engine::EngineConfig::Dispatch dispatch,
+                  bool oracle = false)
 {
-    const engine::EngineConfig cfg = makeEngineConfig(banks, dispatch);
+    const engine::EngineConfig cfg =
+        makeEngineConfig(banks, dispatch, oracle);
     auto tracker = makeTracker(scheme, cfg);
     engine::ActStreamEngine eng(cfg, tracker.get());
 
@@ -278,6 +283,7 @@ struct SchemeResult
     std::string display;
     double batched = 0.0;
     double scalar = 0.0;
+    double oracle = 0.0;  //!< Batched, one thread, oracle on.
     std::vector<ShardedPoint> sharded;
 
     double speedup() const
@@ -324,9 +330,10 @@ writeJson(const std::string &path, std::uint32_t banks,
                      "    {\"scheme\": \"%s\", \"display\": \"%s\", "
                      "\"batched_acts_per_sec\": %.0f, "
                      "\"scalar_acts_per_sec\": %.0f, "
+                     "\"oracle_acts_per_sec\": %.0f, "
                      "\"speedup\": %.3f, \"sharded\": [",
                      r.name.c_str(), r.display.c_str(), r.batched,
-                     r.scalar, r.speedup());
+                     r.scalar, r.oracle, r.speedup());
         for (std::size_t j = 0; j < r.sharded.size(); ++j) {
             const ShardedPoint &p = r.sharded[j];
             std::fprintf(f,
@@ -376,7 +383,8 @@ main(int argc, char **argv)
     }
 
     bench::banner("ActStream engine throughput (" +
-                  std::to_string(banks) + " banks, oracle off)");
+                  std::to_string(banks) +
+                  " banks, oracle off unless noted)");
 
     // One reused pool per thread count, shared by every scheme.
     std::vector<std::unique_ptr<runner::ThreadPool>> pools;
@@ -398,6 +406,9 @@ main(int argc, char **argv)
         r.scalar = measureActsPerSec(
             scheme, banks, acts,
             engine::EngineConfig::Dispatch::Scalar);
+        r.oracle = measureActsPerSec(
+            scheme, banks, acts,
+            engine::EngineConfig::Dispatch::Batched, true);
         for (std::size_t i = 0; i < thread_counts.size(); ++i) {
             ShardedPoint p;
             p.threads = thread_counts[i];
@@ -417,7 +428,8 @@ main(int argc, char **argv)
     }
 
     std::vector<std::string> header = {"scheme", "batched Macts/s",
-                                       "scalar Macts/s", "speedup"};
+                                       "scalar Macts/s", "speedup",
+                                       "oracle Macts/s"};
     for (unsigned t : thread_counts)
         header.push_back("sh@" + std::to_string(t) + "t Macts/s");
     header.push_back("scaling");
@@ -427,7 +439,8 @@ main(int argc, char **argv)
                         .cell(r.display)
                         .num(r.batched / 1e6, 2)
                         .num(r.scalar / 1e6, 2)
-                        .cell(formatFixed(r.speedup(), 2) + "x");
+                        .cell(formatFixed(r.speedup(), 2) + "x")
+                        .num(r.oracle / 1e6, 2);
         for (const ShardedPoint &p : r.sharded)
             row.num(p.actsPerSec / 1e6, 2);
         row.cell(formatFixed(r.scalingAt(r.sharded.size() - 1), 2) +
@@ -441,7 +454,8 @@ main(int argc, char **argv)
         "The sh@Nt columns run the bank partition as shards on an\n"
         "N-worker pool (deterministic merge, byte-identical output); "
         "'scaling' is the\nlargest thread count's acts/sec over the "
-        "1-thread sharded run.\n");
+        "1-thread sharded run.\n'oracle' is batched single-thread "
+        "dispatch with the ground-truth oracle on.\n");
 
     if (!scale.jsonOut.empty())
         writeJson(scale.jsonOut, banks, acts, thread_counts,

@@ -32,7 +32,7 @@
  *          reused per corpus width),
  *        json=FILE write the BENCH_replay.json artifact (schema v4:
  *          one "corpora" row per tenant width, each with its own
- *          replay grid and per-point SIMD dispatch level).
+ *          replay grid).
  */
 
 #include <chrono>

@@ -59,6 +59,7 @@ int
 main(int argc, char **argv)
 {
     ParamSet params = ParamSet::fromArgs(argc, argv);
+    params.requireKnown({"scheme", "flip_th", "rfm_th", "ad_th", "windows"});
     const std::string scheme_name =
         params.getString("scheme", "mithril");
     if (!registry::schemeRegistry().has(scheme_name))

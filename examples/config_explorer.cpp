@@ -26,6 +26,7 @@ int
 main(int argc, char **argv)
 {
     ParamSet params = ParamSet::fromArgs(argc, argv);
+    params.requireKnown({"flip_th", "ad_th"});
     const auto flip_th =
         static_cast<std::uint32_t>(params.getUint("flip_th", 6250));
     const auto ad_th =

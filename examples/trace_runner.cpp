@@ -5,8 +5,9 @@
  * traces.
  *
  * Usage:
- *   trace_runner trace=<file> [trace2=<file> ...] [scheme=mithril]
- *                [flip_th=6250] [loop=0] [instr=0]
+ *   trace_runner trace=<file> [trace2=<file> ... trace16=<file>]
+ *                [scheme=mithril] [flip_th=6250] [loop=0] [instr=0]
+ *                [dump_stats=0]
  *
  * With no trace argument it records a demo trace from the built-in
  * lbm-like generator first and then runs it, so the binary is
@@ -32,6 +33,11 @@ int
 main(int argc, char **argv)
 {
     ParamSet params = ParamSet::fromArgs(argc, argv);
+    std::vector<std::string> known = {"trace", "scheme", "flip_th",
+                                      "loop", "instr", "dump_stats"};
+    for (int i = 2; i < 17; ++i)
+        known.push_back("trace" + std::to_string(i));
+    params.requireKnown(known);
     const auto flip_th =
         static_cast<std::uint32_t>(params.getUint("flip_th", 6250));
     const bool loop = params.getBool("loop", false);

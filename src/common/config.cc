@@ -1,5 +1,6 @@
 #include "config.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -190,6 +191,18 @@ ParamSet::keys() const
     for (const auto &[k, v] : values_)
         out.push_back(k);
     return out;
+}
+
+void
+ParamSet::requireKnown(const std::vector<std::string> &known) const
+{
+    if (!positional_.empty())
+        fatal("unexpected argument '%s': all knobs are key=value",
+              positional_.front().c_str());
+    for (const auto &kv : values_) {
+        if (std::find(known.begin(), known.end(), kv.first) == known.end())
+            fatal("unknown parameter: %s", kv.first.c_str());
+    }
 }
 
 } // namespace mithril

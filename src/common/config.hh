@@ -71,6 +71,10 @@ class ParamSet
 
     const std::vector<std::string> &positional() const { return positional_; }
 
+    /** Fatal (user) error on any positional token or any key not in
+     *  `known`: an argument nobody parses must not run silently. */
+    void requireKnown(const std::vector<std::string> &known) const;
+
     /** All keys in order, for help/diagnostic output. */
     std::vector<std::string> keys() const;
 

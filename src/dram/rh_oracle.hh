@@ -16,8 +16,9 @@
 #ifndef MITHRIL_DRAM_RH_ORACLE_HH
 #define MITHRIL_DRAM_RH_ORACLE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <set>
 #include <vector>
 
 #include "common/types.hh"
@@ -105,24 +106,47 @@ class RhOracle
      *  onActivate() call (only needed while tracing). */
     void setNow(Tick now) { now_ = now; }
 
+    /** Blocks currently held (each covers 8 rows with a nonzero
+     *  count); memory is proportional to this, not to the geometry. */
+    std::size_t liveBlocks() const { return live_; }
+
+    /** Slots in the block table (a power of two, at least twice
+     *  liveBlocks()). */
+    std::size_t blockSlots() const { return keys_.size(); }
+
   private:
-    struct RowKey
+    static constexpr std::uint32_t kRowsPerBlock = 8;
+
+    /** Quarter-ACT counts of 8 consecutive rows of one bank: one
+     *  cache line, so an ACT's distance-1 victims usually share it. */
+    struct alignas(64) Block
     {
-        BankId bank;
-        RowId row;
-        bool operator==(const RowKey &o) const
-        {
-            return bank == o.bank && row == o.row;
-        }
+        std::uint64_t q[kRowsPerBlock];
     };
 
-    struct RowKeyHash
+    static std::uint64_t blockKey(BankId bank, RowId row)
     {
-        std::size_t operator()(const RowKey &k) const
-        {
-            return (static_cast<std::size_t>(k.bank) << 32) ^ k.row;
-        }
-    };
+        return (static_cast<std::uint64_t>(bank) << 32) |
+               (row / kRowsPerBlock);
+    }
+
+    /** Fibonacci hash of a block key onto the table. */
+    std::size_t homeSlot(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ull) >> hashShift_);
+    }
+
+    /** Slot holding `key`, or keys_.size() when absent. */
+    std::size_t findSlot(std::uint64_t key) const;
+    /** The block for `key`, inserted zeroed when absent. */
+    Block &blockFor(std::uint64_t key);
+    /** Allocate `slots` empty slots and re-insert every live block. */
+    void rehash(std::size_t slots);
+    /** Zero rows [lo, hi) of one bank; hi <= rowsPerBank. */
+    void clearRows(BankId bank, RowId lo, RowId hi);
+    /** Remove slot i (backward-shift deletion, no tombstones). */
+    void eraseSlot(std::size_t i);
 
     void disturb(BankId bank, RowId row, std::uint32_t weight_q);
 
@@ -131,14 +155,26 @@ class RhOracle
     std::uint32_t flipTh_;
     std::uint32_t blastRadius_;
 
-    /** Disturbance counts in quarter-ACT units, sparse. */
-    std::unordered_map<RowKey, std::uint64_t, RowKeyHash> counts_;
+    /**
+     * Disturbance counts in quarter-ACT units, sparse: an
+     * open-addressing table (linear probing, power-of-two size, load
+     * at most 1/2) of 8-row blocks keyed by blockKey(), keys and
+     * blocks in parallel arrays. A block exists only while one of its
+     * rows has a nonzero count, so memory follows the disturbed rows.
+     * Not dense per bank: every System lane owns a full-geometry
+     * Device, and 64 banks x 65,536 rows of counts is 32 MB a lane.
+     */
+    std::vector<std::uint64_t> keys_;
+    std::vector<Block> blocks_;
+    std::size_t live_ = 0;
+    unsigned hashShift_ = 0;  //!< 64 - log2(blockSlots()).
     /** Per-bank auto-refresh rotation pointer (next row to refresh). */
     std::vector<RowId> refreshPtr_;
 
     std::uint64_t maxDisturbanceQ_ = 0;
     std::uint64_t bitFlips_ = 0;
-    std::unordered_map<RowKey, bool, RowKeyHash> flippedRows_;
+    /** (bank << 32 | row) of every row that has ever flipped. */
+    std::set<std::uint64_t> flippedRows_;
 
     telemetry::EventRecorder *recorder_ = nullptr;
     Tick now_ = 0;

@@ -300,12 +300,20 @@ Controller::choose(Tick t0)
                 const Tick throttled =
                     tracker->throttleAct(req.bank, req.row, t);
                 if (throttled > t) {
-                    if (eventRecorder_) {
-                        eventRecorder_->record(
-                            telemetry::EventKind::ThrottleStall, t,
-                            req.bank, req.row, 0, throttled - t);
+                    // Every pass re-evaluates a held ACT until it
+                    // commits; count and trace each one once.
+                    const std::pair<BankId, RowId> act{req.bank, req.row};
+                    if (std::find(throttledActs_.begin(),
+                                  throttledActs_.end(),
+                                  act) == throttledActs_.end()) {
+                        throttledActs_.push_back(act);
+                        if (eventRecorder_) {
+                            eventRecorder_->record(
+                                telemetry::EventKind::ThrottleStall, t,
+                                req.bank, req.row, 0, throttled - t);
+                        }
+                        ++stats_.throttleStalls;
                     }
-                    ++stats_.throttleStalls;
                     t = throttled;
                 }
             }
@@ -353,6 +361,13 @@ Controller::execute(const Decision &d)
       }
       case Decision::Kind::Act: {
         const Request &req = queue_[d.reqIndex];
+        const auto held = std::find(throttledActs_.begin(),
+                                    throttledActs_.end(),
+                                    std::make_pair(d.bank, req.row));
+        if (held != throttledActs_.end()) {
+            *held = throttledActs_.back();
+            throttledActs_.pop_back();
+        }
         scratch_.reset();
         device_.activate(d.bank, req.row, d.issue, scratch_.arr);
         handleActSideEffects(d.bank, d.issue, scratch_.arr);

@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.hh"
@@ -80,7 +81,7 @@ struct ControllerStats
     std::uint64_t rfmIssued = 0;
     std::uint64_t rfmSkippedByMrr = 0;  //!< Mithril+ avoided commands.
     std::uint64_t arrExecuted = 0;
-    std::uint64_t throttleStalls = 0;
+    std::uint64_t throttleStalls = 0;  //!< ACTs a throttle delayed.
     double totalReadLatencyNs = 0.0;
     /** Read latency distribution (ns), 20ns buckets up to 2us. */
     Histogram readLatencyNs{0.0, 2000.0, 100};
@@ -241,6 +242,9 @@ class Controller
 
     std::uint64_t seq_ = 0;
     ControllerStats stats_;
+    /** (bank, row) of every ACT a throttle has held back and that has
+     *  not committed yet: one stall per delayed ACT, not per pass. */
+    std::vector<std::pair<BankId, RowId>> throttledActs_;
     /** ARR/RFM aggressor scratch — the same reusable-buffer protocol
      *  the ActStream engine uses (trackers append, frontend drains). */
     trackers::ActScratch scratch_;

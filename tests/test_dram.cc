@@ -6,12 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "common/random.hh"
 #include "dram/bank.hh"
 #include "dram/device.hh"
 #include "dram/energy.hh"
 #include "dram/rank.hh"
 #include "dram/rh_oracle.hh"
 #include "dram/timing.hh"
+#include "telemetry/event_trace.hh"
 
 namespace mithril::dram
 {
@@ -278,6 +287,287 @@ TEST(OracleBlastRadius, NeighborRefreshCoversRadius)
     oracle.onNeighborRefresh(0, 10);
     EXPECT_DOUBLE_EQ(oracle.disturbance(0, 8), 0.0);
     EXPECT_DOUBLE_EQ(oracle.disturbance(0, 12), 0.0);
+}
+
+/**
+ * Reference model of RhOracle: one std::map entry per disturbed row,
+ * every refresh a per-row erase. The oracle's block table must agree
+ * with it on every observable, flip and near-miss events included.
+ */
+class ReferenceOracle
+{
+  public:
+    using Key = std::pair<BankId, RowId>;
+
+    ReferenceOracle(std::uint32_t banks, std::uint32_t rows,
+                    std::uint32_t flip_th, std::uint32_t radius)
+        : rows_(rows), thresholdQ_(4ull * flip_th), radius_(radius),
+          ptr_(banks, 0), events_(banks)
+    {
+    }
+
+    void activate(BankId bank, RowId row, Tick now)
+    {
+        for (std::uint32_t d = 1; d <= radius_; ++d) {
+            const std::uint32_t w = (d == 1) ? 4 : 1;
+            if (row >= d)
+                disturb(bank, row - d, w, now);
+            if (row + d < rows_)
+                disturb(bank, row + d, w, now);
+        }
+    }
+
+    void refresh(BankId bank, RowId row) { counts.erase({bank, row}); }
+
+    void neighborRefresh(BankId bank, RowId aggressor)
+    {
+        for (std::uint32_t d = 1; d <= radius_; ++d) {
+            if (aggressor >= d)
+                refresh(bank, aggressor - d);
+            if (aggressor + d < rows_)
+                refresh(bank, aggressor + d);
+        }
+    }
+
+    void autoRefresh(BankId bank, std::uint32_t groups)
+    {
+        for (std::uint32_t i = 0; i < (rows_ + groups - 1) / groups; ++i) {
+            refresh(bank, ptr_[bank]);
+            ptr_[bank] = (ptr_[bank] + 1) % rows_;
+        }
+    }
+
+    void reset()
+    {
+        counts.clear();
+        std::fill(ptr_.begin(), ptr_.end(), 0);
+    }
+
+    std::size_t nonzeroBlocks() const
+    {
+        std::set<Key> blocks;
+        for (const auto &[key, q] : counts)
+            blocks.insert({key.first, key.second / 8});
+        return blocks.size();
+    }
+
+    const std::vector<telemetry::TraceEvent> &events(BankId bank) const
+    {
+        return events_[bank];
+    }
+
+    std::map<Key, std::uint64_t> counts;
+    std::uint64_t maxQ = 0;
+    std::uint64_t flips = 0;
+    std::set<Key> flipped;
+
+  private:
+    void disturb(BankId bank, RowId row, std::uint32_t w, Tick now)
+    {
+        std::uint64_t &q = counts[{bank, row}];
+        const std::uint64_t before = q;
+        q += w;
+        maxQ = std::max(maxQ, q);
+        telemetry::TraceEvent e;
+        e.tick = now;
+        e.bank = bank;
+        e.row = row;
+        if (before < thresholdQ_ && q >= thresholdQ_) {
+            ++flips;
+            flipped.insert({bank, row});
+            e.kind = telemetry::EventKind::OracleFlip;
+            e.arg = static_cast<std::uint32_t>(flipped.size());
+            events_[bank].push_back(e);
+        } else if (q < thresholdQ_) {
+            const std::uint64_t near_q = thresholdQ_ - thresholdQ_ / 8;
+            if (q >= near_q && before < near_q) {
+                e.kind = telemetry::EventKind::NearMiss;
+                e.arg = static_cast<std::uint32_t>(thresholdQ_ - q);
+                events_[bank].push_back(e);
+            }
+        }
+    }
+
+    std::uint32_t rows_;
+    std::uint64_t thresholdQ_;
+    std::uint32_t radius_;
+    std::vector<RowId> ptr_;
+    std::vector<std::vector<telemetry::TraceEvent>> events_;
+};
+
+/**
+ * Seeded random activate / refresh sequences against the reference.
+ * Rows mix the bank edges, both edges of 8-row blocks, a hot window
+ * that crosses FlipTH, and uniform rows that grow the table several
+ * times; auto-refresh windows start off block boundaries because
+ * 1003 rows is not a multiple of 8.
+ */
+void
+checkAgainstReference(std::uint32_t radius, std::uint64_t seed)
+{
+    constexpr std::uint32_t kBanks = 3;
+    constexpr std::uint32_t kRows = 1003;
+    constexpr std::uint32_t kFlipTh = 8;
+    constexpr int kOps = 60000;
+    RhOracle oracle(kBanks, kRows, kFlipTh, radius);
+    ReferenceOracle ref(kBanks, kRows, kFlipTh, radius);
+    telemetry::EventRecorder recorder(kBanks, 1u << 16);
+    oracle.setEventRecorder(&recorder);
+    const std::size_t initial_slots = oracle.blockSlots();
+    std::size_t max_slots = initial_slots;
+
+    Rng rng(seed);
+    std::set<ReferenceOracle::Key> touched;
+    auto pick_row = [&]() -> RowId {
+        switch (rng.nextBounded(5)) {
+          case 0: {
+            // Last block holds rows 1000-1002 only.
+            const RowId edges[] = {0, 1, 7, 8, 15, 16, 999, 1000, 1001,
+                                   kRows - 1};
+            return edges[rng.nextBounded(std::size(edges))];
+          }
+          case 1:  // Either edge of a random block.
+            return static_cast<RowId>(
+                std::min<std::uint64_t>(kRows - 1,
+                                        rng.nextBounded(kRows / 8) * 8 +
+                                            7 * rng.nextBounded(2)));
+          case 2:  // Hot window: repeated hits cross FlipTH.
+            return static_cast<RowId>(500 + rng.nextBounded(12));
+          default:
+            return static_cast<RowId>(rng.nextBounded(kRows));
+        }
+    };
+    auto check_rows = [&]() {
+        for (const auto &[bank, row] : touched) {
+            const auto it = ref.counts.find({bank, row});
+            const double want =
+                it == ref.counts.end() ? 0.0 : it->second / 4.0;
+            ASSERT_EQ(oracle.disturbance(bank, row), want)
+                << "bank " << bank << " row " << row;
+        }
+        ASSERT_EQ(oracle.liveBlocks(), ref.nonzeroBlocks());
+    };
+
+    for (int op = 0; op < kOps; ++op) {
+        const BankId bank = static_cast<BankId>(rng.nextBounded(kBanks));
+        const RowId row = pick_row();
+        const std::uint64_t kind = rng.nextBounded(10000);
+        for (std::uint32_t d = 0; d <= radius; ++d) {
+            touched.insert({bank, row >= d ? row - d : 0});
+            touched.insert({bank, std::min(kRows - 1, row + d)});
+        }
+        if (kind < 7500) {
+            oracle.setNow(op);
+            oracle.onActivate(bank, row);
+            ref.activate(bank, row, op);
+        } else if (kind < 8500) {
+            oracle.onRowRefresh(bank, row);
+            ref.refresh(bank, row);
+        } else if (kind < 9300) {
+            oracle.onNeighborRefresh(bank, row);
+            ref.neighborRefresh(bank, row);
+        } else if (kind < 9999) {
+            // 63, 11, 9, 8 or 1 rows per REF; 1 group (a whole-bank
+            // sweep) is rare so the table fills up between sweeps.
+            const std::uint32_t groups[] = {16, 100, 125, 128, 1003, 1};
+            const std::uint32_t g = groups[rng.nextBounded(
+                kind == 9998 ? std::size(groups) : std::size(groups) - 1)];
+            oracle.onAutoRefresh(bank, g);
+            ref.autoRefresh(bank, g);
+        } else {
+            oracle.resetCounts();
+            ref.reset();
+        }
+        ASSERT_EQ(oracle.bitFlips(), ref.flips) << "op " << op;
+        ASSERT_EQ(oracle.flippedRows(), ref.flipped.size()) << "op " << op;
+        ASSERT_EQ(oracle.maxDisturbanceEver(), ref.maxQ / 4.0)
+            << "op " << op;
+        max_slots = std::max(max_slots, oracle.blockSlots());
+        if (op % 97 == 0) {
+            ASSERT_NO_FATAL_FAILURE(check_rows()) << "op " << op;
+        }
+    }
+    ASSERT_NO_FATAL_FAILURE(check_rows());
+
+    EXPECT_GT(ref.flips, 0u);
+    EXPECT_GE(max_slots, initial_slots * 8) << "several table growths";
+    EXPECT_EQ(recorder.dropped(), 0u);
+    for (BankId b = 0; b < kBanks; ++b)
+        EXPECT_EQ(recorder.bankEvents(b), ref.events(b)) << "bank " << b;
+
+    // Refreshing every row empties the table.
+    for (BankId b = 0; b < kBanks; ++b)
+        oracle.onAutoRefresh(b, 1);
+    EXPECT_EQ(oracle.liveBlocks(), 0u);
+}
+
+TEST(OracleDifferential, MatchesReferenceAtRadius1)
+{
+    checkAgainstReference(1, 11);
+}
+
+TEST(OracleDifferential, MatchesReferenceAtRadius2)
+{
+    checkAgainstReference(2, 22);
+}
+
+TEST(OracleDifferential, MatchesReferenceAtRadius3)
+{
+    checkAgainstReference(3, 33);
+}
+
+TEST(OracleDifferential, SmallTableChurnMatchesReference)
+{
+    // At most 6 blocks of a 65,536-row bank, so the table keeps its
+    // initial 16 slots while rows are hammered and refreshed in turn.
+    // Across many random key sets, probe chains cross the last slot,
+    // so backward-shift deletions wrap the table.
+    constexpr std::uint32_t kRows = 65536;
+    Rng rng(7);
+    for (int trial = 0; trial < 2000; ++trial) {
+        RhOracle oracle(4, kRows, 8, 1);
+        ReferenceOracle ref(4, kRows, 8, 1);
+        const std::size_t slots = oracle.blockSlots();
+        const BankId bank = static_cast<BankId>(rng.nextBounded(4));
+        RowId pool[3];
+        for (RowId &r : pool)
+            r = static_cast<RowId>(rng.nextBounded(kRows));
+        for (int op = 0; op < 40; ++op) {
+            const RowId row = pool[rng.nextBounded(3)];
+            const RowId victim =
+                rng.nextBounded(2) ? std::min(row + 1, kRows - 1)
+                                   : (row > 0 ? row - 1 : 0);
+            switch (rng.nextBounded(3)) {
+              case 0:
+                oracle.onActivate(bank, row);
+                ref.activate(bank, row, 0);
+                break;
+              case 1:
+                oracle.onRowRefresh(bank, victim);
+                ref.refresh(bank, victim);
+                break;
+              default:
+                oracle.onNeighborRefresh(bank, row);
+                ref.neighborRefresh(bank, row);
+                break;
+            }
+            for (const RowId r : pool) {
+                for (RowId v = r > 0 ? r - 1 : 0;
+                     v <= std::min(r + 1, kRows - 1); ++v) {
+                    const auto it = ref.counts.find({bank, v});
+                    ASSERT_EQ(oracle.disturbance(bank, v),
+                              it == ref.counts.end() ? 0.0
+                                                     : it->second / 4.0)
+                        << "trial " << trial << " op " << op;
+                }
+            }
+            ASSERT_EQ(oracle.liveBlocks(), ref.nonzeroBlocks())
+                << "trial " << trial << " op " << op;
+            ASSERT_EQ(oracle.bitFlips(), ref.flips);
+            ASSERT_EQ(oracle.flippedRows(), ref.flipped.size());
+        }
+        ASSERT_EQ(oracle.blockSlots(), slots);
+    }
 }
 
 TEST(DeviceTest, ActivateInformsOracleAndMeters)

@@ -194,6 +194,9 @@ TEST(SystemIntegration, BlockHammerThrottlesAttacker)
     spec.flipTh = 1500;
     const RunMetrics m = runExperiment(spec);
     EXPECT_GT(m.throttleStalls, 0u);
+    // A stall is a delayed ACT, counted once however many scheduling
+    // passes re-evaluate it.
+    EXPECT_LE(m.throttleStalls, m.acts);
 }
 
 TEST(SystemIntegration, UnprotectedLongAttackFlipsBits)
