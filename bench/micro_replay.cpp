@@ -9,16 +9,14 @@
  * that produced the seed trace. The paper's capture-once-replay-many
  * methodology only pays off if replay is orders of magnitude faster
  * than re-simulating CPU+MC per scheme; this bench measures exactly
- * that ratio — and, per point, whether the zero-copy mmap decoder
- * beats the buffered fread reader.
+ * that ratio, and reports each corpus's compose time beside it.
  *
  * To make the replay long enough to time, each corpus is replayed
  * `loops=` times back to back (each loop is an independent full
  * replay through a fresh engine+tracker); wider corpora scale the
  * loop count down proportionally so every corpus replays a similar
- * record volume. Every point of one corpus — any thread count,
- * either decoder — must produce the identical outcome; a divergence
- * is fatal.
+ * record volume. Every point of one corpus — any thread count —
+ * must produce the identical outcome; a divergence is fatal.
  *
  * Knobs: cores=N instr=N seed=N (the recorded System run),
  *        scheme=NAME replay tracker (default mithril),
@@ -31,8 +29,8 @@
  *        corpus=PATH composed corpus (default micro_replay.corpus.acttrace;
  *          reused per corpus width),
  *        json=FILE write the BENCH_replay.json artifact (schema v4:
- *          one "corpora" row per tenant width, each with its own
- *          replay grid).
+ *          one "corpora" row per tenant width, each with its compose
+ *          time and its own replay grid).
  */
 
 #include <chrono>
@@ -58,7 +56,6 @@ struct ReplayPoint
 {
     unsigned threads = 1;
     std::uint32_t shards = 1;
-    bool mmap = true;
     double actsPerSec = 0.0;
 };
 
@@ -69,6 +66,7 @@ struct CorpusResult
     engine::ActTraceInfo info;
     std::uint64_t bytes = 0;
     std::uint64_t loops = 0;  //!< Scaled per-point repetitions.
+    double composeSeconds = 0.0; //!< Remaps + merge + splice.
     std::vector<ReplayPoint> points;
 };
 
@@ -131,19 +129,21 @@ writeJson(const std::string &path, const sim::ExperimentSpec &sys_spec,
             f,
             "    {\"tenants\": %llu, \"records\": %llu, "
             "\"bytes\": %llu, \"attack\": \"%s\", "
-            "\"loops\": %llu, \"replay\": [",
+            "\"compose_seconds\": %.4f, \"loops\": %llu, "
+            "\"replay\": [",
             static_cast<unsigned long long>(cr.tenants),
             static_cast<unsigned long long>(cr.info.records),
             static_cast<unsigned long long>(cr.bytes), kBurstAttack,
+            cr.composeSeconds,
             static_cast<unsigned long long>(cr.loops));
         for (std::size_t i = 0; i < cr.points.size(); ++i) {
             const ReplayPoint &p = cr.points[i];
             std::fprintf(f,
                          "%s{\"threads\": %u, \"shards\": %u, "
-                         "\"mmap\": %d, \"acts_per_sec\": %.0f, "
+                         "\"acts_per_sec\": %.0f, "
                          "\"speedup_vs_system\": %.1f}",
                          i ? ", " : "", p.threads, p.shards,
-                         p.mmap ? 1 : 0, p.actsPerSec,
+                         p.actsPerSec,
                          system_acts_per_sec > 0.0
                              ? p.actsPerSec / system_acts_per_sec
                              : 0.0);
@@ -229,9 +229,9 @@ main(int argc, char **argv)
 
     // ---- compose + replay, once per corpus width: remap the capture
     // to `tenants` bank offsets, merge them, splice one attack burst,
-    // then drive the corpus through `scheme` at every thread count
-    // under both decoders. Wider corpora scale the loop count down so
-    // every width replays a comparable record volume.
+    // then drive the corpus through `scheme` at every thread count.
+    // Wider corpora scale the loop count down so every width replays
+    // a comparable record volume.
     std::vector<CorpusResult> corpora;
     for (std::uint64_t tenants : tenants_list) {
         const auto comp_t0 = std::chrono::steady_clock::now();
@@ -260,6 +260,7 @@ main(int argc, char **argv)
         for (const std::string &tenant : tenant_paths)
             std::remove(tenant.c_str());
         const auto comp_t1 = std::chrono::steady_clock::now();
+        cr.composeSeconds = seconds(comp_t0, comp_t1);
         cr.bytes = fileBytes(corpus_path);
 
         // Scale the repetitions to the first corpus's record volume
@@ -282,68 +283,55 @@ main(int argc, char **argv)
             kBurstAttack,
             static_cast<unsigned long long>(cr.info.records),
             static_cast<unsigned long long>(cr.bytes),
-            seconds(comp_t0, comp_t1),
+            cr.composeSeconds,
             static_cast<unsigned long long>(cr.loops));
-
-        auto replay_spec = [&](unsigned threads, bool mmap) {
-            sim::ExperimentSpec spec;
-            spec.scheme = scheme;
-            spec.source = "act-trace";
-            spec.extras.set("trace", corpus_path);
-            spec.extras.set("mmap", mmap ? "1" : "0");
-            spec.engineActs = cr.info.records;
-            spec.shards = threads;
-            spec.threads = threads;
-            return spec;
-        };
 
         sim::RunMetrics reference;
         bool have_reference = false;
         for (unsigned threads : thread_counts) {
-            for (bool mmap : {true, false}) {
-                const sim::ExperimentSpec spec =
-                    replay_spec(threads, mmap);
-                sim::runExperiment(spec); // Warm-up (page cache).
-                const auto t0 = std::chrono::steady_clock::now();
-                sim::RunMetrics last{};
-                for (std::uint64_t i = 0; i < cr.loops; ++i)
-                    last = sim::runExperiment(spec);
-                const auto t1 = std::chrono::steady_clock::now();
+            sim::ExperimentSpec spec;
+            spec.scheme = scheme;
+            spec.source = "act-trace";
+            spec.extras.set("trace", corpus_path);
+            spec.engineActs = cr.info.records;
+            spec.shards = threads;
+            spec.threads = threads;
+            sim::runExperiment(spec); // Warm-up (page cache).
+            const auto t0 = std::chrono::steady_clock::now();
+            sim::RunMetrics last{};
+            for (std::uint64_t i = 0; i < cr.loops; ++i)
+                last = sim::runExperiment(spec);
+            const auto t1 = std::chrono::steady_clock::now();
 
-                // Determinism canary: every replay of one corpus —
-                // any thread count, either decoder — is the same
-                // outcome.
-                if (!have_reference) {
-                    reference = last;
-                    have_reference = true;
-                } else if (last.rfmIssued != reference.rfmIssued ||
-                           last.preventiveRefreshes !=
-                               reference.preventiveRefreshes ||
-                           last.simTicks != reference.simTicks) {
-                    fatal("replay diverged at tenants=%llu "
-                          "threads=%u mmap=%d",
-                          static_cast<unsigned long long>(tenants),
-                          threads, mmap ? 1 : 0);
-                }
-
-                ReplayPoint p;
-                p.threads = threads;
-                p.shards = threads;
-                p.mmap = mmap;
-                p.actsPerSec =
-                    static_cast<double>(cr.info.records) *
-                    static_cast<double>(cr.loops) / seconds(t0, t1);
-                cr.points.push_back(p);
+            // Determinism canary: every replay of one corpus — any
+            // thread count — is the same outcome.
+            if (!have_reference) {
+                reference = last;
+                have_reference = true;
+            } else if (last.rfmIssued != reference.rfmIssued ||
+                       last.preventiveRefreshes !=
+                           reference.preventiveRefreshes ||
+                       last.simTicks != reference.simTicks) {
+                fatal("replay diverged at tenants=%llu threads=%u",
+                      static_cast<unsigned long long>(tenants),
+                      threads);
             }
+
+            ReplayPoint p;
+            p.threads = threads;
+            p.shards = threads;
+            p.actsPerSec = static_cast<double>(cr.info.records) *
+                           static_cast<double>(cr.loops) /
+                           seconds(t0, t1);
+            cr.points.push_back(p);
         }
         corpora.push_back(std::move(cr));
     }
 
-    TablePrinter table({"mode", "tenants", "threads", "decoder",
-                        "acts/s", "vs System"});
+    TablePrinter table({"mode", "tenants", "threads", "acts/s",
+                        "vs System"});
     table.beginRow()
         .cell("System (capture)")
-        .cell("-")
         .cell("-")
         .cell("-")
         .num(sys_aps, 0)
@@ -354,7 +342,6 @@ main(int argc, char **argv)
                 .cell("replay " + scheme)
                 .cell(std::to_string(cr.tenants))
                 .cell(std::to_string(p.threads))
-                .cell(p.mmap ? "mmap" : "buffered")
                 .num(p.actsPerSec, 0)
                 .cell(formatFixed(p.actsPerSec / sys_aps, 1) + "x");
         }
@@ -366,9 +353,8 @@ main(int argc, char **argv)
         "multi-tenant corpus (same stream at every point of a "
         "width)\nthrough the sharded engine + %s tracker alone. The "
         "ratio is what\ncapture-once-replay-many saves per "
-        "additional scheme in a sweep; mmap vs\nbuffered isolates "
-        "the decoder, and the widest corpus is the consolidation-\n"
-        "scale stress point.\n",
+        "additional scheme in a sweep; the\nwidest corpus is the "
+        "consolidation-scale stress point.\n",
         scheme.c_str());
 
     if (!scale.jsonOut.empty())

@@ -91,8 +91,7 @@ main(int argc, char **argv)
     if (argc != 2)
         fatal("usage: acttrace_info <trace file>");
     try {
-        engine::ActTraceSource source(
-            argv[1], engine::ActTraceReadOptions{/*mmap=*/true});
+        engine::ActTraceSource source(argv[1]);
         const engine::ActTraceInfo &info = source.info();
         std::printf("%s", info.describe().c_str());
         printBankSpans(source);
@@ -100,8 +99,8 @@ main(int argc, char **argv)
     } catch (const registry::SpecError &err) {
         fatal("%s", err.what());
     } catch (const std::exception &err) {
-        // Same one-line contract for non-SpecError failures (mmap
-        // errors, allocation) — never a raw terminate().
+        // Same one-line contract for non-SpecError failures
+        // (allocation) — never a raw terminate().
         fatal("%s", err.what());
     }
     return 0;

@@ -1,7 +1,9 @@
 #include "act_trace.hh"
 
+#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -165,35 +167,6 @@ geometryText(std::uint32_t channels, std::uint32_t ranks,
     return std::to_string(channels) + "x" + std::to_string(ranks) +
            "x" + std::to_string(banks) + " banks, " +
            std::to_string(rows) + " rows";
-}
-
-/** fread exactly n bytes at the current position; throws on short
- *  reads (truncated file). */
-void
-readExact(std::FILE *file, void *out, std::size_t n,
-          const std::string &path, const char *what)
-{
-    if (std::fread(out, 1, n, file) != n)
-        corrupt(path, std::string(what) + " is truncated");
-}
-
-void
-seekTo(std::FILE *file, std::uint64_t offset, const std::string &path)
-{
-    if (std::fseek(file, static_cast<long>(offset), SEEK_SET) != 0)
-        corrupt(path, "seek to offset " + std::to_string(offset) +
-                          " failed");
-}
-
-std::uint64_t
-fileSize(std::FILE *file, const std::string &path)
-{
-    if (std::fseek(file, 0, SEEK_END) != 0)
-        corrupt(path, "seek to end failed");
-    const long size = std::ftell(file);
-    if (size < 0)
-        corrupt(path, "ftell failed");
-    return static_cast<std::uint64_t>(size);
 }
 
 } // namespace
@@ -459,28 +432,43 @@ const failpoint::SiteRegistrar kFpFinalize{
     "fail ActTraceWriter::finalize before the tmp+rename publish — "
     "the capture/compose is lost but no torn file appears"};
 
-std::FILE *
-openTrace(const std::string &path)
-{
-    // Diagnose the path before fopen: on Linux fopen("rb") happily
-    // opens a directory and the failure would otherwise surface as a
-    // misleading "header is truncated" mid-parse.
-    struct ::stat st;
-    if (::stat(path.c_str(), &st) != 0) {
-        throw SpecError("act-trace '" + path +
-                        "': " + std::strerror(errno));
-    }
-    if (S_ISDIR(st.st_mode))
-        throw SpecError("act-trace '" + path +
-                        "': is a directory, not a trace file");
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        throw SpecError("act-trace '" + path + "': cannot open for "
-                        "reading: " + std::strerror(errno));
-    return file;
-}
-
 } // namespace
+
+ActTraceSource::Mapping::Mapping(const std::string &path)
+{
+    // Check the path before opening it: open() on a FIFO blocks
+    // until a writer appears, and a directory would otherwise surface
+    // as a misleading "truncated header".
+    struct ::stat st {};
+    if (::stat(path.c_str(), &st) != 0)
+        corrupt(path, std::strerror(errno));
+    if (S_ISDIR(st.st_mode))
+        corrupt(path, "is a directory, not a trace file");
+    if (!S_ISREG(st.st_mode))
+        corrupt(path, "not a regular file");
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        corrupt(path, std::string("cannot open for reading: ") +
+                          std::strerror(errno));
+    // Size the opened file, not the path: a trace republished by
+    // rename in between is another inode.
+    if (::fstat(fd, &st) != 0) {
+        const int err = errno;
+        ::close(fd);
+        corrupt(path, std::string("cannot stat: ") + std::strerror(err));
+    }
+    size = static_cast<std::size_t>(st.st_size);
+    // A zero-length mmap is EINVAL; an empty file stays an empty
+    // span, which parse() rejects as a truncated header.
+    void *mem = size == 0 ? nullptr
+                          : ::mmap(nullptr, size, PROT_READ,
+                                   MAP_PRIVATE, fd, 0);
+    const int err = errno;
+    ::close(fd);
+    if (mem == MAP_FAILED)
+        corrupt(path, std::string("mmap failed: ") + std::strerror(err));
+    data = static_cast<const std::uint8_t *>(mem);
+}
 
 ActTraceSource::Mapping::~Mapping()
 {
@@ -489,24 +477,21 @@ ActTraceSource::Mapping::~Mapping()
 }
 
 std::shared_ptr<const ActTraceSource::Parsed>
-ActTraceSource::parse(std::FILE *file, const std::string &path,
-                      bool want_mmap)
+ActTraceSource::parse(const std::string &path)
 {
-    auto parsed = std::make_shared<Parsed>();
+    auto parsed = std::make_shared<Parsed>(path);
     Parsed &out = *parsed;
-    const std::uint64_t size = fileSize(file, path);
+    const std::uint8_t *bytes = out.map.data;
+    const std::uint64_t size = out.map.size;
 
     // ---- header
     if (size < kHeaderFixedBytes)
         corrupt(path, "truncated header (" + std::to_string(size) +
                           " bytes)");
-    std::vector<std::uint8_t> head(kHeaderFixedBytes);
-    seekTo(file, 0, path);
-    readExact(file, head.data(), head.size(), path, "header");
-    if (std::memcmp(head.data(), kActTraceMagic, kMagicBytes) != 0)
+    if (std::memcmp(bytes, kActTraceMagic, kMagicBytes) != 0)
         corrupt(path, "bad magic (not a mithril.acttrace.v1 file)");
-    ByteReader header(head.data() + kMagicBytes,
-                      head.size() - kMagicBytes, path, "header");
+    ByteReader header(bytes + kMagicBytes,
+                      kHeaderFixedBytes - kMagicBytes, path, "header");
     ActTraceInfo &info = out.info;
     info.channels = header.u32();
     info.ranksPerChannel = header.u32();
@@ -532,18 +517,16 @@ ActTraceSource::parse(std::FILE *file, const std::string &path,
         kHeaderFixedBytes + meta_len > size)
         corrupt(path, "meta length " + std::to_string(meta_len) +
                           " overruns the file");
-    info.meta.resize(meta_len);
-    if (meta_len > 0)
-        readExact(file, info.meta.data(), meta_len, path, "meta");
+    info.meta.assign(
+        reinterpret_cast<const char *>(bytes + kHeaderFixedBytes),
+        meta_len);
     const std::uint64_t data_begin = kHeaderFixedBytes + meta_len;
 
     // ---- footer
     if (size < data_begin + kFooterBytes)
         corrupt(path, "truncated footer (no index written — "
                       "incomplete capture?)");
-    std::uint8_t foot[kFooterBytes];
-    seekTo(file, size - kFooterBytes, path);
-    readExact(file, foot, kFooterBytes, path, "footer");
+    const std::uint8_t *foot = bytes + (size - kFooterBytes);
     if (std::memcmp(foot + 16, kEndMagic, kEndMagicBytes) != 0)
         corrupt(path, "bad end marker (incomplete capture?)");
     ByteReader footer(foot, 16, path, "footer");
@@ -558,10 +541,7 @@ ActTraceSource::parse(std::FILE *file, const std::string &path,
     // ---- index
     const std::size_t index_bytes = static_cast<std::size_t>(
         size - kFooterBytes - index_offset);
-    std::vector<std::uint8_t> raw(index_bytes);
-    seekTo(file, index_offset, path);
-    readExact(file, raw.data(), raw.size(), path, "index");
-    ByteReader index(raw.data(), raw.size(), path, "index");
+    ByteReader index(bytes + index_offset, index_bytes, path, "index");
     if (index.u32() != kIndexMagic)
         corrupt(path, "bad index magic");
     const std::uint64_t chunk_count = index.u64();
@@ -594,13 +574,11 @@ ActTraceSource::parse(std::FILE *file, const std::string &path,
                               " banks");
         // Cross-check the in-band chunk header against the index, so
         // corruption in the data section's framing is caught at open
-        // (loadBlock does the same for the per-block headers).
+        // (loadBlock does the same for the per-block headers). The
+        // header must sit in the data section, before the index.
         {
-            std::uint8_t chunk_head[8];
-            seekTo(file, chunk_offset, path);
-            readExact(file, chunk_head, sizeof(chunk_head), path,
-                      "chunk header");
-            ByteReader head(chunk_head, sizeof(chunk_head), path,
+            ByteReader head(bytes + chunk_offset,
+                            index_offset - chunk_offset, path,
                             "chunk header");
             if (head.u32() != kChunkMagic ||
                 head.u32() != block_count)
@@ -672,25 +650,6 @@ ActTraceSource::parse(std::FILE *file, const std::string &path,
                           " records but the index sums to " +
                           std::to_string(records));
     info.records = records;
-
-    // Zero-copy mode: map the (now structurally validated) file once;
-    // every slice decodes straight from the page cache through this
-    // shared mapping. A failed map is not an error — the buffered
-    // fread path below serves the same bytes.
-    if (want_mmap) {
-        void *mem = ::mmap(nullptr, static_cast<std::size_t>(size),
-                           PROT_READ, MAP_PRIVATE, fileno(file), 0);
-        if (mem == MAP_FAILED) {
-            warn("act-trace '%s': mmap failed; falling back to "
-                 "buffered reads",
-                 path.c_str());
-        } else {
-            auto map = std::make_unique<Mapping>();
-            map->data = static_cast<const std::uint8_t *>(mem);
-            map->size = static_cast<std::size_t>(size);
-            out.map = std::move(map);
-        }
-    }
     return parsed;
 }
 
@@ -702,48 +661,13 @@ actTraceInfo(const std::string &path)
 
 // --------------------------------------------------- ActTraceSource
 
+// Full stream = the range [0, max bank id): no sentinel, an explicit
+// [0, 0) slice really is empty.
 ActTraceSource::ActTraceSource(const std::string &path,
                                std::uint64_t max_records)
-    : ActTraceSource(path, 0, ~BankId{0}, max_records)
+    : path_(path), parsed_(parse(path)), lo_(0), hi_(~BankId{0}),
+      budget_(max_records)
 {
-    // Full stream = the range [0, max bank id): no sentinel, an
-    // explicit [0, 0) range really is empty.
-}
-
-ActTraceSource::ActTraceSource(const std::string &path, BankId lo,
-                               BankId hi, std::uint64_t max_records)
-    : path_(path), lo_(lo), hi_(hi), budget_(max_records)
-{
-    file_ = openTrace(path);
-    try {
-        parsed_ = parse(file_, path_, false);
-    } catch (...) {
-        std::fclose(file_);
-        file_ = nullptr;
-        throw;
-    }
-}
-
-ActTraceSource::ActTraceSource(const std::string &path,
-                               ActTraceReadOptions opts,
-                               std::uint64_t max_records)
-    : path_(path), lo_(0), hi_(~BankId{0}), budget_(max_records)
-{
-    file_ = openTrace(path);
-    try {
-        parsed_ = parse(file_, path_, opts.mmap);
-    } catch (...) {
-        std::fclose(file_);
-        file_ = nullptr;
-        throw;
-    }
-    // A mapped reader never touches the handle again — the mapping
-    // outlives the fd — so mmap readers (and all their slices) hold
-    // no file descriptors at all.
-    if (parsed_->map) {
-        std::fclose(file_);
-        file_ = nullptr;
-    }
 }
 
 ActTraceSource::ActTraceSource(const ActTraceSource &parsed,
@@ -752,20 +676,6 @@ ActTraceSource::ActTraceSource(const ActTraceSource &parsed,
     : path_(parsed.path_), parsed_(parsed.parsed_), lo_(lo),
       hi_(hi), budget_(max_records)
 {
-    if (!parsed_->map)
-        file_ = openTrace(path_);
-}
-
-bool
-ActTraceSource::mapped() const
-{
-    return parsed_->map != nullptr;
-}
-
-ActTraceSource::~ActTraceSource()
-{
-    if (file_)
-        std::fclose(file_);
 }
 
 std::string
@@ -783,8 +693,8 @@ ActTraceSource::shardSlice(BankId lo, BankId hi, std::uint64_t budget)
 {
     // Slices only make sense off the pristine full stream.
     MITHRIL_ASSERT(blockCursor_ == 0 && blockRemaining_ == 0);
-    // The header/index are immutable once parsed: the slice reuses
-    // them and only opens its own file handle, so a 16-shard replay
+    // The header, index and mapping are immutable once parsed: the
+    // slice reuses them, so a 16-shard replay maps the file and
     // parses the index once, not 16 more times.
     return std::unique_ptr<ActSource>(new ActTraceSource(
         *this, lo, hi, std::min(budget, budget_)));
@@ -796,21 +706,11 @@ ActTraceSource::loadBlock(const IndexBlock &block)
     MITHRIL_FAILPOINT("act-trace.decode");
     // Cross-check the in-band block header against the index before
     // trusting the payload (catches spliced/overwritten data that a
-    // consistent index would otherwise hide).
-    std::uint8_t head_buf[12];
-    const std::uint8_t *head;
-    if (const Mapping *map = parsed_->map.get()) {
-        // parse() bounded every payload inside [data_begin,
-        // index_offset), so header and payload both sit inside the
-        // mapping.
-        head = map->data + (block.payloadOffset - 12);
-        blockData_ = map->data + block.payloadOffset;
-    } else {
-        seekTo(file_, block.payloadOffset - 12, path_);
-        readExact(file_, head_buf, sizeof(head_buf), path_,
-                  "block header");
-        head = head_buf;
-    }
+    // consistent index would otherwise hide). parse() bounded every
+    // payload inside [data_begin, index_offset), so header and
+    // payload both sit inside the mapping.
+    const std::uint8_t *head =
+        parsed_->map.data + (block.payloadOffset - 12);
     ByteReader reader(head, 12, path_, "block header");
     const std::uint32_t bank = reader.u32();
     const std::uint32_t count = reader.u32();
@@ -821,12 +721,7 @@ ActTraceSource::loadBlock(const IndexBlock &block)
                        "(bank " +
                            std::to_string(bank) + " vs " +
                            std::to_string(block.bank) + ")");
-    if (!parsed_->map) {
-        decode_.resize(block.payloadBytes);
-        readExact(file_, decode_.data(), decode_.size(), path_,
-                  "block payload");
-        blockData_ = decode_.data();
-    }
+    blockData_ = head + 12;
     blockSize_ = block.payloadBytes;
     decodePos_ = 0;
     first_ = true;
@@ -860,18 +755,8 @@ void
 ActTraceSource::blockTickSpan(const IndexBlock &block, Tick *first,
                               Tick *last)
 {
-    const std::uint8_t *payload;
-    std::vector<std::uint8_t> local;
-    if (const Mapping *map = parsed_->map.get()) {
-        payload = map->data + block.payloadOffset;
-    } else {
-        local.resize(block.payloadBytes);
-        seekTo(file_, block.payloadOffset, path_);
-        readExact(file_, local.data(), local.size(), path_,
-                  "block payload");
-        payload = local.data();
-    }
-    ByteReader r(payload, block.payloadBytes, path_, "block payload");
+    ByteReader r(parsed_->map.data + block.payloadOffset,
+                 block.payloadBytes, path_, "block payload");
     r.varint(); // First row (zigzag-encoded raw value; unused here).
     const std::uint64_t raw_tick = r.varint();
     if (raw_tick > static_cast<std::uint64_t>(kTickMax))
@@ -1040,10 +925,7 @@ const registry::Registrar<registry::SourceTraits> kRegisterActTrace{{
              "already fixed)",
     /*params=*/
     {{"trace", registry::ParamDesc::Type::String, "", 0, 0,
-      "path of the captured .acttrace file (required)"},
-     {"mmap", registry::ParamDesc::Type::Bool, "1", 0, 1,
-      "decode blocks zero-copy from an mmap of the file; falls back "
-      "to buffered reads when mapping fails"}},
+      "path of the captured .acttrace file (required)"}},
     /*make=*/
     [](const ParamSet &params, const registry::SourceContext &ctx)
         -> std::unique_ptr<ActSource> {
@@ -1054,8 +936,7 @@ const registry::Registrar<registry::SourceTraits> kRegisterActTrace{{
                 "with record=<path> on any run, or compose one with "
                 "trace_cli)");
         }
-        auto source = std::make_unique<ActTraceSource>(
-            path, ActTraceReadOptions{params.getBool("mmap", true)});
+        auto source = std::make_unique<ActTraceSource>(path);
         const ActTraceInfo &info = source->info();
         if (!info.matches(ctx.geometry)) {
             throw registry::SpecError(

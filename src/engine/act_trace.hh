@@ -94,13 +94,16 @@ struct ActTraceBankSpan
     Tick last = 0;
 };
 
-/** How a trace file is read back. */
+/**
+ * Shim with nothing left to choose: every reader decodes from one
+ * read-only mapping of the file, and the constructor that takes this
+ * ignores it. It remains only because the benchmark driver under
+ * perfbench/ constructs `ActTraceSource(path,
+ * ActTraceReadOptions{true})`; no other code may use it.
+ */
 struct ActTraceReadOptions
 {
-    /** Decode blocks straight out of an mmap of the file (zero-copy,
-     *  shared by every shard slice). Falls back to the buffered
-     *  fread reader when the mapping cannot be established. */
-    bool mmap = false;
+    bool mmap = true; //!< Ignored.
 };
 
 /**
@@ -192,34 +195,34 @@ ActTraceInfo actTraceInfo(const std::string &path);
  * slice emits exactly the in-range records a BankFilterSource over
  * the bounded full stream would — the contract behind shardSlice().
  *
- * Each buffered source owns its own file handle, so per-shard
- * readers can run on different threads; mmap readers share one
- * read-only mapping (the page cache is the buffer) and need no
- * handle at all, so per-(bank) cursors are cheap enough for k-way
- * merges over many inputs.
+ * Opening a source maps the whole file read-only once and closes the
+ * descriptor; the reader and all its slices decode straight from
+ * that one shared mapping (the page cache is the buffer) and hold no
+ * file handles, so per-shard readers can run on different threads
+ * and per-(bank) cursors are cheap enough for k-way merges over many
+ * inputs. A path that is not a regular file, or a file that cannot
+ * be mapped, is a SpecError.
  */
 class ActTraceSource : public ActSource
 {
   public:
     explicit ActTraceSource(const std::string &path,
                             std::uint64_t max_records = ~0ull);
-    ActTraceSource(const std::string &path, BankId lo, BankId hi,
-                   std::uint64_t max_records = ~0ull);
-    ActTraceSource(const std::string &path, ActTraceReadOptions opts,
-                   std::uint64_t max_records = ~0ull);
-    ~ActTraceSource() override;
+    /** The shim constructor (see ActTraceReadOptions). */
+    ActTraceSource(const std::string &path, ActTraceReadOptions,
+                   std::uint64_t max_records = ~0ull)
+        : ActTraceSource(path, max_records)
+    {
+    }
 
     const ActTraceInfo &info() const { return parsed_->info; }
-
-    /** True when this reader decodes from a shared mapping. */
-    bool mapped() const;
 
     std::string name() const override;
 
     std::size_t fill(ActBatch &batch, std::size_t limit) override;
 
-    /** Native seeking slice of the same file (fresh handle, or the
-     *  shared mapping when this reader is mmap-backed). */
+    /** Native seeking slice of the same file, sharing this reader's
+     *  parsed index and mapping. */
     std::unique_ptr<ActSource> shardSlice(
         BankId lo, BankId hi, std::uint64_t budget) override;
 
@@ -240,40 +243,47 @@ class ActTraceSource : public ActSource
         std::uint64_t payloadOffset;
     };
 
-    /** A read-only mmap of the whole file, shared by all slices. */
+    /** A read-only mapping of a whole regular file; an empty file
+     *  stays unmapped (null data, size 0). The descriptor is closed
+     *  once the mapping exists. */
     struct Mapping
     {
+        explicit Mapping(const std::string &path);
+        ~Mapping();
+        Mapping(const Mapping &) = delete;
+        Mapping &operator=(const Mapping &) = delete;
+
         const std::uint8_t *data = nullptr;
         std::size_t size = 0;
-        ~Mapping();
     };
 
-    /** The immutable parse result (header + flattened canonical
-     *  block index, plus the mapping when mmap was requested),
-     *  shared by a full reader and all its slices so a sharded
-     *  replay parses AND stores the index exactly once. */
+    /** The immutable parse result — header, flattened canonical
+     *  block index, and the mapping every block decodes from —
+     *  shared by a full reader and all its slices, so a sharded
+     *  replay maps the file and parses its index exactly once. */
     struct Parsed
     {
+        explicit Parsed(const std::string &path) : map(path) {}
+
+        Mapping map;
         ActTraceInfo info;
         std::vector<IndexBlock> blocks;
-        std::unique_ptr<Mapping> map;
     };
 
     /** Slice off an already-parsed source: shares the header/index
-     *  state (and the mapping) and opens at most a fresh handle. */
+     *  state and the mapping. */
     ActTraceSource(const ActTraceSource &parsed, BankId lo, BankId hi,
                    std::uint64_t max_records);
 
-    /** Parse + structurally validate header, index, and footer;
-     *  establishes the shared mapping when `want_mmap`. */
-    static std::shared_ptr<const Parsed>
-    parse(std::FILE *file, const std::string &path, bool want_mmap);
+    /** Map `path`, then structurally validate header, index, and
+     *  footer over the mapped bytes. */
+    static std::shared_ptr<const Parsed> parse(const std::string &path);
 
     /** Advance to the next in-range block; false when exhausted. */
     bool nextBlock();
 
-    /** Point blockData_ at the current block's validated payload —
-     *  into the mapping (zero-copy) or freshly read into decode_. */
+    /** Point blockData_ at the current block's validated payload in
+     *  the mapping. */
     void loadBlock(const IndexBlock &block);
 
     /** First and last tick of one indexed block (decodes it). */
@@ -281,7 +291,6 @@ class ActTraceSource : public ActSource
                        Tick *last);
 
     std::string path_;
-    std::FILE *file_ = nullptr;
     std::shared_ptr<const Parsed> parsed_;
     BankId lo_;
     BankId hi_;
@@ -291,7 +300,6 @@ class ActTraceSource : public ActSource
     std::uint64_t blockRemaining_ = 0; //!< Records left in cur block.
     bool blockTruncated_ = false;     //!< Budget cut the cur block.
     std::uint32_t blockBank_ = 0;
-    std::vector<std::uint8_t> decode_; //!< Buffered payload storage.
     const std::uint8_t *blockData_ = nullptr; //!< Cur block payload.
     std::size_t blockSize_ = 0;
     std::size_t decodePos_ = 0;

@@ -32,27 +32,27 @@ class MergeStream : public RecordStream
             throw registry::SpecError(
                 "trace-op 'merge' needs at least one input trace");
         }
-        sources_.reserve(inputs.size());
-        for (const std::string &path : inputs) {
-            // mmap: one shared mapping per input serves every
-            // per-bank cursor without a file-handle explosion
-            // (64 banks x 64 tenants would otherwise be 4096 fds).
-            sources_.push_back(
-                std::make_unique<engine::ActTraceSource>(
-                    path, engine::ActTraceReadOptions{true}));
-        }
-        geometry_ = traceGeometry(sources_.front()->info());
-        for (std::size_t i = 1; i < sources_.size(); ++i) {
+        // Each input is mapped once; its per-bank cursors are slices
+        // of that mapping and hold no file handles (64 banks x 64
+        // tenants are 4096 cursors).
+        std::vector<std::unique_ptr<engine::ActTraceSource>> sources;
+        sources.reserve(inputs.size());
+        for (const std::string &path : inputs)
+            sources.push_back(
+                std::make_unique<engine::ActTraceSource>(path));
+        geometry_ = traceGeometry(sources.front()->info());
+        for (std::size_t i = 1; i < sources.size(); ++i) {
             requireSameGeometry(
                 "trace-op 'merge' input '" + inputs[i] + "'",
-                geometry_, traceGeometry(sources_[i]->info()));
+                geometry_, traceGeometry(sources[i]->info()));
         }
-        for (std::size_t i = 0; i < sources_.size(); ++i) {
-            const engine::ActTraceInfo &info = sources_[i]->info();
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+            const engine::ActTraceInfo &info = sources[i]->info();
             for (BankId b = 0; b < info.totalBanks(); ++b) {
                 if (info.perBank[b] == 0)
                     continue;
-                cursors_.emplace_back(*sources_[i], b);
+                cursors_.emplace_back(sources[i]->shardSlice(
+                    b, b + 1, ~std::uint64_t{0}));
                 TraceRecord head;
                 if (cursors_.back().peek(head)) {
                     heap_.push(Key{head.tick,
@@ -74,7 +74,7 @@ class MergeStream : public RecordStream
             return false;
         const Key top = heap_.top();
         heap_.pop();
-        BankCursor &cursor = cursors_[top.cursor];
+        SourceCursor &cursor = cursors_[top.cursor];
         cursor.peek(out);
         cursor.pop();
         TraceRecord head;
@@ -102,8 +102,7 @@ class MergeStream : public RecordStream
         }
     };
 
-    std::vector<std::unique_ptr<engine::ActTraceSource>> sources_;
-    std::vector<BankCursor> cursors_;
+    std::vector<SourceCursor> cursors_;
     std::priority_queue<Key, std::vector<Key>, std::greater<Key>>
         heap_;
     dram::Geometry geometry_;

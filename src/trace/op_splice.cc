@@ -30,7 +30,7 @@ struct InjCursor
 {
     std::vector<TraceRecord> records; //!< Burst mode.
     std::size_t pos = 0;
-    std::unique_ptr<BankCursor> file; //!< Second-trace mode.
+    std::unique_ptr<SourceCursor> file; //!< Second-trace mode.
     Tick offset = 0;
 
     bool
@@ -140,17 +140,16 @@ class SpliceStream : public RecordStream
     void
     openWith(const std::string &path, Tick at)
     {
-        withSource_ = std::make_unique<engine::ActTraceSource>(
-            path, engine::ActTraceReadOptions{true});
+        engine::ActTraceSource with(path);
         requireSameGeometry("trace-op 'splice' with '" + path + "'",
                             upstream_->geometry(),
-                            traceGeometry(withSource_->info()));
-        const engine::ActTraceInfo &info = withSource_->info();
+                            traceGeometry(with.info()));
+        const engine::ActTraceInfo &info = with.info();
         for (BankId b = 0; b < info.totalBanks(); ++b) {
             if (info.perBank[b] == 0)
                 continue;
-            inj_[b].file =
-                std::make_unique<BankCursor>(*withSource_, b);
+            inj_[b].file = std::make_unique<SourceCursor>(
+                with.shardSlice(b, b + 1, ~std::uint64_t{0}));
             inj_[b].offset = at;
         }
     }
@@ -205,7 +204,6 @@ class SpliceStream : public RecordStream
     }
 
     std::unique_ptr<RecordStream> upstream_;
-    std::unique_ptr<engine::ActTraceSource> withSource_;
     std::vector<InjCursor> inj_; //!< Indexed by bank.
     TraceRecord bg_;
     bool bgValid_ = false;

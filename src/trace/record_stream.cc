@@ -1,7 +1,9 @@
 #include "trace/record_stream.hh"
 
 #include <string>
+#include <utility>
 
+#include "common/logging.hh"
 #include "registry/registry.hh"
 
 namespace mithril::trace
@@ -49,46 +51,18 @@ requireSameGeometry(const std::string &what, const dram::Geometry &a,
                               geometryLine(b));
 }
 
-// --------------------------------------------------- TraceFileStream
+// ------------------------------------------------------ SourceCursor
 
-TraceFileStream::TraceFileStream(const std::string &path)
-    : source_(std::make_unique<engine::ActTraceSource>(
-          path, engine::ActTraceReadOptions{/*mmap=*/true})),
-      geometry_(traceGeometry(source_->info()))
+SourceCursor::SourceCursor(std::unique_ptr<engine::ActSource> source)
+    : source_(std::move(source))
 {
+    // ActTraceSource::shardSlice() never returns null; a null slice
+    // means "no native slice" to the sharded engine only.
+    MITHRIL_ASSERT(source_ != nullptr);
 }
 
 bool
-TraceFileStream::next(TraceRecord &out)
-{
-    if (pos_ == batch_.size()) {
-        if (drained_)
-            return false;
-        batch_.clear();
-        pos_ = 0;
-        if (source_->fill(batch_, engine::ActBatch::kCapacity) == 0) {
-            drained_ = true;
-            return false;
-        }
-    }
-    const engine::ActRecord record = batch_.record(pos_++);
-    out = TraceRecord{record.bank, record.row, record.tick};
-    return true;
-}
-
-// -------------------------------------------------------- BankCursor
-
-BankCursor::BankCursor(engine::ActSource &full, BankId bank)
-    : slice_(full.shardSlice(bank, bank + 1, ~std::uint64_t{0}))
-{
-    // Every source the trace ops slice provides a native seeking
-    // slice; the nullptr fallback path is for engine shards only.
-    if (!slice_)
-        drained_ = true;
-}
-
-bool
-BankCursor::peek(TraceRecord &out)
+SourceCursor::peek(TraceRecord &out)
 {
     if (pos_ == batch_.size())
         refill();
@@ -100,20 +74,43 @@ BankCursor::peek(TraceRecord &out)
 }
 
 void
-BankCursor::pop()
+SourceCursor::pop()
 {
     ++pos_;
 }
 
 void
-BankCursor::refill()
+SourceCursor::refill()
 {
     if (drained_)
         return;
     batch_.clear();
     pos_ = 0;
-    if (slice_->fill(batch_, engine::ActBatch::kCapacity) == 0)
+    if (source_->fill(batch_, engine::ActBatch::kCapacity) == 0)
         drained_ = true;
+}
+
+// --------------------------------------------------- TraceFileStream
+
+TraceFileStream::TraceFileStream(const std::string &path)
+    : TraceFileStream(std::make_unique<engine::ActTraceSource>(path))
+{
+}
+
+TraceFileStream::TraceFileStream(
+    std::unique_ptr<engine::ActTraceSource> source)
+    : geometry_(traceGeometry(source->info())),
+      cursor_(std::move(source))
+{
+}
+
+bool
+TraceFileStream::next(TraceRecord &out)
+{
+    if (!cursor_.peek(out))
+        return false;
+    cursor_.pop();
+    return true;
 }
 
 } // namespace mithril::trace

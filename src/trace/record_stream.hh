@@ -55,9 +55,33 @@ class RecordStream
 };
 
 /**
- * Leaf stream over one `.acttrace` file in canonical order,
- * mmap-backed so per-file cost is one mapping, not a buffered handle.
+ * Record-at-a-time lookahead cursor over any engine::ActSource,
+ * refilled a batch at a time. It drains a whole trace for
+ * TraceFileStream and one bank's shardSlice() for the k-way merge's
+ * heap and splice's injection, so N inputs x B banks cost one parse
+ * + one mapping per input.
  */
+class SourceCursor
+{
+  public:
+    explicit SourceCursor(std::unique_ptr<engine::ActSource> source);
+
+    /** The current head record; false when the source is exhausted. */
+    bool peek(TraceRecord &out);
+
+    /** Consume the current head. */
+    void pop();
+
+  private:
+    void refill();
+
+    std::unique_ptr<engine::ActSource> source_;
+    engine::ActBatch batch_;
+    std::size_t pos_ = 0;
+    bool drained_ = false;
+};
+
+/** Leaf stream over one `.acttrace` file in canonical order. */
 class TraceFileStream : public RecordStream
 {
   public:
@@ -70,43 +94,14 @@ class TraceFileStream : public RecordStream
 
     bool next(TraceRecord &out) override;
 
-    const engine::ActTraceInfo &info() const { return source_->info(); }
-
-    /** The underlying (pristine) source — for per-bank slicing. */
-    engine::ActTraceSource &source() { return *source_; }
-
   private:
-    std::unique_ptr<engine::ActTraceSource> source_;
+    explicit TraceFileStream(
+        std::unique_ptr<engine::ActTraceSource> source);
+
+    /** Declared before cursor_: it is read from the source's header
+     *  before the cursor takes ownership of the source. */
     dram::Geometry geometry_;
-    engine::ActBatch batch_;
-    std::size_t pos_ = 0;
-    bool drained_ = false;
-};
-
-/**
- * Per-bank lookahead cursor over one bank's subsequence of a trace —
- * the heap element of the k-way merge and the injection cursor of
- * splice. Built from a *pristine* full source via shardSlice(), so N
- * inputs × B banks cost one parse + one mapping per input.
- */
-class BankCursor
-{
-  public:
-    BankCursor(engine::ActSource &full, BankId bank);
-
-    /** The current head record; false when the bank is exhausted. */
-    bool peek(TraceRecord &out);
-
-    /** Consume the current head. */
-    void pop();
-
-  private:
-    void refill();
-
-    std::unique_ptr<engine::ActSource> slice_;
-    engine::ActBatch batch_;
-    std::size_t pos_ = 0;
-    bool drained_ = false;
+    SourceCursor cursor_;
 };
 
 /** Geometry an ActTraceInfo header implies (row/line bytes are not

@@ -17,23 +17,34 @@
  *     identical outcome at every shard/pool count, and capture
  *     itself is byte-deterministic.
  *  3. Corrupt inputs: truncations, bad magic, geometry mismatches,
- *     out-of-range banks/rows, payloads ending mid-record, and a
- *     fuzzed mutation corpus must all raise registry::SpecError —
- *     never UB (the CI sanitize job runs this suite under
- *     ASan/UBSan) — and a corrupt trace fails its sweep job cleanly.
+ *     out-of-range banks/rows, payloads ending mid-record, paths that
+ *     are not regular files, and a fuzzed mutation corpus must all
+ *     raise registry::SpecError — never UB (the CI sanitize job runs
+ *     this suite under ASan/UBSan) — and a corrupt trace fails its
+ *     sweep job cleanly.
  *  4. Golden: a committed trace must keep describing and replaying
  *     exactly as frozen here, guarding format drift across PRs.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -284,8 +295,10 @@ TEST(ActTraceSeek, BankRangeEqualsFilteredLinearScan)
             engine::BankFilterSource filtered(
                 std::make_unique<engine::ActTraceSource>(path), lo,
                 hi, budget);
-            engine::ActTraceSource seeking(path, lo, hi, budget);
-            EXPECT_EQ(drain(seeking), drain(filtered))
+            engine::ActTraceSource full(path);
+            const auto seeking = full.shardSlice(lo, hi, budget);
+            ASSERT_NE(seeking, nullptr);
+            EXPECT_EQ(drain(*seeking), drain(filtered))
                 << "range [" << lo << "," << hi << ") budget "
                 << budget;
         }
@@ -974,6 +987,66 @@ TEST(ActTraceCorrupt, FuzzedMutationsNeverEscapeSpecError)
     // benign mutation — e.g. inside the meta string — may parse).
     EXPECT_GT(rejected, 100u);
     EXPECT_EQ(parsed + rejected, 300u);
+}
+
+TEST(ActTraceCorrupt, NonRegularPathsRejectedWithoutBlocking)
+{
+    const std::string dir = tmpPath("c_dir");
+    ::mkdir(dir.c_str(), 0700);
+    try {
+        engine::actTraceInfo(dir);
+        ADD_FAILURE() << "a directory parsed as a trace";
+    } catch (const SpecError &err) {
+        EXPECT_NE(std::string(err.what()).find("is a directory"),
+                  std::string::npos)
+            << err.what();
+    }
+    ::rmdir(dir.c_str());
+
+    // A reader that opens a FIFO blocks until a writer appears. The
+    // helper plays that writer after about a second, so a blocking
+    // reader ends (late) instead of hanging the suite; the reader
+    // must have failed before the helper ever ran.
+    const std::string fifo = tmpPath("c_fifo");
+    std::remove(fifo.c_str());
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    bool helper_ran = false;
+    std::thread helper([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        if (cv.wait_for(lock, std::chrono::seconds(1),
+                        [&] { return done; }))
+            return;
+        helper_ran = true;
+        lock.unlock();
+        // Succeeds only while a reader is waiting in open().
+        const int fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+        if (fd >= 0)
+            ::close(fd);
+    });
+    std::string error;
+    bool failed_before_helper = false;
+    try {
+        engine::actTraceInfo(fifo);
+    } catch (const SpecError &err) {
+        error = err.what();
+        std::lock_guard<std::mutex> lock(mu);
+        failed_before_helper = !helper_ran;
+    } catch (const std::exception &err) {
+        error = err.what(); // Fails below; the helper still joins.
+    }
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        done = true;
+    }
+    cv.notify_one();
+    helper.join();
+    std::remove(fifo.c_str());
+    EXPECT_TRUE(failed_before_helper) << "error: " << error;
+    EXPECT_NE(error.find("not a regular file"), std::string::npos)
+        << error;
 }
 
 // ----------------------------------------------- runner integration

@@ -1,7 +1,7 @@
 /**
  * @file
  * The trace-algebra pin suite: every registered trace-op, the
- * pipeline syntax, and the mmap decode path.
+ * pipeline syntax, and the index-only bank spans.
  *
  * Four layers of guarantees:
  *
@@ -11,15 +11,13 @@
  *     [bank-lo, bank-hi), splice adds exactly the injection while
  *     preserving every background record — and every materialized
  *     output is byte-deterministic.
- *  2. The mmap decoder: mapped and buffered readers emit identical
- *     records for full drains, bank slices, and bounded budgets;
- *     bankSpans() agrees with a full scan from the index alone.
+ *  2. bankSpans() agrees with a full scan from the index alone.
  *  3. Composed corpora replay shard-invariantly: a 16-tenant merged +
  *     attack-spliced corpus produces one identical outcome for every
  *     registered scheme at shards {1, 4, 16} across pool sizes, and
  *     a fuzzed mutation corpus over composed traces must parse or
- *     raise registry::SpecError under both decoders — never UB (the
- *     CI sanitize job runs this suite under ASan/UBSan).
+ *     raise registry::SpecError — never UB (the CI sanitize job runs
+ *     this suite under ASan/UBSan).
  *  4. Crash-safety: ActTraceWriter publishes through a temp file +
  *     atomic rename — no finalize, no file; re-materializing over an
  *     existing trace replaces it atomically.
@@ -120,12 +118,11 @@ drainStream(trace::RecordStream &stream)
     return out;
 }
 
-/** Canonical-order records of a trace file, via either decoder. */
+/** Canonical-order records of a trace file. */
 std::vector<Rec>
-readRecords(const std::string &path, bool mmap)
+readRecords(const std::string &path)
 {
-    engine::ActTraceSource source(path,
-                                  engine::ActTraceReadOptions{mmap});
+    engine::ActTraceSource source(path);
     return drain(source);
 }
 
@@ -327,8 +324,8 @@ TEST(TraceMerge, SliceByBankThenMergeIsIdentity)
 
     // Identity is per-bank: every bank's subsequence — the semantic
     // content of a trace — survives the split/merge round trip.
-    EXPECT_EQ(perBank(readRecords(merged, true), kBanks),
-              perBank(readRecords(t, true), kBanks));
+    EXPECT_EQ(perBank(readRecords(merged), kBanks),
+              perBank(readRecords(t), kBanks));
 }
 
 TEST(TraceMerge, EmitsGlobalTickOrderAndDeterministicBytes)
@@ -345,8 +342,8 @@ TEST(TraceMerge, EmitsGlobalTickOrderAndDeterministicBytes)
         ASSERT_LE(recs[i - 1].tick, recs[i].tick) << "at " << i;
 
     // Per-bank content: the tick-merge of the two inputs' banks.
-    const auto banks0 = perBank(readRecords(t0, true), kBanks);
-    const auto banks1 = perBank(readRecords(t1, true), kBanks);
+    const auto banks0 = perBank(readRecords(t0), kBanks);
+    const auto banks1 = perBank(readRecords(t1), kBanks);
     const auto got = perBank(recs, kBanks);
     for (std::uint32_t b = 0; b < kBanks; ++b) {
         EXPECT_EQ(got[b].size(),
@@ -373,13 +370,13 @@ TEST(TraceDilate, UnitScaleIsIdentity)
     const std::string t = tenantTrace("dilate_t", 31, 8000);
     const std::unique_ptr<trace::RecordStream> stream =
         trace::buildPipeline("dilate:" + t + ",num=1,den=1", 42);
-    EXPECT_EQ(drainStream(*stream), readRecords(t, true));
+    EXPECT_EQ(drainStream(*stream), readRecords(t));
 }
 
 TEST(TraceDilate, ScalesTicksByTheRational)
 {
     const std::string t = tenantTrace("dilate_t", 31, 8000);
-    const std::vector<Rec> base = readRecords(t, true);
+    const std::vector<Rec> base = readRecords(t);
 
     const std::unique_ptr<trace::RecordStream> x3 =
         trace::buildPipeline("dilate:" + t + ",num=3", 42);
@@ -415,7 +412,7 @@ TEST(TraceDilate, TickOverflowThrowsInsteadOfWrapping)
 TEST(TraceRemap, RotatesBanksAndRowsModGeometry)
 {
     const std::string t = tenantTrace("remap_t", 41, 8000);
-    const std::vector<Rec> base = readRecords(t, true);
+    const std::vector<Rec> base = readRecords(t);
 
     const std::unique_ptr<trace::RecordStream> stream =
         trace::buildPipeline(
@@ -438,7 +435,7 @@ TEST(TraceRemap, ComposedWithInverseRotationIsIdentity)
             "|remap:bank-rotate=" + std::to_string(kBanks - 5) +
                 ",row-rotate=" + std::to_string(kRows - 123),
             42);
-    EXPECT_EQ(drainStream(*stream), readRecords(t, true));
+    EXPECT_EQ(drainStream(*stream), readRecords(t));
 }
 
 // ----------------------------------- slice: window and bank range
@@ -492,7 +489,7 @@ TEST(TraceSplice, AttackBurstLandsInsideTheWindow)
     // validates every append.
     trace::materializePipeline(spec, out, 42);
 
-    const std::vector<Rec> recs = readRecords(out, true);
+    const std::vector<Rec> recs = readRecords(out);
     ASSERT_EQ(recs.size(), 8000u);
     std::size_t injected = 0;
     Tick first_injected = kTickMax;
@@ -511,7 +508,7 @@ TEST(TraceSplice, AttackBurstLandsInsideTheWindow)
         if (r.tick < at)
             bg_part.push_back(r);
     EXPECT_EQ(perBank(bg_part, kBanks),
-              perBank(readRecords(bg, true), kBanks));
+              perBank(readRecords(bg), kBanks));
 
     // Burst synthesis is seed-deterministic.
     const std::string out2 = tmpPath("splice_burst2");
@@ -529,14 +526,14 @@ TEST(TraceSplice, SecondTraceInjectsShiftedByAt)
                                    ",at=" + std::to_string(at),
                                out, 42);
 
-    const std::vector<Rec> recs = readRecords(out, true);
+    const std::vector<Rec> recs = readRecords(out);
     ASSERT_EQ(recs.size(), 7000u);
     std::vector<Rec> injected;
     for (const Rec &r : recs)
         if (r.tick >= at)
             injected.push_back({r.bank, r.row, r.tick - at});
     EXPECT_EQ(perBank(injected, kBanks),
-              perBank(readRecords(other, true), kBanks));
+              perBank(readRecords(other), kBanks));
 }
 
 TEST(TraceSplice, GeometryMismatchIsRejectedEagerly)
@@ -551,36 +548,7 @@ TEST(TraceSplice, GeometryMismatchIsRejectedEagerly)
                  SpecError);
 }
 
-// ------------------------------ mmap decoder == buffered decoder
-
-TEST(TraceMmap, MappedAndBufferedDecodeIdentically)
-{
-    const std::string t = tenantTrace("mmap_t", 71, 30000);
-
-    engine::ActTraceSource mapped(
-        t, engine::ActTraceReadOptions{/*mmap=*/true});
-    engine::ActTraceSource buffered(
-        t, engine::ActTraceReadOptions{/*mmap=*/false});
-    EXPECT_TRUE(mapped.mapped());
-    EXPECT_FALSE(buffered.mapped());
-    EXPECT_EQ(drain(mapped), drain(buffered));
-
-    // Bank slices and bounded budgets agree too.
-    for (const auto &[lo, hi] : {std::pair<BankId, BankId>{0, 4},
-                                {4, 16}, {7, 8}}) {
-        engine::ActTraceSource m(
-            t, engine::ActTraceReadOptions{true});
-        engine::ActTraceSource b(
-            t, engine::ActTraceReadOptions{false});
-        auto ms = m.shardSlice(lo, hi, 5000);
-        auto bs = b.shardSlice(lo, hi, 5000);
-        ASSERT_NE(ms, nullptr);
-        ASSERT_NE(bs, nullptr);
-        EXPECT_EQ(drain(*ms), drain(*bs))
-            << "banks [" << lo << ", " << hi << ")";
-    }
-    EXPECT_EQ(readRecords(t, true).size(), 30000u);
-}
+// --------------------------------------- bank spans from the index
 
 TEST(TraceMmap, BankSpansMatchAFullScan)
 {
@@ -591,13 +559,12 @@ TEST(TraceMmap, BankSpansMatchAFullScan)
                randomStream(72, geom, 20000, /*bank_lo=*/0,
                             /*bank_hi=*/8));
 
-    engine::ActTraceSource source(
-        t, engine::ActTraceReadOptions{true});
+    engine::ActTraceSource source(t);
     const std::vector<engine::ActTraceBankSpan> spans =
         source.bankSpans();
     ASSERT_EQ(spans.size(), kBanks);
 
-    const auto banks = perBank(readRecords(t, false), kBanks);
+    const auto banks = perBank(readRecords(t), kBanks);
     for (std::uint32_t b = 0; b < kBanks; ++b) {
         EXPECT_EQ(spans[b].count, banks[b].size()) << "bank " << b;
         if (banks[b].empty())
@@ -817,8 +784,7 @@ replayCorpusSharded(const std::string &scheme,
         cfg, [&] { return makeTracker(scheme); });
     eng.run(
         [&] {
-            return std::make_unique<engine::ActTraceSource>(
-                path, engine::ActTraceReadOptions{/*mmap=*/true});
+            return std::make_unique<engine::ActTraceSource>(path);
         },
         kCorpusActs);
 
@@ -887,13 +853,12 @@ INSTANTIATE_TEST_SUITE_P(AllRegisteredSchemes, MergedCorpusReplay,
 
 // --------------------------- fuzzed mutations of composed corpora
 
-/** Open + fully drain under the chosen decoder; the corpus driver
- *  for "parses or throws SpecError, never UB". */
+/** Open + fully drain; the corpus driver for "parses or throws
+ *  SpecError, never UB". */
 void
-drainFuzz(const std::string &path, bool mmap)
+drainFuzz(const std::string &path)
 {
-    engine::ActTraceSource source(path,
-                                  engine::ActTraceReadOptions{mmap});
+    engine::ActTraceSource source(path);
     engine::ActBatch batch;
     for (;;) {
         batch.clear();
@@ -956,9 +921,7 @@ TEST(TraceFuzz, MutatedComposedCorporaParseOrThrowCleanly)
         }
         writeFile(fuzz_path, bytes);
         try {
-            // Alternate decoders so the mmap bounds checks see the
-            // same corrupt corpus as the buffered reader.
-            drainFuzz(fuzz_path, /*mmap=*/(i % 2) == 0);
+            drainFuzz(fuzz_path);
         } catch (const SpecError &) {
             ++rejected;
         }
