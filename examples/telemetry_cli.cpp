@@ -7,121 +7,25 @@
  *
  *   telemetry_cli scheme=mithril source=attack attack=multi-sided \
  *       acts=50000 shards=4
+ *   telemetry_cli scheme=graphene attack=double-sided cores=4 \
+ *       instr=50000
  *
- * Any ExperimentSpec key is accepted. Engine runs (source=) get the
- * full dump including the heatmap region tables; System runs print
- * the flattened metric sheet the sweep sinks would emit. Pass
+ * Any ExperimentSpec key is accepted. Engine runs (source=) and
+ * System runs print the same three sections, each merged in part
+ * order (engine shards or System channel lanes). Pass
  * trace-events=PATH to also write the Chrome trace-event JSON
  * (loadable at ui.perfetto.dev). Everything printed is deterministic
  * at any shard/thread count.
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "engine/sharded_engine.hh"
-#include "registry/scheme_registry.hh"
-#include "registry/source_registry.hh"
-#include "runner/thread_pool.hh"
+#include "registry/registry.hh"
 #include "sim/experiment.hh"
-#include "telemetry/chrome_trace.hh"
 
 using namespace mithril;
-
-namespace
-{
-
-/** Engine-path dump: build the sharded engine directly (the same
- *  configuration runExperiment uses) so the merged heatmap and event
- *  stream are accessible, not just the flattened sheet. */
-int
-runEngine(const sim::ExperimentSpec &spec)
-{
-    const sim::SystemConfig &sys = spec.sys;
-    const ParamSet params = spec.toParams();
-    const registry::SchemeContext scheme_ctx{sys.timing,
-                                             sys.geometry};
-
-    engine::ShardedEngineConfig cfg;
-    cfg.engine.timing = sys.timing;
-    cfg.engine.geometry = sys.geometry;
-    cfg.engine.flipTh = spec.flipTh;
-    cfg.engine.blastRadius = spec.blastRadius;
-    cfg.shards = spec.shards;
-    cfg.telemetry.metrics = true;
-    cfg.telemetry.events = true;
-    cfg.telemetry.eventCapacityPerBank = spec.traceCapacity;
-    cfg.telemetry.heatmap = true;
-    cfg.telemetry.heatmapRegionBudget = spec.heatmapRegions;
-
-    std::unique_ptr<runner::ThreadPool> pool;
-    if (spec.threads > 1) {
-        pool = std::make_unique<runner::ThreadPool>(spec.threads);
-        cfg.pool = pool.get();
-    }
-
-    engine::ShardedActStreamEngine eng(cfg, [&] {
-        return registry::makeScheme(spec.scheme, params, scheme_ctx);
-    });
-    const registry::SourceContext source_ctx{
-        sys.timing, sys.geometry, spec.flipTh, spec.seed};
-    eng.run(
-        [&] {
-            return registry::makeActSource(spec.source, params,
-                                           source_ctx);
-        },
-        spec.engineActs);
-
-    std::printf("== metric sheet (merged, %u shards) ==\n%s",
-                eng.shardCount(),
-                eng.telemetrySheet().dump().c_str());
-
-    const std::vector<telemetry::TraceEvent> events =
-        eng.mergedEvents();
-    std::printf("\n== mitigation events (%zu retained) ==\n",
-                events.size());
-    for (std::size_t k = 0; k < telemetry::kEventKindCount; ++k) {
-        std::uint64_t n = 0;
-        for (const telemetry::TraceEvent &e : events) {
-            if (e.kind == static_cast<telemetry::EventKind>(k))
-                ++n;
-        }
-        if (n > 0)
-            std::printf("%-16s %llu\n",
-                        telemetry::eventKindName(
-                            static_cast<telemetry::EventKind>(k)),
-                        static_cast<unsigned long long>(n));
-    }
-    if (!spec.traceEvents.empty()) {
-        telemetry::writeChromeTraceFile(spec.traceEvents, events,
-                                        spec.scheme, eng.numBanks());
-        std::fprintf(stderr, "wrote %s\n", spec.traceEvents.c_str());
-    }
-
-    std::printf("\n== ACT heatmap (budget %u regions/bank) ==\n%s",
-                spec.heatmapRegions,
-                eng.mergedHeatmap().dump().c_str());
-    return 0;
-}
-
-/** System-path dump: run through runExperiment (which owns the
- *  controller/oracle/tracker taps) and print the flattened sheet. */
-int
-runSystem(sim::ExperimentSpec spec)
-{
-    spec.telemetry = true;
-    const sim::RunMetrics m = sim::runExperiment(spec);
-    std::printf("== metric sheet (flattened) ==\n");
-    for (const auto &[name, value] : m.telemetry)
-        std::printf("%-32s %.10g\n", name.c_str(), value);
-    if (!spec.traceEvents.empty())
-        std::fprintf(stderr, "wrote %s\n", spec.traceEvents.c_str());
-    return 0;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -132,10 +36,35 @@ main(int argc, char **argv)
     params.set("telemetry", "1");
     const sim::ExperimentSpec spec =
         sim::ExperimentSpec::fromParams(params);
+    sim::Observation seen;
     try {
-        return spec.engineRun() ? runEngine(spec) : runSystem(spec);
+        sim::runExperiment(spec, &seen);
     } catch (const registry::SpecError &err) {
         fatal("%s", err.what());
     }
-    return 1;
+
+    std::printf("== metric sheet (merged, %u %s) ==\n%s", seen.parts,
+                spec.engineRun() ? "shards" : "lanes",
+                seen.sheet.dump().c_str());
+
+    std::printf("\n== mitigation events (%zu retained) ==\n",
+                seen.events.size());
+    for (std::size_t k = 0; k < telemetry::kEventKindCount; ++k) {
+        std::uint64_t n = 0;
+        for (const telemetry::TraceEvent &e : seen.events) {
+            if (e.kind == static_cast<telemetry::EventKind>(k))
+                ++n;
+        }
+        if (n > 0)
+            std::printf("%-16s %llu\n",
+                        telemetry::eventKindName(
+                            static_cast<telemetry::EventKind>(k)),
+                        static_cast<unsigned long long>(n));
+    }
+    if (!spec.traceEvents.empty())
+        std::fprintf(stderr, "wrote %s\n", spec.traceEvents.c_str());
+
+    std::printf("\n== ACT heatmap (budget %u regions/bank) ==\n%s",
+                spec.heatmapRegions, seen.heatmap.dump().c_str());
+    return 0;
 }

@@ -9,6 +9,9 @@
  *                [scheme=mithril] [flip_th=6250] [loop=0] [instr=0]
  *                [dump_stats=0]
  *
+ * dump_stats=1 also prints the System's merged metric sheet (the
+ * names sweep telemetry uses: mc.*, dram.*, oracle.*, cache.*, ...).
+ *
  * With no trace argument it records a demo trace from the built-in
  * lbm-like generator first and then runs it, so the binary is
  * self-contained.
@@ -20,7 +23,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "common/table_printer.hh"
 #include "registry/scheme_registry.hh"
 #include "sim/system.hh"
@@ -129,10 +131,8 @@ main(int argc, char **argv)
     std::printf("\n%s", table.str().c_str());
 
     if (params.getBool("dump_stats", false)) {
-        StatRegistry registry;
-        system.exportStats(registry);
-        std::printf("\n--- full stats ---\n%s",
-                    registry.dump().c_str());
+        std::printf("\n--- metric sheet ---\n%s",
+                    system.telemetrySheet().dump().c_str());
     }
     return system.bitFlips() == 0 ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <sstream>
 
 namespace mithril
 {
@@ -42,74 +41,6 @@ Average::mergeFrom(const Average &other)
     max_ = std::max(max_, other.max_);
     sum_ += other.sum_;
     count_ += other.count_;
-}
-
-Counter &
-StatRegistry::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-Average &
-StatRegistry::average(const std::string &name)
-{
-    return averages_[name];
-}
-
-std::uint64_t
-StatRegistry::counterValue(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-StatRegistry::counters() const
-{
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto &[name, c] : counters_)
-        out.emplace_back(name, c.value());
-    return out;
-}
-
-std::vector<std::pair<std::string, double>>
-StatRegistry::averageMeans() const
-{
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(averages_.size());
-    for (const auto &[name, a] : averages_)
-        out.emplace_back(name, a.mean());
-    return out;
-}
-
-void
-StatRegistry::mergeFrom(const StatRegistry &other)
-{
-    for (const auto &[name, c] : other.counters_)
-        counters_[name].inc(c.value());
-    for (const auto &[name, a] : other.averages_)
-        averages_[name].mergeFrom(a);
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &[name, c] : counters_)
-        c.reset();
-    for (auto &[name, a] : averages_)
-        a.reset();
-}
-
-std::string
-StatRegistry::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[name, c] : counters_)
-        os << name << " " << c.value() << "\n";
-    for (const auto &[name, a] : averages_)
-        os << name << " " << a.mean() << "\n";
-    return os.str();
 }
 
 } // namespace mithril

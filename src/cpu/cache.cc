@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "core/config_solver.hh"
+#include "telemetry/metric_sheet.hh"
 
 namespace mithril::cpu
 {
@@ -104,6 +105,14 @@ Cache::flush()
 {
     for (auto &line : lines_)
         line = Line{};
+}
+
+void
+Cache::exportMetrics(telemetry::MetricSheet &sheet) const
+{
+    sheet.setCounter("cache.hits", hits_);
+    sheet.setCounter("cache.misses", misses_);
+    sheet.setCounter("cache.writebacks", writebacks_);
 }
 
 } // namespace mithril::cpu

@@ -14,6 +14,11 @@
 
 #include "common/types.hh"
 
+namespace mithril::telemetry
+{
+class MetricSheet;
+}
+
 namespace mithril::cpu
 {
 
@@ -65,6 +70,9 @@ class Cache
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t writebacks() const { return writebacks_; }
+
+    /** Set the `cache.hits`, `.misses` and `.writebacks` counters. */
+    void exportMetrics(telemetry::MetricSheet &sheet) const;
 
     double hitRate() const
     {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "telemetry/metric_sheet.hh"
 
 namespace mithril::cpu
 {
@@ -98,6 +99,14 @@ Core::ipc() const
 {
     const double cycles = elapsedCycles();
     return cycles > 0.0 ? static_cast<double>(retired_) / cycles : 0.0;
+}
+
+void
+Core::exportMetrics(telemetry::MetricSheet &sheet) const
+{
+    const std::string prefix = "core" + std::to_string(id_);
+    sheet.setCounter(prefix + ".instructions", retired_);
+    sheet.setGauge(prefix + ".ipc", ipc());
 }
 
 } // namespace mithril::cpu

@@ -19,6 +19,11 @@
 #include "common/types.hh"
 #include "workload/trace.hh"
 
+namespace mithril::telemetry
+{
+class MetricSheet;
+}
+
 namespace mithril::cpu
 {
 
@@ -84,6 +89,10 @@ class Core
 
     /** Ticks per core cycle. */
     Tick cycleTick() const { return cycleTick_; }
+
+    /** Set the `core<id>.instructions` counter and `core<id>.ipc`
+     *  gauge. */
+    void exportMetrics(telemetry::MetricSheet &sheet) const;
 
   private:
     std::uint32_t id_;

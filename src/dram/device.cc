@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "telemetry/metric_sheet.hh"
 
 namespace mithril::dram
 {
@@ -143,6 +144,18 @@ Device::preventiveRefresh(BankId b, RowId aggressor, Tick t)
     oracle_.onNeighborRefresh(b, aggressor);
     energy_.addPreventiveRows(2ull * blastRadius_);
     ++preventiveCount_;
+}
+
+void
+Device::exportMetrics(telemetry::MetricSheet &sheet) const
+{
+    sheet.setCounter("dram.acts", energy_.acts());
+    sheet.setCounter("dram.pres", energy_.pres());
+    sheet.setCounter("dram.refresh_rows", energy_.refreshRows());
+    sheet.setCounter("dram.preventive_rows", energy_.preventiveRows());
+    sheet.setCounter("dram.rfm_count", rfmCount_);
+    sheet.setCounter("dram.rfm_skipped", rfmSkipped_);
+    oracle_.exportMetrics(sheet);
 }
 
 } // namespace mithril::dram

@@ -137,6 +137,10 @@ class Device
     /** Preventive refresh operations (aggressors treated). */
     std::uint64_t preventiveCount() const { return preventiveCount_; }
 
+    /** Set the `dram.*` counters (energy-meter command counts, RFMs
+     *  executed and skipped) plus the oracle's `oracle.*`. */
+    void exportMetrics(telemetry::MetricSheet &sheet) const;
+
   private:
     Timing timing_;
     Geometry geometry_;

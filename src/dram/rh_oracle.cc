@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "telemetry/event_trace.hh"
+#include "telemetry/metric_sheet.hh"
 
 namespace mithril::dram
 {
@@ -224,6 +225,14 @@ RhOracle::resetCounts()
     std::fill(keys_.begin(), keys_.end(), kEmptyKey);
     live_ = 0;
     std::fill(refreshPtr_.begin(), refreshPtr_.end(), 0);
+}
+
+void
+RhOracle::exportMetrics(telemetry::MetricSheet &sheet) const
+{
+    sheet.setCounter("oracle.bit_flips", bitFlips());
+    sheet.setCounter("oracle.flipped_rows", flippedRows());
+    sheet.setGauge("oracle.max_disturbance", maxDisturbanceEver());
 }
 
 } // namespace mithril::dram

@@ -26,6 +26,7 @@
 namespace mithril::telemetry
 {
 class EventRecorder;
+class MetricSheet;
 }
 
 namespace mithril::dram
@@ -83,6 +84,10 @@ class RhOracle
 
     /** Number of distinct rows that have ever flipped. */
     std::uint64_t flippedRows() const { return flippedRows_.size(); }
+
+    /** Set the `oracle.bit_flips` and `oracle.flipped_rows` counters
+     *  and the `oracle.max_disturbance` gauge. */
+    void exportMetrics(telemetry::MetricSheet &sheet) const;
 
     /** Configured FlipTH. */
     std::uint32_t flipTh() const { return flipTh_; }

@@ -16,6 +16,7 @@
 #ifndef MITHRIL_ENGINE_ACT_SOURCE_HH
 #define MITHRIL_ENGINE_ACT_SOURCE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -114,6 +115,29 @@ class ActSource
         return nullptr;
     }
 };
+
+/**
+ * Hand each of the first `budget` records of `source` to `fn`, in
+ * stream order, never asking the source for more than the budget
+ * leaves.
+ */
+template <typename Fn>
+void
+forEachRecord(ActSource &source, std::uint64_t budget, Fn &&fn)
+{
+    ActBatch batch;
+    while (budget > 0) {
+        batch.clear();
+        const std::size_t n = source.fill(
+            batch, static_cast<std::size_t>(std::min<std::uint64_t>(
+                       ActBatch::kCapacity, budget)));
+        if (n == 0)
+            break;
+        for (std::size_t i = 0; i < n; ++i)
+            fn(batch.record(i));
+        budget -= n;
+    }
+}
 
 /**
  * Single-bank index-addressed callback source — the adapter behind

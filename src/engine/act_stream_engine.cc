@@ -51,17 +51,6 @@ ActStreamEngine::ActStreamEngine(const EngineConfig &config,
         usesRfm_ = tracker_->usesRfm();
         rfmTh_ = tracker_->rfmTh();
     }
-    if (config_.telemetry) {
-        events_ = config_.telemetry->events();
-        heatmap_ = config_.telemetry->heatmap();
-        if (config_.telemetry->config().phases)
-            phases_ = &config_.telemetry->phases();
-        if (events_) {
-            oracle_.setEventRecorder(events_);
-            if (tracker_)
-                tracker_->setEventRecorder(events_);
-        }
-    }
 }
 
 void
@@ -312,6 +301,17 @@ ActStreamEngine::run(ActSource &source)
 std::uint64_t
 ActStreamEngine::run(ActSource &source, std::uint64_t max_acts)
 {
+    if (config_.telemetry) {
+        events_ = config_.telemetry->events();
+        heatmap_ = config_.telemetry->heatmap();
+        if (config_.telemetry->config().phases)
+            phases_ = &config_.telemetry->phases();
+        if (events_) {
+            oracle_.setEventRecorder(events_);
+            if (tracker_)
+                tracker_->setEventRecorder(events_);
+        }
+    }
     std::uint64_t done = 0;
     telemetry::PhaseTimer timer;
     while (done < max_acts) {
@@ -336,48 +336,15 @@ ActStreamEngine::run(ActSource &source, std::uint64_t max_acts)
 }
 
 void
-ActStreamEngine::exportTelemetry()
+ActStreamEngine::exportMetrics(telemetry::MetricSheet &sheet) const
 {
-    if (!config_.telemetry)
-        return;
-    telemetry::MetricSheet &sheet = config_.telemetry->sheet();
     sheet.setCounter("engine.acts", acts_);
     sheet.setCounter("engine.refs", refs_);
     sheet.setCounter("engine.rfms", rfms_);
     sheet.setCounter("engine.preventive", preventive_);
     sheet.setCounter("engine.throttle_stalls", throttleStalls_);
-    if (config_.enableOracle) {
-        sheet.setCounter("oracle.bit_flips", oracle_.bitFlips());
-        sheet.setCounter("oracle.flipped_rows",
-                         oracle_.flippedRows());
-        sheet.setGauge("oracle.max_disturbance",
-                       oracle_.maxDisturbanceEver());
-    }
-    if (events_) {
-        std::uint64_t emitted = 0;
-        for (BankId b = 0; b < events_->numBanks(); ++b)
-            emitted += events_->emitted(b);
-        sheet.setCounter("trace.emitted", emitted);
-        sheet.setCounter("trace.dropped", events_->dropped());
-    }
-    if (heatmap_) {
-        sheet.setCounter("heatmap.acts", heatmap_->totalActs());
-        std::uint64_t folds = 0, regions = 0;
-        std::uint32_t max_gran = 0;
-        for (BankId b = 0; b < heatmap_->numBanks(); ++b) {
-            folds += heatmap_->folds(b);
-            max_gran =
-                std::max(max_gran, heatmap_->granularityLog2(b));
-        }
-        for (const auto &snap : heatmap_->snapshot())
-            regions += snap.regions.size();
-        sheet.setCounter("heatmap.folds", folds);
-        sheet.setCounter("heatmap.regions", regions);
-        sheet.setGauge("heatmap.max_granularity_log2",
-                       static_cast<double>(max_gran));
-    }
-    if (tracker_)
-        tracker_->exportMetrics(sheet);
+    if (config_.enableOracle)
+        oracle_.exportMetrics(sheet);
 }
 
 } // namespace mithril::engine

@@ -51,6 +51,7 @@ namespace mithril::telemetry
 class ActHeatmap;
 class EngineTelemetry;
 class EventRecorder;
+class MetricSheet;
 class PhaseProfile;
 }
 
@@ -87,7 +88,9 @@ struct EngineConfig
      * Optional telemetry bundle (not owned; must outlive the engine
      * and its tracker). Null — the default — costs the hot loop one
      * pointer check per batch; non-null never changes simulated
-     * outcomes, only observes them.
+     * outcomes, only observes them. Its collectors attach to the
+     * engine, oracle and tracker when run() starts, so anything fed
+     * to the tracker before (warm-up) is not observed.
      */
     telemetry::EngineTelemetry *telemetry = nullptr;
 
@@ -159,13 +162,9 @@ class ActStreamEngine
 
     const EngineConfig &config() const { return config_; }
 
-    /**
-     * Export engine, oracle, trace, heatmap, and tracker metrics into
-     * the attached telemetry sheet (no-op without a bundle).
-     * Idempotent — counters are set, not added — so it may run after
-     * every incremental run() call.
-     */
-    void exportTelemetry();
+    /** Set the `engine.*` counters, plus the oracle's `oracle.*`
+     *  when the oracle is enabled. */
+    void exportMetrics(telemetry::MetricSheet &sheet) const;
 
   private:
     /** Per-bank interleaving state, padded to exactly one cache line

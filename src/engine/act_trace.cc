@@ -877,33 +877,6 @@ ActTraceSource::fill(ActBatch &batch, std::size_t limit)
     return appended;
 }
 
-// -------------------------------------------------- RecordingSource
-
-RecordingSource::RecordingSource(std::unique_ptr<ActSource> inner,
-                                 ActTraceWriter *writer)
-    : inner_(std::move(inner)), writer_(writer)
-{
-    MITHRIL_ASSERT(inner_ != nullptr && writer_ != nullptr);
-}
-
-std::string
-RecordingSource::name() const
-{
-    return "record:" + inner_->name();
-}
-
-std::size_t
-RecordingSource::fill(ActBatch &batch, std::size_t limit)
-{
-    const std::size_t before = batch.size();
-    const std::size_t n = inner_->fill(batch, limit);
-    for (std::size_t i = before; i < before + n; ++i) {
-        const ActRecord rec = batch.record(i);
-        writer_->append(rec.bank, rec.row, rec.tick);
-    }
-    return n;
-}
-
 // ---------------------------------------------------- registration
 //
 // The replay entry: a captured raw ACT stream driven back through the

@@ -308,26 +308,6 @@ class ActTraceSource : public ActSource
     bool first_ = true;               //!< First record of cur block.
 };
 
-/**
- * Tee: forwards the wrapped source unchanged while appending every
- * record that passes through to a writer. The writer is borrowed —
- * the caller finalizes it after the run.
- */
-class RecordingSource : public ActSource
-{
-  public:
-    RecordingSource(std::unique_ptr<ActSource> inner,
-                    ActTraceWriter *writer);
-
-    std::string name() const override;
-
-    std::size_t fill(ActBatch &batch, std::size_t limit) override;
-
-  private:
-    std::unique_ptr<ActSource> inner_;
-    ActTraceWriter *writer_;
-};
-
 } // namespace mithril::engine
 
 #endif // MITHRIL_ENGINE_ACT_TRACE_HH

@@ -306,14 +306,17 @@ ShardedActStreamEngine::mergeTrackerStatsInto(
 }
 
 telemetry::MetricSheet
-ShardedActStreamEngine::telemetrySheet()
+ShardedActStreamEngine::telemetrySheet() const
 {
     telemetry::MetricSheet merged;
     for (const Shard &s : shards_) {
-        if (!s.telemetry)
-            continue;
-        s.engine->exportTelemetry();
-        merged.mergeFrom(s.telemetry->sheet());
+        telemetry::MetricSheet sheet;
+        s.engine->exportMetrics(sheet);
+        if (s.tracker)
+            s.tracker->exportMetrics(sheet);
+        if (s.telemetry)
+            s.telemetry->exportMetrics(sheet);
+        merged.mergeFrom(sheet);
     }
     return merged;
 }

@@ -233,11 +233,13 @@ class ShardedActStreamEngine
     }
 
     /**
-     * Export every shard's telemetry and fold the sheets in shard
-     * order: counters add, gauges max, averages/histograms merge
-     * exactly. Deterministic at any shard/pool count.
+     * One fresh sheet per shard — its engine (`engine.*`, `oracle.*`),
+     * tracker (`tracker.*`) and enabled collectors (`trace.*`,
+     * `heatmap.*`) — folded in shard order: counters add, gauges max,
+     * averages/histograms merge exactly. Deterministic at any
+     * shard/pool count; needs no telemetry bundle.
      */
-    telemetry::MetricSheet telemetrySheet();
+    telemetry::MetricSheet telemetrySheet() const;
 
     /** Tick-ordered merge of every shard's retained trace events
      *  (empty when event tracing is off). */

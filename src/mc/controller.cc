@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "telemetry/event_trace.hh"
+#include "telemetry/metric_sheet.hh"
 
 namespace mithril::mc
 {
@@ -24,6 +25,22 @@ ControllerStats::mergeFrom(const ControllerStats &other)
     throttleStalls += other.throttleStalls;
     totalReadLatencyNs += other.totalReadLatencyNs;
     readLatencyNs.mergeFrom(other.readLatencyNs);
+}
+
+void
+Controller::exportMetrics(telemetry::MetricSheet &sheet) const
+{
+    sheet.setCounter("mc.acts", stats_.activates);
+    sheet.setCounter("mc.reads", stats_.reads);
+    sheet.setCounter("mc.writes", stats_.writes);
+    sheet.setCounter("mc.row_hits", stats_.rowHits);
+    sheet.setCounter("mc.row_misses", stats_.rowMisses);
+    sheet.setCounter("mc.precharges", stats_.precharges);
+    sheet.setCounter("mc.refreshes", stats_.refreshes);
+    sheet.setCounter("mc.rfm_issued", stats_.rfmIssued);
+    sheet.setCounter("mc.rfm_skipped_mrr", stats_.rfmSkippedByMrr);
+    sheet.setCounter("mc.arr_executed", stats_.arrExecuted);
+    sheet.setCounter("mc.throttle_stalls", stats_.throttleStalls);
 }
 
 Controller::Controller(dram::Device &device, const AddressMap &map,

@@ -43,6 +43,7 @@
 namespace mithril::telemetry
 {
 class EventRecorder;
+class MetricSheet;
 }
 
 namespace mithril::mc
@@ -139,6 +140,9 @@ class Controller
 
     const ControllerStats &stats() const { return stats_; }
     dram::Device &device() { return device_; }
+
+    /** Set this channel's `mc.*` command and request counters. */
+    void exportMetrics(telemetry::MetricSheet &sheet) const;
 
     /**
      * Attach a mitigation-event recorder: RFM issue/skip, executed

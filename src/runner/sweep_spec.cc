@@ -29,6 +29,19 @@ narrowUintList(const ParamSet &params, const std::string &key)
     return out;
 }
 
+/** fatal() unless the job spec's own parameter table admits the
+ *  value: a knob the jobs would reject must die at the CLI, not as
+ *  one FAILED row per job. */
+void
+requireInRange(const char *key, std::uint64_t value)
+{
+    try {
+        sim::ExperimentSpec::checkRange(key, value);
+    } catch (const registry::SpecError &err) {
+        fatal("%s", err.what());
+    }
+}
+
 template <typename T>
 const std::vector<T> &
 orDefault(const std::vector<T> &values, const std::vector<T> &fallback)
@@ -201,12 +214,6 @@ SweepSpec::fromParams(const ParamSet &params,
     spec.cores = params.getUint32("cores", spec.cores);
     spec.instrPerCore = params.getUint("instr", spec.instrPerCore);
     spec.channels = params.getUint32("channels", spec.channels);
-    if (spec.channels != 0 &&
-        (spec.channels & (spec.channels - 1)) != 0) {
-        // Die at the CLI like any other malformed axis, not as
-        // per-job FAILED cells.
-        fatal("channels=%u is not a power of two", spec.channels);
-    }
     spec.engineActs = params.getUint("acts", spec.engineActs);
     spec.seed = params.getUint("seed", spec.seed);
     spec.trackerWarmupActs =
@@ -229,6 +236,21 @@ SweepSpec::fromParams(const ParamSet &params,
         params.getUint32("heatmap-regions", spec.heatmapRegions);
     spec.traceCapacity =
         params.getUint32("trace-capacity", spec.traceCapacity);
+    for (std::uint32_t flip : spec.flipThs)
+        requireInRange("flip", flip);
+    for (std::uint32_t rfm : spec.rfmThs)
+        requireInRange("rfm", rfm);
+    for (std::uint32_t shards : spec.shardsList)
+        requireInRange("shards", shards);
+    requireInRange("blast-radius", spec.blastRadius);
+    requireInRange("ad", spec.adTh);
+    requireInRange("cores", spec.cores);
+    requireInRange("instr", spec.instrPerCore);
+    requireInRange("channels", spec.channels);
+    requireInRange("acts", spec.engineActs);
+    requireInRange("warmup", spec.trackerWarmupActs);
+    requireInRange("heatmap-regions", spec.heatmapRegions);
+    requireInRange("trace-capacity", spec.traceCapacity);
     if (!spec.traceEvents.empty() && spec.jobCount() > 1) {
         // Same single-file rule as record=.
         fatal("trace-events=%s writes one trace file, but this sweep "

@@ -22,13 +22,63 @@ namespace
 {
 
 /**
+ * The spec's telemetry knobs as the collectors every part (engine
+ * shard or System lane) carries: the heatmap under telemetry=, events
+ * under trace-events=, both when the caller asks for the observation.
+ * A run with any collector on also reports its merged sheet.
+ * Observation only — outcomes are byte-identical either way.
+ */
+telemetry::TelemetryConfig
+telemetryConfig(const ExperimentSpec &spec, bool observing)
+{
+    telemetry::TelemetryConfig tel;
+    tel.events = observing || !spec.traceEvents.empty();
+    tel.eventCapacityPerBank = spec.traceCapacity;
+    tel.heatmap = observing || spec.telemetry;
+    tel.heatmapRegionBudget = spec.heatmapRegions;
+    return tel;
+}
+
+/**
+ * The tail both bodies share, over a run's part-order merges (a
+ * ShardedActStreamEngine or a System): the merged sheet goes to
+ * RunMetrics::telemetry, the merged events to the trace-events=
+ * Chrome trace, and both plus the heatmap to `observed`.
+ */
+template <typename Run>
+void
+reportTelemetry(const ExperimentSpec &spec,
+                const telemetry::TelemetryConfig &tel, const Run &run,
+                std::uint32_t parts, std::uint32_t num_banks,
+                RunMetrics &m, Observation *observed)
+{
+    if (!tel.any())
+        return;
+    telemetry::MetricSheet sheet = run.telemetrySheet();
+    m.telemetry = sheet.exportFlat();
+    std::vector<telemetry::TraceEvent> events = run.mergedEvents();
+    if (!spec.traceEvents.empty()) {
+        telemetry::writeChromeTraceFile(spec.traceEvents, events,
+                                        spec.scheme, num_banks);
+    }
+    if (observed) {
+        observed->parts = parts;
+        observed->sheet = std::move(sheet);
+        observed->events = std::move(events);
+        observed->heatmap = run.mergedHeatmap();
+    }
+}
+
+/**
  * The engine-only experiment body: scheme x source at maximum ACT
  * rate on the sharded ActStream engine — no cores, no MC queues.
  * Inside a sweep worker the shards reuse the sweep's own pool
  * (ThreadPool::current()); standalone runs honour spec.threads.
  */
 RunMetrics
-runEngineExperiment(const ExperimentSpec &spec)
+runEngineExperiment(const ExperimentSpec &spec,
+                    const telemetry::TelemetryConfig &tel,
+                    Observation *observed)
 {
     SystemConfig sys = spec.sys;
     if (spec.channels != 0)
@@ -43,14 +93,7 @@ runEngineExperiment(const ExperimentSpec &spec)
     cfg.engine.flipTh = spec.flipTh;
     cfg.engine.blastRadius = spec.blastRadius;
     cfg.shards = spec.shards;
-    // Telemetry: metrics + heatmap under telemetry=, event tracing
-    // under trace-events=. Observation only — the engine is
-    // byte-identical with any of these enabled.
-    cfg.telemetry.metrics = spec.telemetry || !spec.traceEvents.empty();
-    cfg.telemetry.events = !spec.traceEvents.empty();
-    cfg.telemetry.eventCapacityPerBank = spec.traceCapacity;
-    cfg.telemetry.heatmap = spec.telemetry;
-    cfg.telemetry.heatmapRegionBudget = spec.heatmapRegions;
+    cfg.telemetry = tel;
 
     // Pool policy, in priority order: the ambient pool when this job
     // already runs on one (no second pool, no oversubscription), a
@@ -111,34 +154,22 @@ runEngineExperiment(const ExperimentSpec &spec)
     if (!spec.record.empty()) {
         engine::ActTraceWriter writer(spec.record, sys.geometry,
                                       spec.seed, spec.describe());
-        auto stream = make_stream();
-        engine::ActBatch batch;
-        std::uint64_t remaining = spec.engineActs;
-        while (remaining > 0) {
-            batch.clear();
-            const std::size_t n = stream->fill(
-                batch,
-                static_cast<std::size_t>(std::min<std::uint64_t>(
-                    engine::ActBatch::kCapacity, remaining)));
-            if (n == 0)
-                break;
-            for (std::size_t i = 0; i < n; ++i) {
-                const engine::ActRecord rec = batch.record(i);
-                writer.append(rec.bank, rec.row, rec.tick);
-            }
-            remaining -= n;
-        }
+        engine::forEachRecord(*make_stream(), spec.engineActs,
+                              [&](const engine::ActRecord &rec) {
+                                  writer.append(rec.bank, rec.row,
+                                                rec.tick);
+                              });
         writer.finalize();
     }
 
     // Tracker warm-up, mirroring the System path: the tracker
     // observes `warmup=` ACTs at tick 0 before the measured run, the
-    // oracle none. Each shard's tracker warms from its own banks'
-    // slice of the stream prefix, so warm-up — like the run itself —
-    // is byte-identical at any shard count.
+    // oracle none, and no collector (they attach when the run
+    // starts). Each shard's tracker warms from its own banks' slice
+    // of the stream prefix, so warm-up — like the run itself — is
+    // byte-identical at any shard count.
     if (spec.trackerWarmupActs > 0) {
         std::vector<RowId> discard;
-        engine::ActBatch batch;
         // One stream instance feeds every shard's warm-up slice when
         // the source slices natively (the same probe-and-fall-back
         // the sharded run itself uses), so an act-trace warm-up
@@ -161,19 +192,11 @@ runEngineExperiment(const ExperimentSpec &spec)
                     std::move(probe), lo, hi,
                     spec.trackerWarmupActs);
             }
-            for (;;) {
-                batch.clear();
-                const std::size_t n =
-                    warm->fill(batch, engine::ActBatch::kCapacity);
-                if (n == 0)
-                    break;
-                for (std::size_t i = 0; i < n; ++i) {
-                    const engine::ActRecord rec = batch.record(i);
+            engine::forEachRecord(
+                *warm, ~0ull, [&](const engine::ActRecord &rec) {
                     discard.clear();
-                    tracker->onActivate(rec.bank, rec.row, 0,
-                                        discard);
-                }
-            }
+                    tracker->onActivate(rec.bank, rec.row, 0, discard);
+                });
         }
     }
 
@@ -193,26 +216,18 @@ runEngineExperiment(const ExperimentSpec &spec)
     m.simTicks = latest;
     if (trackers::RhProtection *t = eng.tracker(0))
         m.trackerBytesPerBank = t->tableBytesPerBank();
-    if (cfg.telemetry.metrics)
-        m.telemetry = eng.telemetrySheet().exportFlat();
-    if (!spec.traceEvents.empty()) {
-        telemetry::writeChromeTraceFile(spec.traceEvents,
-                                        eng.mergedEvents(),
-                                        spec.scheme, eng.numBanks());
-    }
+    reportTelemetry(spec, tel, eng, eng.shardCount(), eng.numBanks(), m,
+                    observed);
     return m;
 }
 
-} // namespace
-
+/** The full-System body: cores, LLC and one frontend lane per
+ *  channel, each lane with its own tracker and collectors. */
 RunMetrics
-runExperiment(const ExperimentSpec &spec)
+runSystemExperiment(const ExperimentSpec &spec,
+                    const telemetry::TelemetryConfig &tel,
+                    Observation *observed)
 {
-    spec.validate();
-
-    if (spec.engineRun())
-        return runEngineExperiment(spec);
-
     SystemConfig sys = spec.sys;
     sys.flipTh = spec.flipTh;
     sys.blastRadius = spec.blastRadius;
@@ -242,11 +257,16 @@ runExperiment(const ExperimentSpec &spec)
         return registry::makeAttack(spec.attack, params, ctx);
     };
 
-    // One tracker instance per channel lane — the same per-partition
-    // factory discipline the sharded engine applies to bank shards.
-    System system(sys, [&] {
-        return registry::makeScheme(spec.scheme, params, scheme_ctx);
-    });
+    // One tracker instance and one collector bundle per channel lane
+    // — the same per-partition discipline the sharded engine applies
+    // to bank shards.
+    System system(
+        sys,
+        [&] {
+            return registry::makeScheme(spec.scheme, params,
+                                        scheme_ctx);
+        },
+        tel);
 
     // Warm-up feeds each channel's tracker the ACTs that decode to
     // its banks, mirroring the engine's per-shard warm-up slicing.
@@ -284,48 +304,17 @@ runExperiment(const ExperimentSpec &spec)
 
     // record=: tap every ACT the controller commits (bank, row,
     // issue tick) — exactly the stream the tracker observes; warm-up
-    // above fed generators directly, so it is not captured. The
-    // telemetry heatmap rides the same observer.
+    // above fed generators directly, so it is not captured. System
+    // delivers ACTs channel-major per service window with per-bank
+    // ticks monotone — the exact order contract of the writer.
     std::unique_ptr<engine::ActTraceWriter> recorder;
     if (!spec.record.empty()) {
         recorder = std::make_unique<engine::ActTraceWriter>(
             spec.record, sys.geometry, spec.seed, spec.describe());
-    }
-    std::unique_ptr<telemetry::ActHeatmap> heatmap;
-    if (spec.telemetry) {
-        heatmap = std::make_unique<telemetry::ActHeatmap>(
-            sys.geometry.totalBanks(), spec.heatmapRegions);
-    }
-    if (recorder || heatmap) {
-        // System delivers ACTs channel-major per service window with
-        // per-bank ticks monotone — the exact order contract of the
-        // acttrace writer.
         system.setActObserver(
-            [&recorder, &heatmap](BankId bank, RowId row, Tick t) {
-                if (recorder)
-                    recorder->append(bank, row, t);
-                if (heatmap)
-                    heatmap->touch(bank, row);
+            [writer = recorder.get()](BankId bank, RowId row, Tick t) {
+                writer->append(bank, row, t);
             });
-    }
-
-    // trace-events=: mitigation events from the controllers (RFM
-    // issue/skip, executed ARRs, throttle stalls), the oracles (flips
-    // and near misses), and the trackers (CBS inserts/evictions).
-    // One recorder per channel lane, merged in channel order on
-    // output.
-    // Observation only — scheduling and outcomes are unchanged.
-    std::vector<std::unique_ptr<telemetry::EventRecorder>> events;
-    if (!spec.traceEvents.empty()) {
-        for (std::uint32_t ch = 0; ch < system.channels(); ++ch) {
-            auto rec = std::make_unique<telemetry::EventRecorder>(
-                sys.geometry.totalBanks(), spec.traceCapacity);
-            system.controller(ch).setEventRecorder(rec.get());
-            system.device(ch).oracle().setEventRecorder(rec.get());
-            if (system.tracker(ch))
-                system.tracker(ch)->setEventRecorder(rec.get());
-            events.push_back(std::move(rec));
-        }
     }
 
     for (std::uint32_t i = 0; i < benign; ++i) {
@@ -342,9 +331,6 @@ runExperiment(const ExperimentSpec &spec)
     }
 
     system.run();
-
-    if (recorder || heatmap)
-        system.setActObserver(nullptr);
     if (recorder)
         recorder->finalize();
 
@@ -371,74 +357,22 @@ runExperiment(const ExperimentSpec &spec)
     if (system.tracker(0))
         m.trackerBytesPerBank = system.tracker(0)->tableBytesPerBank();
 
-    if (spec.telemetry || !events.empty()) {
-        telemetry::MetricSheet sheet;
-        sheet.setCounter("mc.acts", stats.activates);
-        sheet.setCounter("mc.reads", stats.reads);
-        sheet.setCounter("mc.writes", stats.writes);
-        sheet.setCounter("mc.row_hits", stats.rowHits);
-        sheet.setCounter("mc.row_misses", stats.rowMisses);
-        sheet.setCounter("mc.refreshes", stats.refreshes);
-        sheet.setCounter("mc.rfm_issued", stats.rfmIssued);
-        sheet.setCounter("mc.rfm_skipped_mrr", stats.rfmSkippedByMrr);
-        sheet.setCounter("mc.arr_executed", stats.arrExecuted);
-        sheet.setCounter("mc.throttle_stalls", stats.throttleStalls);
-        sheet.setCounter("oracle.bit_flips", system.bitFlips());
-        sheet.setCounter("oracle.flipped_rows", system.flippedRows());
-        sheet.setGauge("oracle.max_disturbance",
-                       system.maxDisturbanceEver());
-        if (!events.empty()) {
-            std::uint64_t emitted = 0, dropped = 0;
-            for (const auto &rec : events) {
-                for (BankId b = 0; b < rec->numBanks(); ++b)
-                    emitted += rec->emitted(b);
-                dropped += rec->dropped();
-            }
-            sheet.setCounter("trace.emitted", emitted);
-            sheet.setCounter("trace.dropped", dropped);
-        }
-        if (heatmap) {
-            sheet.setCounter("heatmap.acts", heatmap->totalActs());
-            std::uint64_t folds = 0, regions = 0;
-            std::uint32_t max_gran = 0;
-            for (BankId b = 0; b < heatmap->numBanks(); ++b) {
-                folds += heatmap->folds(b);
-                max_gran = std::max(max_gran,
-                                    heatmap->granularityLog2(b));
-            }
-            for (const auto &snap : heatmap->snapshot())
-                regions += snap.regions.size();
-            sheet.setCounter("heatmap.folds", folds);
-            sheet.setCounter("heatmap.regions", regions);
-            sheet.setGauge("heatmap.max_granularity_log2",
-                           static_cast<double>(max_gran));
-        }
-        if (system.tracker(0)) {
-            // exportMetrics() *sets* values, so each channel's tracker
-            // exports into its own sheet; mergeFrom then adds counters
-            // across channels (in channel order).
-            for (std::uint32_t ch = 0; ch < system.channels(); ++ch) {
-                telemetry::MetricSheet tracker_sheet;
-                system.tracker(ch)->exportMetrics(tracker_sheet);
-                sheet.mergeFrom(tracker_sheet);
-            }
-        }
-        m.telemetry = sheet.exportFlat();
-    }
-    if (!events.empty()) {
-        std::vector<const telemetry::EventRecorder *> merged;
-        for (std::uint32_t ch = 0; ch < system.channels(); ++ch) {
-            system.controller(ch).setEventRecorder(nullptr);
-            system.device(ch).oracle().setEventRecorder(nullptr);
-            if (system.tracker(ch))
-                system.tracker(ch)->setEventRecorder(nullptr);
-            merged.push_back(events[ch].get());
-        }
-        telemetry::writeChromeTraceFile(
-            spec.traceEvents, telemetry::mergeEvents(merged),
-            spec.scheme, sys.geometry.totalBanks());
-    }
+    reportTelemetry(spec, tel, system, system.channels(),
+                    sys.geometry.totalBanks(), m, observed);
     return m;
+}
+
+} // namespace
+
+RunMetrics
+runExperiment(const ExperimentSpec &spec, Observation *observed)
+{
+    spec.validate();
+    const telemetry::TelemetryConfig tel =
+        telemetryConfig(spec, observed != nullptr);
+    return spec.engineRun()
+               ? runEngineExperiment(spec, tel, observed)
+               : runSystemExperiment(spec, tel, observed);
 }
 
 double

@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "sim/experiment_spec.hh"
 #include "sim/system.hh"
 #include "sim/workload_suite.hh"
+#include "telemetry/telemetry.hh"
 
 namespace mithril::sim
 {
@@ -48,6 +50,16 @@ struct RunMetrics
     std::map<std::string, double> telemetry;
 };
 
+/** What a run observed beyond its RunMetrics, each part merged in
+ *  part order (System lanes or engine shards). */
+struct Observation
+{
+    std::uint32_t parts = 0;                   //!< Lanes or shards.
+    telemetry::MetricSheet sheet;              //!< Merged sheet.
+    std::vector<telemetry::TraceEvent> events; //!< Tick-ordered.
+    telemetry::ActHeatmap heatmap{0, 1};       //!< Per-bank regions.
+};
+
 /**
  * Build, run, and measure one experiment. Scheme, workload, and
  * attack construction go through the registries; throws
@@ -56,8 +68,13 @@ struct RunMetrics
  * runs the sharded ActStream engine over that source instead of a
  * full System (IPC/energy/latency metrics stay zero; ACT, RFM,
  * preventive, and oracle metrics are filled from the engine).
+ *
+ * With `observed` given, the run also collects mitigation events and
+ * the ACT heatmap whatever the spec's telemetry knobs say, and hands
+ * them back with the merged sheet.
  */
-RunMetrics runExperiment(const ExperimentSpec &spec);
+RunMetrics runExperiment(const ExperimentSpec &spec,
+                         Observation *observed = nullptr);
 
 /**
  * Relative performance (%) of `value` against `baseline` aggregate

@@ -127,24 +127,26 @@ findEntryParam(const registry::SchemeRegistry::Entry &scheme_entry,
     return nullptr;
 }
 
-/** Range-check one core knob against its coreParams() desc — the
- *  single place the legal ranges live. */
+} // namespace
+
 void
-checkCoreRange(const char *key, std::uint64_t value)
+ExperimentSpec::checkRange(const std::string &key, std::uint64_t value)
 {
     const ParamDesc *desc = findDesc(coreParams(), key);
     MITHRIL_ASSERT(desc != nullptr);
     const auto min = static_cast<std::uint64_t>(desc->min);
     const auto max = static_cast<std::uint64_t>(desc->max);
     if (value < min || value > max) {
-        throw SpecError(std::string(key) + "=" +
-                        std::to_string(value) +
+        throw SpecError(key + "=" + std::to_string(value) +
                         " is out of range [" + std::to_string(min) +
                         ", " + std::to_string(max) + "]");
     }
+    if (key == "channels" && (value & (value - 1)) != 0) {
+        throw SpecError("channels=" + std::to_string(value) +
+                        " must be a power of two (the address map "
+                        "interleaves by channel bits)");
+    }
 }
-
-} // namespace
 
 ExperimentSpec
 ExperimentSpec::parse(const ParamSet &params,
@@ -268,24 +270,19 @@ ExperimentSpec::validate() const
         source != "none" ? &registry::sourceRegistry().at(source)
                          : nullptr;
 
-    checkCoreRange("flip", flipTh);
-    checkCoreRange("rfm", rfmTh);
-    checkCoreRange("ad", adTh);
-    checkCoreRange("blast-radius", blastRadius);
-    checkCoreRange("cores", cores);
-    checkCoreRange("instr", instrPerCore);
-    checkCoreRange("warmup", trackerWarmupActs);
-    checkCoreRange("acts", engineActs);
-    checkCoreRange("shards", shards);
-    checkCoreRange("threads", threads);
-    checkCoreRange("heatmap-regions", heatmapRegions);
-    checkCoreRange("trace-capacity", traceCapacity);
-    checkCoreRange("channels", channels);
-    if (channels != 0 && (channels & (channels - 1)) != 0) {
-        throw SpecError("channels=" + std::to_string(channels) +
-                        " must be a power of two (the address map "
-                        "interleaves by channel bits)");
-    }
+    checkRange("flip", flipTh);
+    checkRange("rfm", rfmTh);
+    checkRange("ad", adTh);
+    checkRange("blast-radius", blastRadius);
+    checkRange("cores", cores);
+    checkRange("instr", instrPerCore);
+    checkRange("warmup", trackerWarmupActs);
+    checkRange("acts", engineActs);
+    checkRange("shards", shards);
+    checkRange("threads", threads);
+    checkRange("heatmap-regions", heatmapRegions);
+    checkRange("trace-capacity", traceCapacity);
+    checkRange("channels", channels);
     if (!record.empty() && !traceEvents.empty() &&
         sameFile(record, traceEvents)) {
         // The event trace is written last and would replace the

@@ -145,6 +145,14 @@ struct ExperimentSpec
                const std::vector<std::string> &ignore_keys = {});
 
     /**
+     * Range-check one spec-owned numeric knob, named by its key
+     * (e.g. "cores"), against the spec's parameter table — the one
+     * place legal ranges live; `channels` must also be a power of
+     * two. Throws registry::SpecError.
+     */
+    static void checkRange(const std::string &key, std::uint64_t value);
+
+    /**
      * Re-validate a (possibly hand-built) spec: registry names exist,
      * numeric knobs are in range, extras are declared by the selected
      * entries. Throws registry::SpecError.

@@ -7,8 +7,9 @@
 namespace mithril::sim
 {
 
-System::System(const SystemConfig &config, TrackerFactory make_tracker)
-    : config_(config)
+System::System(const SystemConfig &config, TrackerFactory make_tracker,
+               const telemetry::TelemetryConfig &telemetry)
+    : config_(config), telemetry_(telemetry)
 {
     map_ = std::make_unique<mc::AddressMap>(config_.geometry);
     lookahead_ =
@@ -26,6 +27,10 @@ System::System(const SystemConfig &config, TrackerFactory make_tracker)
         lane->device->setTracker(lane->tracker.get());
         lane->controller = std::make_unique<mc::Controller>(
             *lane->device, *map_, config_.mcParams, ch);
+        if (telemetry_.any()) {
+            lane->telemetry = std::make_unique<telemetry::EngineTelemetry>(
+                telemetry_, config_.geometry.totalBanks());
+        }
 
         // Completions are buffered lane-locally and turned into event
         // queue entries only at the window drain, in channel order:
@@ -46,18 +51,8 @@ System::System(const SystemConfig &config, TrackerFactory make_tracker)
 void
 System::setActObserver(dram::Device::ActObserver observer)
 {
+    MITHRIL_ASSERT(!started_);
     actObserver_ = std::move(observer);
-    for (auto &lane : lanes_) {
-        if (actObserver_) {
-            Lane *lp = lane.get();
-            lane->device->setActObserver(
-                [lp](BankId b, RowId r, Tick t) {
-                    lp->acts.push_back({b, r, t});
-                });
-        } else {
-            lane->device->setActObserver(nullptr);
-        }
-    }
 }
 
 cpu::Core &
@@ -213,6 +208,33 @@ System::run()
     MITHRIL_ASSERT(!started_);
     started_ = true;
 
+    // Observers attach here, after any warm-up fed the trackers.
+    // Each lane's device tap feeds the lane heatmap directly and
+    // buffers records for the channel-order observer drain below.
+    for (auto &lane : lanes_) {
+        telemetry::EventRecorder *events =
+            lane->telemetry ? lane->telemetry->events() : nullptr;
+        telemetry::ActHeatmap *heatmap =
+            lane->telemetry ? lane->telemetry->heatmap() : nullptr;
+        if (events) {
+            lane->controller->setEventRecorder(events);
+            lane->device->oracle().setEventRecorder(events);
+            if (lane->tracker)
+                lane->tracker->setEventRecorder(events);
+        }
+        if (actObserver_ || heatmap) {
+            Lane *lp = lane.get();
+            const bool capture = static_cast<bool>(actObserver_);
+            lane->device->setActObserver(
+                [lp, heatmap, capture](BankId b, RowId r, Tick t) {
+                    if (heatmap)
+                        heatmap->touch(b, r);
+                    if (capture)
+                        lp->acts.push_back({b, r, t});
+                });
+        }
+    }
+
     for (std::uint32_t i = 0; i < cores_.size(); ++i)
         scheduleWake(i, 0);
 
@@ -307,15 +329,6 @@ System::bitFlips() const
     return sum;
 }
 
-std::uint64_t
-System::flippedRows() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &lane : lanes_)
-        sum += lane->device->oracle().flippedRows();
-    return sum;
-}
-
 double
 System::maxDisturbanceEver() const
 {
@@ -332,24 +345,6 @@ System::preventiveCount() const
     std::uint64_t sum = 0;
     for (const auto &lane : lanes_)
         sum += lane->device->preventiveCount();
-    return sum;
-}
-
-std::uint64_t
-System::rfmCount() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &lane : lanes_)
-        sum += lane->device->rfmCount();
-    return sum;
-}
-
-std::uint64_t
-System::rfmSkipped() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &lane : lanes_)
-        sum += lane->device->rfmSkipped();
     return sum;
 }
 
@@ -378,47 +373,47 @@ System::snapshotTrackerOps()
     trackerOpBaseline_ = trackerLogicOps();
 }
 
-void
-System::exportStats(StatRegistry &registry) const
+telemetry::MetricSheet
+System::telemetrySheet() const
 {
-    const mc::ControllerStats mc = stats();
-    registry.counter("mc.reads").set(mc.reads);
-    registry.counter("mc.writes").set(mc.writes);
-    registry.counter("mc.rowHits").set(mc.rowHits);
-    registry.counter("mc.rowMisses").set(mc.rowMisses);
-    registry.counter("mc.activates").set(mc.activates);
-    registry.counter("mc.precharges").set(mc.precharges);
-    registry.counter("mc.refreshes").set(mc.refreshes);
-    registry.counter("mc.rfmIssued").set(mc.rfmIssued);
-    registry.counter("mc.rfmSkippedByMrr").set(mc.rfmSkippedByMrr);
-    registry.counter("mc.arrExecuted").set(mc.arrExecuted);
-    registry.counter("mc.throttleStalls").set(mc.throttleStalls);
-    registry.average("mc.readLatencyNs").sample(mc.avgReadLatencyNs());
-
-    const dram::EnergyMeter em = energy();
-    registry.counter("dram.acts").set(em.acts());
-    registry.counter("dram.pres").set(em.pres());
-    registry.counter("dram.refreshRows").set(em.refreshRows());
-    registry.counter("dram.preventiveRows").set(em.preventiveRows());
-    registry.counter("dram.rfmCount").set(rfmCount());
-    registry.counter("dram.rfmSkipped").set(rfmSkipped());
-
-    registry.counter("cache.hits").set(cache_->hits());
-    registry.counter("cache.misses").set(cache_->misses());
-    registry.counter("cache.writebacks").set(cache_->writebacks());
-
-    registry.counter("rh.bitFlips").set(bitFlips());
-    registry.counter("rh.flippedRows").set(flippedRows());
-    registry.counter("rh.maxDisturbance")
-        .set(static_cast<std::uint64_t>(maxDisturbanceEver()));
-
-    for (const auto &core : cores_) {
-        const std::string prefix =
-            "core" + std::to_string(core->id());
-        registry.counter(prefix + ".instructions")
-            .set(core->instructionsRetired());
-        registry.average(prefix + ".ipc").sample(core->ipc());
+    telemetry::MetricSheet merged;
+    for (const auto &lane : lanes_) {
+        telemetry::MetricSheet sheet;
+        lane->controller->exportMetrics(sheet);
+        lane->device->exportMetrics(sheet);
+        if (lane->tracker)
+            lane->tracker->exportMetrics(sheet);
+        if (lane->telemetry)
+            lane->telemetry->exportMetrics(sheet);
+        merged.mergeFrom(sheet);
     }
+    // The LLC and the cores are shared by every lane.
+    cache_->exportMetrics(merged);
+    for (const auto &core : cores_)
+        core->exportMetrics(merged);
+    return merged;
+}
+
+std::vector<telemetry::TraceEvent>
+System::mergedEvents() const
+{
+    std::vector<const telemetry::EventRecorder *> recorders;
+    for (const auto &lane : lanes_) {
+        if (lane->telemetry && lane->telemetry->events())
+            recorders.push_back(lane->telemetry->events());
+    }
+    return telemetry::mergeEvents(recorders);
+}
+
+telemetry::ActHeatmap
+System::mergedHeatmap() const
+{
+    MITHRIL_ASSERT(telemetry_.heatmap);
+    telemetry::ActHeatmap merged(config_.geometry.totalBanks(),
+                                 telemetry_.heatmapRegionBudget);
+    for (const auto &lane : lanes_)
+        merged.mergeFrom(*lane->telemetry->heatmap());
+    return merged;
 }
 
 } // namespace mithril::sim

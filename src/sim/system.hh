@@ -14,7 +14,10 @@
  * can run up to that horizon without observing the others. Buffered
  * completions and ACT-trace records are drained in channel order after
  * each lane's window — the same partition-and-merge discipline the
- * sharded ActStream engine applies to banks.
+ * sharded ActStream engine applies to banks. Telemetry follows it too:
+ * each lane carries the per-part collector bundle an engine shard
+ * has, and telemetrySheet()/mergedEvents()/mergedHeatmap() merge the
+ * lanes in channel order.
  */
 
 #ifndef MITHRIL_SIM_SYSTEM_HH
@@ -24,12 +27,12 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hh"
 #include "cpu/cache.hh"
 #include "cpu/core.hh"
 #include "dram/device.hh"
 #include "mc/controller.hh"
 #include "sim/event_queue.hh"
+#include "telemetry/telemetry.hh"
 #include "trackers/rh_protection.hh"
 #include "workload/trace.hh"
 
@@ -59,7 +62,11 @@ class System
     using TrackerFactory =
         std::function<std::unique_ptr<trackers::RhProtection>()>;
 
-    System(const SystemConfig &config, TrackerFactory make_tracker);
+    /** `telemetry` selects the collectors every lane carries (off by
+     *  default); they attach when run() starts, so nothing fed to the
+     *  trackers before (warm-up) is observed. */
+    System(const SystemConfig &config, TrackerFactory make_tracker,
+           const telemetry::TelemetryConfig &telemetry = {});
 
     /** Add a core running the given trace. The System owns both. */
     cpu::Core &addCore(const cpu::CoreParams &params,
@@ -108,7 +115,7 @@ class System
      * Observe every committed ACT across all channels. Records are
      * delivered in channel-major batches after each service window
      * (per-bank tick order is preserved — exactly what the act-trace
-     * capture format requires). Set before run(); null detaches.
+     * capture format requires). Takes effect when run() starts.
      */
     void setActObserver(dram::Device::ActObserver observer);
 
@@ -120,13 +127,10 @@ class System
 
     /** Oracle ground truth merged across channels. */
     std::uint64_t bitFlips() const;
-    std::uint64_t flippedRows() const;
     double maxDisturbanceEver() const;
 
-    /** Device mitigation counters summed across channels. */
+    /** Device preventive refreshes summed across channels. */
     std::uint64_t preventiveCount() const;
-    std::uint64_t rfmCount() const;
-    std::uint64_t rfmSkipped() const;
 
     /** Tracker logic operations summed across channels. */
     std::uint64_t trackerLogicOps() const;
@@ -138,19 +142,30 @@ class System
     void snapshotTrackerOps();
 
     /**
-     * Export every component's counters into a registry under dotted
-     * names (mc.*, dram.*, cache.*, core<N>.*, rh.*) for uniform
-     * reporting and regression diffing. Memory-side counters are the
-     * cross-channel merged values.
+     * One fresh sheet per lane — its controller (`mc.*`), device
+     * (`dram.*`, `oracle.*`), tracker (`tracker.*`) and enabled
+     * collectors (`trace.*`, `heatmap.*`) — folded in channel order,
+     * plus the shared LLC (`cache.*`) and every core
+     * (`core<N>.instructions`, gauge `core<N>.ipc`). Needs no
+     * telemetry bundle.
      */
-    void exportStats(StatRegistry &registry) const;
+    telemetry::MetricSheet telemetrySheet() const;
+
+    /** Tick-ordered merge of every lane's retained trace events
+     *  (empty when event tracing is off). */
+    std::vector<telemetry::TraceEvent> mergedEvents() const;
+
+    /** Union of the per-lane heatmaps (lanes own disjoint banks, so
+     *  this is exact). Callable only when the heatmap is enabled. */
+    telemetry::ActHeatmap mergedHeatmap() const;
 
   private:
     /** One channel's frontend: its controller, its Device partition
      *  (full-geometry instance of which only this channel's banks are
      *  driven — bank state is per-bank and the oracle is sparse, so
-     *  the unused slice costs nothing), its tracker, and the buffers
-     *  that defer cross-lane effects to the window drain. */
+     *  the unused slice costs nothing), its tracker, its telemetry
+     *  bundle (null when off), and the buffers that defer cross-lane
+     *  effects to the window drain. */
     struct Lane
     {
         struct Completion
@@ -168,6 +183,7 @@ class System
         std::unique_ptr<dram::Device> device;
         std::unique_ptr<trackers::RhProtection> tracker;
         std::unique_ptr<mc::Controller> controller;
+        std::unique_ptr<telemetry::EngineTelemetry> telemetry;
         std::vector<Completion> completions;
         std::vector<Act> acts;
         Tick next = 0;  //!< Next tick the controller needs service.
@@ -194,6 +210,7 @@ class System
     bool benignDone() const;
 
     SystemConfig config_;
+    telemetry::TelemetryConfig telemetry_;
     std::unique_ptr<mc::AddressMap> map_;
     std::vector<std::unique_ptr<Lane>> lanes_;
     std::unique_ptr<cpu::Cache> cache_;

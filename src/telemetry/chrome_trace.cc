@@ -5,7 +5,7 @@
 #include <fstream>
 #include <ostream>
 
-#include "common/logging.hh"
+#include "registry/registry.hh"
 
 namespace mithril::telemetry
 {
@@ -63,11 +63,15 @@ writeChromeTraceFile(const std::string &path,
                      std::uint32_t num_banks)
 {
     std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot open trace-events path '%s'", path.c_str());
+    if (!os) {
+        throw registry::SpecError("cannot open trace-events path '" +
+                                  path + "'");
+    }
     writeChromeTrace(os, events, process_name, num_banks);
-    if (!os)
-        fatal("failed writing trace-events path '%s'", path.c_str());
+    if (!os) {
+        throw registry::SpecError("failed writing trace-events path '" +
+                                  path + "'");
+    }
 }
 
 } // namespace mithril::telemetry

@@ -31,7 +31,9 @@ void writeChromeTrace(std::ostream &os,
                       const std::string &process_name,
                       std::uint32_t num_banks);
 
-/** writeChromeTrace() to a file; fatal() when the file can't open. */
+/** writeChromeTrace() to a file; throws registry::SpecError naming
+ *  the path when it cannot be opened or written (a sweep reports that
+ *  job as FAILED, like a bad record= path). */
 void writeChromeTraceFile(const std::string &path,
                           const std::vector<TraceEvent> &events,
                           const std::string &process_name,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "telemetry/metric_sheet.hh"
 
 namespace mithril::telemetry
 {
@@ -67,6 +68,16 @@ EventRecorder::dropped() const
     for (std::size_t b = 0; b < rings_.size(); ++b)
         lost += emitted_[b] - rings_[b].size();
     return lost;
+}
+
+void
+EventRecorder::exportMetrics(MetricSheet &sheet) const
+{
+    std::uint64_t emitted = 0;
+    for (std::uint64_t n : emitted_)
+        emitted += n;
+    sheet.setCounter("trace.emitted", emitted);
+    sheet.setCounter("trace.dropped", dropped());
 }
 
 std::vector<TraceEvent>

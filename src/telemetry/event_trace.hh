@@ -25,6 +25,8 @@
 namespace mithril::telemetry
 {
 
+class MetricSheet;
+
 /** Typed mitigation events emitted by engines, trackers, and the
  *  oracle. Keep in sync with eventKindName(). */
 enum class EventKind : std::uint8_t
@@ -86,7 +88,6 @@ class EventRecorder
     {
         return static_cast<std::uint32_t>(rings_.size());
     }
-    std::uint32_t capacityPerBank() const { return capacity_; }
 
     /** Events ever emitted on the bank (including overwritten). */
     std::uint64_t emitted(BankId bank) const
@@ -102,6 +103,9 @@ class EventRecorder
 
     /** Total events overwritten (lost to ring wrap), all banks. */
     std::uint64_t dropped() const;
+
+    /** Set the `trace.emitted` and `trace.dropped` counters. */
+    void exportMetrics(MetricSheet &sheet) const;
 
     /** The bank's retained events, oldest first. */
     std::vector<TraceEvent> bankEvents(BankId bank) const;

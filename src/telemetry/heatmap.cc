@@ -1,8 +1,10 @@
 #include "telemetry/heatmap.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "telemetry/metric_sheet.hh"
 
 namespace mithril::telemetry
 {
@@ -118,6 +120,23 @@ ActHeatmap::dump() const
         }
     }
     return os.str();
+}
+
+void
+ActHeatmap::exportMetrics(MetricSheet &sheet) const
+{
+    std::uint64_t folds = 0, regions = 0;
+    std::uint32_t max_gran = 0;
+    for (const BankMap &bm : banks_) {
+        folds += bm.folds;
+        regions += bm.regions.size();
+        max_gran = std::max(max_gran, bm.granularityLog2);
+    }
+    sheet.setCounter("heatmap.acts", totalActs());
+    sheet.setCounter("heatmap.folds", folds);
+    sheet.setCounter("heatmap.regions", regions);
+    sheet.setGauge("heatmap.max_granularity_log2",
+                   static_cast<double>(max_gran));
 }
 
 } // namespace mithril::telemetry

@@ -26,6 +26,8 @@
 namespace mithril::telemetry
 {
 
+class MetricSheet;
+
 /** One bank's snapshot: regions of 2^granularityLog2 rows. */
 struct HeatmapBankSnapshot
 {
@@ -53,7 +55,6 @@ class ActHeatmap
     {
         return static_cast<std::uint32_t>(banks_.size());
     }
-    std::uint32_t regionBudget() const { return budget_; }
 
     std::uint32_t granularityLog2(BankId bank) const
     {
@@ -83,6 +84,10 @@ class ActHeatmap
 
     /** Render per-bank region tables (telemetry_cli output). */
     std::string dump() const;
+
+    /** Set the `heatmap.acts`, `.folds` and `.regions` counters and
+     *  the `heatmap.max_granularity_log2` gauge. */
+    void exportMetrics(MetricSheet &sheet) const;
 
   private:
     struct BankMap

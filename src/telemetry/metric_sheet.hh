@@ -1,16 +1,16 @@
 /**
  * @file
- * Per-shard metric sheet: counters, gauges, averages, and histograms
- * registered under dotted names, with a deterministic merge.
+ * Metric sheet: counters, gauges, averages, and histograms under
+ * dotted names, with a deterministic merge.
  *
- * A MetricSheet is the telemetry analogue of a tracker's statistics:
- * each ActStreamEngine shard owns one, components obtain stable
- * references to their stats once (map nodes never move), and the hot
- * path is a plain integer increment — no lookups, no allocation. At
- * join time the shard sheets fold in shard order with the same
- * discipline as RhProtection::mergeStatsFrom: counters add, gauges
- * take the max, averages and histograms merge exactly. The result is
- * byte-identical at any shard/pool count.
+ * A MetricSheet is the telemetry analogue of a tracker's statistics.
+ * Components keep their own native counters and export them after a
+ * run with `exportMetrics(MetricSheet &)`, which sets values; a part
+ * owner (engine shard, System lane) exports its components into one
+ * fresh sheet per part, and the part sheets fold in part order with
+ * the same discipline as RhProtection::mergeStatsFrom: counters add,
+ * gauges take the max, averages and histograms merge exactly. The
+ * result is byte-identical at any shard/pool count.
  */
 
 #ifndef MITHRIL_TELEMETRY_METRIC_SHEET_HH
@@ -28,7 +28,7 @@ namespace mithril::telemetry
 {
 
 /**
- * Named stat container for one engine shard (or one whole run).
+ * Named stat container for one part of a run (or the merged run).
  *
  * Four stat families, all addressed by dotted name:
  *  - counter: u64, merge = sum (event counts);
@@ -39,21 +39,11 @@ namespace mithril::telemetry
 class MetricSheet
 {
   public:
-    /** Get or create a counter; the reference stays valid for the
-     *  sheet's lifetime (hot-path friendly). */
-    Counter &counter(const std::string &name)
-    {
-        return counters_[name];
-    }
-
     /** Get or create an average. */
     Average &average(const std::string &name)
     {
         return averages_[name];
     }
-
-    /** Get or create a gauge, merged by max across shards. */
-    double &gauge(const std::string &name) { return gauges_[name]; }
 
     /** Get or create a histogram with the given shape; the shape is
      *  fixed on first call (later calls return the existing one). */
@@ -67,7 +57,7 @@ class MetricSheet
         counters_[name].set(v);
     }
 
-    /** Overwrite a gauge. */
+    /** Overwrite a gauge, merged by max across parts. */
     void setGauge(const std::string &name, double v)
     {
         gauges_[name] = v;
@@ -76,15 +66,9 @@ class MetricSheet
     std::uint64_t counterValue(const std::string &name) const;
     double gaugeValue(const std::string &name) const;
 
-    bool empty() const
-    {
-        return counters_.empty() && gauges_.empty() &&
-               averages_.empty() && histograms_.empty();
-    }
-
     /**
      * Fold another sheet into this one by name union. Deterministic
-     * and associative; sharded joins call this in shard order.
+     * and associative; part owners call this in part order.
      */
     void mergeFrom(const MetricSheet &other);
 

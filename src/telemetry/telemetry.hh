@@ -1,12 +1,19 @@
 /**
  * @file
- * Telemetry configuration and the per-shard bundle the engine carries.
+ * Telemetry configuration and the per-part bundle every partition of
+ * a run carries: one per engine shard, one per System channel lane.
  *
  * Everything here is off by default, and the hot-path contract is
  * strict: with telemetry disabled the engine pays one pointer check
  * per batch, and with it enabled the simulated outcome (RunOutcome,
  * tracker stats, oracle state) must stay byte-identical — telemetry
  * observes the simulation, it never participates in it.
+ *
+ * Metric sheets are not collected here: each component that owns
+ * counters exports them with `exportMetrics(MetricSheet &)`, the part
+ * owner (ShardedActStreamEngine, sim::System) exports every component
+ * of a part into one fresh sheet, and the part sheets merge in part
+ * order.
  */
 
 #ifndef MITHRIL_TELEMETRY_TELEMETRY_HH
@@ -23,20 +30,19 @@
 namespace mithril::telemetry
 {
 
-/** What to collect; shared by every shard of a run. */
+/** What to collect; shared by every part of a run. */
 struct TelemetryConfig
 {
-    bool metrics = false; //!< Per-shard MetricSheet export.
     bool events = false;  //!< Mitigation-event ring tracing.
     std::uint32_t eventCapacityPerBank = 4096;
     bool heatmap = false; //!< Per-bank ACT region histograms.
     std::uint32_t heatmapRegionBudget = 64;
     bool phases = false;  //!< Wall-time phase profiling (bench only).
 
-    bool any() const { return metrics || events || heatmap || phases; }
+    bool any() const { return events || heatmap || phases; }
 };
 
-/** One engine shard's telemetry state. */
+/** One part's collectors (an engine shard or a System lane). */
 class EngineTelemetry
 {
   public:
@@ -56,9 +62,6 @@ class EngineTelemetry
 
     const TelemetryConfig &config() const { return config_; }
 
-    MetricSheet &sheet() { return sheet_; }
-    const MetricSheet &sheet() const { return sheet_; }
-
     /** Null when event tracing is off — the hot-path check. */
     EventRecorder *events() { return events_.get(); }
     const EventRecorder *events() const { return events_.get(); }
@@ -70,9 +73,17 @@ class EngineTelemetry
     PhaseProfile &phases() { return phases_; }
     const PhaseProfile &phases() const { return phases_; }
 
+    /** Export the enabled collectors' `trace.*` and `heatmap.*`. */
+    void exportMetrics(MetricSheet &sheet) const
+    {
+        if (events_)
+            events_->exportMetrics(sheet);
+        if (heatmap_)
+            heatmap_->exportMetrics(sheet);
+    }
+
   private:
     TelemetryConfig config_;
-    MetricSheet sheet_;
     std::unique_ptr<EventRecorder> events_;
     std::unique_ptr<ActHeatmap> heatmap_;
     PhaseProfile phases_;

@@ -173,16 +173,9 @@ class SpliceStream : public RecordStream
         auto source = registry::makeActSource("attack",
                                               attack_params,
                                               source_ctx);
-        engine::ActBatch batch;
         std::uint64_t produced = 0;
-        while (produced < acts) {
-            batch.clear();
-            const std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(acts - produced,
-                                        engine::ActBatch::kCapacity));
-            if (source->fill(batch, want) == 0)
-                break;
-            for (std::size_t i = 0; i < batch.size(); ++i) {
+        engine::forEachRecord(
+            *source, acts, [&](const engine::ActRecord &record) {
                 // Burst ticks are synthesized: one ACT per gap in
                 // the generator's arrival order, starting at `at`.
                 const std::uint64_t tick =
@@ -194,13 +187,11 @@ class SpliceStream : public RecordStream
                         std::to_string(produced) + " * " +
                         std::to_string(gap) + ")");
                 }
-                const engine::ActRecord record = batch.record(i);
                 inj_[record.bank].records.push_back(TraceRecord{
                     record.bank, record.row,
                     static_cast<Tick>(tick)});
                 ++produced;
-            }
-        }
+            });
     }
 
     std::unique_ptr<RecordStream> upstream_;

@@ -9,8 +9,8 @@
  *     and the seeking bank-range reader emits exactly what a
  *     BankFilterSource over the bounded linear stream does — for any
  *     range and any replay budget.
- *  2. Capture -> replay equivalence: for EVERY registered scheme, an
- *     engine run recorded through RecordingSource replays to the
+ *  2. Capture -> replay equivalence: for EVERY registered scheme, the
+ *     captured stream of an engine run replays to the
  *     byte-identical RunOutcome (counters, per-bank clocks, oracle,
  *     logicOps) single-threaded and sharded at {1, 4, 16} across
  *     pool sizes; a System run captured via record= replays to one
@@ -417,18 +417,25 @@ outcomeOf(const engine::ActStreamEngine &eng,
     return o;
 }
 
-/** Live engine run over the attack stream, captured to `path`. */
+/** Live engine run over the attack stream; the kActs-record prefix
+ *  it consumes is captured to `path` from an identical stream copy
+ *  (the registry source is deterministic in its seed). */
 Outcome
 runLiveRecorded(const std::string &scheme, const std::string &path)
 {
-    auto tracker = makeTracker(scheme);
-    engine::ActStreamEngine eng(replayEngineConfig(), tracker.get());
     engine::ActTraceWriter writer(path, smallGeometry(kBanks, 65536),
                                   /*seed=*/7, "live:" + scheme);
-    engine::RecordingSource source(makeAttackStream(), &writer);
-    eng.run(source, kActs);
+    engine::forEachRecord(*makeAttackStream(), kActs,
+                          [&](const engine::ActRecord &r) {
+                              writer.append(r.bank, r.row, r.tick);
+                          });
     writer.finalize();
     EXPECT_EQ(writer.records(), kActs);
+
+    auto tracker = makeTracker(scheme);
+    engine::ActStreamEngine eng(replayEngineConfig(), tracker.get());
+    auto source = makeAttackStream();
+    eng.run(*source, kActs);
     return outcomeOf(eng, tracker.get());
 }
 
@@ -1204,38 +1211,6 @@ TEST(ActTraceRunner, RecordRoundTripsThroughDescribe)
     // canonical line of record-free specs unchanged.
     EXPECT_EQ(sim::ExperimentSpec{}.describe().find("record="),
               std::string::npos);
-}
-
-// ------------------------------------------------- recording source
-
-TEST(RecordingSource, TeesWithoutDisturbingTheStream)
-{
-    const dram::Geometry geom = smallGeometry(1, 4096);
-    const std::string path = tmpPath("tee");
-    auto make_inner = [] {
-        return std::make_unique<engine::CallbackSource>(
-            /*count=*/10000, [](std::uint64_t i) {
-                return static_cast<RowId>(100 + i % 37);
-            });
-    };
-
-    std::vector<Rec> direct;
-    {
-        auto inner = make_inner();
-        direct = drain(*inner);
-    }
-
-    std::vector<Rec> teed;
-    {
-        engine::ActTraceWriter writer(path, geom, 1, "tee");
-        engine::RecordingSource source(make_inner(), &writer);
-        teed = drain(source);
-        writer.finalize();
-    }
-    EXPECT_EQ(teed, direct);
-
-    engine::ActTraceSource replay(path);
-    EXPECT_EQ(drain(replay), direct);
 }
 
 // --------------------------------------------------------- golden

@@ -174,21 +174,6 @@ TEST(Stats, AverageTracksMinMaxMean)
     EXPECT_DOUBLE_EQ(a.maxValue(), 6.0);
 }
 
-TEST(Stats, RegistryLookupAndDump)
-{
-    StatRegistry reg;
-    reg.counter("mc.acts").inc(7);
-    reg.counter("mc.reads").inc(3);
-    reg.average("lat").sample(10.0);
-    EXPECT_EQ(reg.counterValue("mc.acts"), 7u);
-    EXPECT_EQ(reg.counterValue("missing"), 0u);
-    EXPECT_EQ(reg.counters().size(), 2u);
-    const std::string dump = reg.dump();
-    EXPECT_NE(dump.find("mc.acts 7"), std::string::npos);
-    reg.resetAll();
-    EXPECT_EQ(reg.counterValue("mc.acts"), 0u);
-}
-
 TEST(Histogram, BucketsAndPercentiles)
 {
     Histogram h(0.0, 100.0, 10);

@@ -637,6 +637,34 @@ TEST(SweepRunner, RejectedConfigurationFailsItsJobOnly)
     EXPECT_NE(json.find("\"error\""), std::string::npos);
 }
 
+TEST(SweepRunner, UnwritableTraceEventsPathFailsItsJob)
+{
+    // trace-events= onto a path that cannot be opened fails the job
+    // with an error naming the path — a FAILED row, as for a bad
+    // record= path — on both frontends, instead of exiting the
+    // process after the run.
+    const std::string path = "/nonexistent/dir/x.json";
+    for (const char *grid :
+         {"schemes=mithril sources=attack attacks=double-sided "
+          "acts=2000",
+          "schemes=mithril attacks=double-sided cores=2 instr=2000"}) {
+        const SweepSpec spec = SweepSpec::fromParams(
+            ParamSet::fromString(std::string(grid) +
+                                 " trace-events=" + path));
+        RunnerOptions options;
+        options.jobs = 1;
+        options.progress = false;
+        const SweepResult result = SweepRunner(options).run(spec);
+        ASSERT_EQ(result.results.size(), 1u) << grid;
+        EXPECT_EQ(result.failedCount(), 1u) << grid;
+        EXPECT_NE(result.results[0].error.find(path),
+                  std::string::npos)
+            << result.results[0].error;
+        EXPECT_NE(TableSink().render(result).find("FAILED"),
+                  std::string::npos);
+    }
+}
+
 TEST(SweepResult, FindAndBaselineLookups)
 {
     const SweepSpec spec = bigStubSpec();

@@ -222,7 +222,7 @@ TEST(SystemIntegration, UnprotectedLongAttackFlipsBits)
     EXPECT_GT(system.bitFlips(), 0u);
 }
 
-TEST(SystemIntegration, ExportStatsCoversComponents)
+TEST(SystemIntegration, TelemetrySheetCoversComponents)
 {
     SystemConfig cfg;
     cfg.flipTh = 6250;
@@ -233,15 +233,18 @@ TEST(SystemIntegration, ExportStatsCoversComponents)
                    makeWorkloadThread(WorkloadKind::MixHigh, 0, 1, 1));
     system.run();
 
-    StatRegistry registry;
-    system.exportStats(registry);
-    EXPECT_GT(registry.counterValue("mc.reads"), 0u);
-    EXPECT_GT(registry.counterValue("dram.acts"), 0u);
-    EXPECT_GT(registry.counterValue("cache.misses"), 0u);
-    EXPECT_GT(registry.counterValue("core0.instructions"), 4999u);
-    EXPECT_EQ(registry.counterValue("rh.bitFlips"), 0u);
-    EXPECT_NE(registry.dump().find("mc.activates"),
-              std::string::npos);
+    // No telemetry bundle: the sheet still covers every component.
+    const telemetry::MetricSheet sheet = system.telemetrySheet();
+    EXPECT_GT(sheet.counterValue("mc.reads"), 0u);
+    EXPECT_EQ(sheet.counterValue("mc.acts"), system.stats().activates);
+    EXPECT_EQ(sheet.counterValue("dram.acts"), system.energy().acts());
+    EXPECT_GT(sheet.counterValue("cache.misses"), 0u);
+    EXPECT_GT(sheet.counterValue("core0.instructions"), 4999u);
+    EXPECT_DOUBLE_EQ(sheet.gaugeValue("core0.ipc"),
+                     system.cores()[0]->ipc());
+    EXPECT_EQ(sheet.counterValue("oracle.bit_flips"), 0u);
+    EXPECT_EQ(sheet.dump().find("trace."), std::string::npos);
+    EXPECT_EQ(sheet.dump().find("heatmap."), std::string::npos);
 }
 
 TEST(SystemIntegration, EnergyOverheadHelpers)

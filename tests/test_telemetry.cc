@@ -1,7 +1,7 @@
 /**
  * @file
  * Telemetry subsystem tests: merge algebra of the stat primitives
- * (Average, StatRegistry, Histogram, MetricSheet), mitigation-event
+ * (Average, Histogram, MetricSheet), mitigation-event
  * ring semantics, heatmap coarsening, Chrome trace export shape —
  * and the two contracts the subsystem lives or dies by:
  *
@@ -18,6 +18,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -87,7 +88,6 @@ telemetry::TelemetryConfig
 allOn()
 {
     telemetry::TelemetryConfig tel;
-    tel.metrics = true;
     tel.events = true;
     tel.eventCapacityPerBank = 256;
     tel.heatmap = true;
@@ -236,26 +236,6 @@ TEST(AverageMerge, Associative)
     EXPECT_DOUBLE_EQ(left.maxValue(), right.maxValue());
 }
 
-TEST(StatRegistryMerge, NameUnionCountersAddAveragesMerge)
-{
-    StatRegistry a, b;
-    a.counter("shared").inc(3);
-    a.counter("only_a").inc(1);
-    a.average("lat").sample(10.0);
-    b.counter("shared").inc(5);
-    b.counter("only_b").inc(2);
-    b.average("lat").sample(30.0);
-    b.average("only_b_avg").sample(1.5);
-
-    a.mergeFrom(b);
-    EXPECT_EQ(a.counterValue("shared"), 8u);
-    EXPECT_EQ(a.counterValue("only_a"), 1u);
-    EXPECT_EQ(a.counterValue("only_b"), 2u);
-    EXPECT_EQ(a.average("lat").count(), 2u);
-    EXPECT_DOUBLE_EQ(a.average("lat").mean(), 20.0);
-    EXPECT_EQ(a.average("only_b_avg").count(), 1u);
-}
-
 TEST(HistogramMerge, BucketwiseEqualsUnionSampling)
 {
     Histogram a(0.0, 100.0, 10), b(0.0, 100.0, 10),
@@ -282,7 +262,7 @@ TEST(MetricSheetMerge, AllFamiliesAndAssociativity)
     auto make = [](std::uint64_t c, double g, double avg_sample,
                    double hist_sample) {
         telemetry::MetricSheet s;
-        s.counter("n").inc(c);
+        s.setCounter("n", c);
         s.setGauge("high_water", g);
         s.average("avg").sample(avg_sample);
         s.histogram("h", 0.0, 10.0, 5).sample(hist_sample);
@@ -317,7 +297,7 @@ TEST(MetricSheetMerge, AllFamiliesAndAssociativity)
 TEST(MetricSheetMerge, ExportFlatShape)
 {
     telemetry::MetricSheet s;
-    s.counter("c").inc(7);
+    s.setCounter("c", 7);
     s.setGauge("g", 2.5);
     s.average("a").sample(3.0);
     s.histogram("h", 0.0, 4.0, 4).sample(1.0);
@@ -697,6 +677,82 @@ TEST(TelemetryExperiment, SystemPathSmoke)
     EXPECT_EQ(m.rfmIssued, off.rfmIssued);
     EXPECT_EQ(m.preventiveRefreshes, off.preventiveRefreshes);
     EXPECT_EQ(m.simTicks, off.simTicks);
+}
+
+TEST(TelemetryExperiment, SystemSheetAgreesWithRunMetricsAtAnyLaneCount)
+{
+    // One sheet per channel lane, merged in channel order: the merged
+    // names carry exactly the values RunMetrics reports, and the
+    // trace accounting covers every event, retained or dropped.
+    for (std::uint32_t channels : {1u, 2u, 4u}) {
+        sim::ExperimentSpec spec;
+        spec.scheme = "mithril";
+        spec.workload = "mix-high";
+        spec.attack = "multi-sided";
+        spec.cores = 4;
+        spec.instrPerCore = 20000;
+        spec.flipTh = 1500;
+        spec.channels = channels;
+        spec.telemetry = true;
+        spec.traceCapacity = 8;
+
+        sim::Observation seen;
+        const sim::RunMetrics m = sim::runExperiment(spec, &seen);
+        const std::map<std::string, double> &t = m.telemetry;
+        EXPECT_EQ(seen.parts, channels);
+        EXPECT_EQ(seen.sheet.exportFlat(), t);
+        EXPECT_EQ(t.at("mc.acts"), static_cast<double>(m.acts));
+        EXPECT_EQ(t.at("mc.rfm_issued"),
+                  static_cast<double>(m.rfmIssued));
+        EXPECT_EQ(t.at("oracle.bit_flips"),
+                  static_cast<double>(m.bitFlips));
+        EXPECT_EQ(t.at("oracle.max_disturbance"), m.maxDisturbance);
+        EXPECT_EQ(t.at("heatmap.acts"), static_cast<double>(m.acts));
+        EXPECT_EQ(seen.heatmap.totalActs(), m.acts);
+        EXPECT_GT(t.at("trace.dropped"), 0.0) << channels;
+        EXPECT_EQ(t.at("trace.emitted"),
+                  static_cast<double>(seen.events.size()) +
+                      t.at("trace.dropped"))
+            << channels;
+    }
+}
+
+TEST(TelemetryExperiment, TrackerWarmupIsNotTraced)
+{
+    // Warm-up feeds the trackers before the measured run and the
+    // collectors attach only when it starts: a warm-up that already
+    // inserted every aggressor the run touches leaves no CbS insert
+    // in the trace, though the tracker counts the warm-up's inserts.
+    const std::string path =
+        testing::TempDir() + "telemetry_warmup_trace.json";
+    sim::ExperimentSpec spec;
+    spec.scheme = "mithril";
+    spec.source = "attack";
+    spec.attack = "double-sided";
+    spec.engineActs = 2000;
+    spec.trackerWarmupActs = 3000;
+    spec.telemetry = true;
+    spec.traceEvents = path;
+
+    const sim::RunMetrics warm = sim::runExperiment(spec);
+    EXPECT_EQ(warm.telemetry.at("tracker.cbs.inserts"), 64.0);
+    EXPECT_EQ(warm.telemetry.at("trace.emitted"), 0.0);
+    std::ifstream is(path, std::ios::binary);
+    std::stringstream buf;
+    buf << is.rdbuf();
+    EXPECT_EQ(buf.str().find("cbs_insert"), std::string::npos);
+    std::remove(path.c_str());
+
+    // Cold, the same run's inserts are all traced.
+    spec.trackerWarmupActs = 0;
+    spec.traceEvents.clear();
+    sim::Observation seen;
+    const sim::RunMetrics cold = sim::runExperiment(spec, &seen);
+    EXPECT_GT(cold.telemetry.at("tracker.cbs.inserts"), 0.0);
+    EXPECT_EQ(cold.telemetry.at("trace.emitted"),
+              cold.telemetry.at("tracker.cbs.inserts"));
+    EXPECT_EQ(static_cast<double>(seen.events.size()),
+              cold.telemetry.at("trace.emitted"));
 }
 
 } // namespace
