@@ -23,81 +23,58 @@ Cache::Cache(const CacheParams &params)
 }
 
 Cache::AccessResult
-Cache::access(Addr addr, bool is_write)
+Cache::lookup(Addr addr) const
 {
     const std::uint64_t line_addr = addr >> lineShift_;
     const std::uint32_t set =
         static_cast<std::uint32_t>(line_addr & (sets_ - 1));
+    const std::size_t base = static_cast<std::size_t>(set) * params_.ways;
+
+    AccessResult result;
     // The full line address is the tag; no information is lost, so a
     // dirty victim's writeback address is exact.
-    const std::uint64_t tag = line_addr;
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.ways];
-
-    ++useClock_;
-    AccessResult result;
-
-    Line *victim = base;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = useClock_;
-            line.dirty = line.dirty || is_write;
-            ++hits_;
+    result.tag = line_addr;
+    std::size_t victim = base;
+    for (std::size_t w = base; w < base + params_.ways; ++w) {
+        const Line &line = lines_[w];
+        if (line.valid && line.tag == line_addr) {
             result.hit = true;
+            result.line = w;
             return result;
         }
         if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
+            victim = w;
+        } else if (lines_[victim].valid &&
+                   line.lastUse < lines_[victim].lastUse) {
+            victim = w;
         }
     }
-
-    ++misses_;
-    if (victim->valid && victim->dirty) {
-        ++writebacks_;
+    result.line = victim;
+    const Line &evicted = lines_[victim];
+    if (evicted.valid && evicted.dirty) {
         result.writeback = true;
-        result.writebackAddr = victim->tag << lineShift_;
+        result.writebackAddr = evicted.tag << lineShift_;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = is_write;
-    victim->lastUse = useClock_;
     return result;
 }
 
-Cache::VictimInfo
-Cache::peekVictim(Addr addr) const
+void
+Cache::commit(const AccessResult &found, bool is_write)
 {
-    const std::uint64_t line_addr = addr >> lineShift_;
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(line_addr & (sets_ - 1));
-    const std::uint64_t tag = line_addr;
-    const Line *base =
-        &lines_[static_cast<std::size_t>(set) * params_.ways];
-
-    VictimInfo info;
-    // Mirrors access()'s victim selection exactly (including its
-    // preference order between invalid ways) so the preview and the
-    // committed access always agree.
-    const Line *victim = base;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        const Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            info.hit = true;
-            return info;
-        }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
+    Line &line = lines_[found.line];
+    ++useClock_;
+    line.lastUse = useClock_;
+    if (found.hit) {
+        line.dirty = line.dirty || is_write;
+        ++hits_;
+        return;
     }
-    if (victim->valid && victim->dirty) {
-        info.writeback = true;
-        info.writebackAddr = victim->tag << lineShift_;
-    }
-    return info;
+    ++misses_;
+    if (found.writeback)
+        ++writebacks_;
+    line.valid = true;
+    line.tag = found.tag;
+    line.dirty = is_write;
 }
 
 void

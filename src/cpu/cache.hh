@@ -34,35 +34,42 @@ struct CacheParams
 class Cache
 {
   public:
-    /** Outcome of one access. */
+    /** Outcome of one access, or of a lookup() that has not been
+     *  committed yet. */
     struct AccessResult
     {
         bool hit = false;
-        bool writeback = false;  //!< A dirty victim was evicted.
+        bool writeback = false;  //!< A dirty victim is evicted.
         Addr writebackAddr = 0;
-    };
-
-    /** What a miss on addr would evict, computed without mutation. */
-    struct VictimInfo
-    {
-        bool hit = false;        //!< The line is present: no victim.
-        bool writeback = false;  //!< The victim would be dirty.
-        Addr writebackAddr = 0;
+        std::size_t line = 0;    //!< The hit way, or the way a miss
+                                 //!< fills.
+        std::uint64_t tag = 0;
     };
 
     explicit Cache(const CacheParams &params);
 
-    /** Look up (and on miss, fill) the line holding addr. */
-    AccessResult access(Addr addr, bool is_write);
-
     /**
-     * Preview the eviction decision access(addr, *) would make right
-     * now, without touching LRU or fill state. Lets the caller reserve
-     * downstream resources (e.g. a slot in the writeback's memory
-     * channel queue) before committing the access, and retry later
-     * with identical cache state if reservation fails.
+     * Find the line holding addr, or the victim a miss would evict,
+     * in one scan of its set and without touching LRU or fill state.
+     * Lets the caller reserve downstream resources (e.g. a slot in
+     * the writeback's memory channel queue) before committing the
+     * access, and retry later with identical cache state if
+     * reservation fails.
      */
-    VictimInfo peekVictim(Addr addr) const;
+    AccessResult lookup(Addr addr) const;
+
+    /** Apply the access a lookup() on the unchanged cache found:
+     *  touch the hit way, or fill the victim's. */
+    void commit(const AccessResult &found, bool is_write);
+
+    /** Look up (and on miss, fill) the line holding addr. */
+    AccessResult
+    access(Addr addr, bool is_write)
+    {
+        const AccessResult found = lookup(addr);
+        commit(found, is_write);
+        return found;
+    }
 
     /** Drop every line (used between experiment phases). */
     void flush();

@@ -52,8 +52,10 @@ Core::tryProgress(Tick now)
             return readyTick_;
 
         AccessOutcome outcome = access_(id_, pending_, now);
-        if (!outcome.accepted)
+        if (!outcome.accepted) {
+            ++queueFullRetries_;
             return now + params_.retryInterval;
+        }
 
         if (outcome.missOutstanding) {
             ++outstanding_;
@@ -106,6 +108,7 @@ Core::exportMetrics(telemetry::MetricSheet &sheet) const
 {
     const std::string prefix = "core" + std::to_string(id_);
     sheet.setCounter(prefix + ".instructions", retired_);
+    sheet.setCounter(prefix + ".queue_full_retries", queueFullRetries_);
     sheet.setGauge(prefix + ".ipc", ipc());
 }
 

@@ -90,8 +90,8 @@ class Core
     /** Ticks per core cycle. */
     Tick cycleTick() const { return cycleTick_; }
 
-    /** Set the `core<id>.instructions` counter and `core<id>.ipc`
-     *  gauge. */
+    /** Set the `core<id>.instructions` and `core<id>.queue_full_retries`
+     *  counters and the `core<id>.ipc` gauge. */
     void exportMetrics(telemetry::MetricSheet &sheet) const;
 
   private:
@@ -105,6 +105,8 @@ class Core
     Tick endTick_ = 0;     //!< When the budget was exhausted.
     std::uint64_t retired_ = 0;
     std::uint64_t outstanding_ = 0;
+    /** Accesses rejected because a channel queue was full. */
+    std::uint64_t queueFullRetries_ = 0;
     bool blockedOnWindow_ = false;
     bool done_ = false;
     bool havePending_ = false;

@@ -12,32 +12,6 @@ Bank::Bank(const Timing &timing)
 {
 }
 
-Tick
-Bank::earliestAct(Tick now) const
-{
-    return std::max(now, nextAct_);
-}
-
-Tick
-Bank::earliestPre(Tick now) const
-{
-    return std::max(now, nextPre_);
-}
-
-Tick
-Bank::earliestCol(Tick now) const
-{
-    return std::max(now, nextCol_);
-}
-
-Tick
-Bank::earliestRefresh(Tick now) const
-{
-    // Refresh needs the bank precharged; model as max of ACT fence (the
-    // point where the bank is guaranteed idle and closed).
-    return std::max(now, nextAct_);
-}
-
 void
 Bank::doActivate(Tick t, RowId row)
 {

@@ -10,6 +10,7 @@
 #ifndef MITHRIL_DRAM_BANK_HH
 #define MITHRIL_DRAM_BANK_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -29,13 +30,17 @@ class Bank
     bool isOpen() const { return openRow_ != kInvalidRow; }
 
     /** Earliest tick an ACT may issue (bank must be precharged). */
-    Tick earliestAct(Tick now) const;
+    Tick earliestAct(Tick now) const { return std::max(now, nextAct_); }
     /** Earliest tick a PRE may issue. */
-    Tick earliestPre(Tick now) const;
+    Tick earliestPre(Tick now) const { return std::max(now, nextPre_); }
     /** Earliest tick a RD/WR may issue (row must be open). */
-    Tick earliestCol(Tick now) const;
-    /** Earliest tick a REF/RFM may start (bank precharged and idle). */
-    Tick earliestRefresh(Tick now) const;
+    Tick earliestCol(Tick now) const { return std::max(now, nextCol_); }
+    /** Earliest tick a REF/RFM may start (bank precharged and idle):
+     *  the ACT fence, where the bank is guaranteed idle and closed. */
+    Tick earliestRefresh(Tick now) const
+    {
+        return std::max(now, nextAct_);
+    }
 
     /** Commit an ACT at tick t opening the given row. */
     void doActivate(Tick t, RowId row);

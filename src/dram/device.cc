@@ -27,14 +27,6 @@ Device::Device(const Timing &timing, const Geometry &geometry,
         ranks_.emplace_back(timing_);
 }
 
-Tick
-Device::earliestAct(BankId b, Tick now) const
-{
-    const Bank &bank = banks_.at(b);
-    const RankTiming &rank = ranks_.at(rankOf(b));
-    return std::max(bank.earliestAct(now), rank.earliestAct(now));
-}
-
 void
 Device::activate(BankId b, RowId row, Tick t, std::vector<RowId> &arr_out)
 {

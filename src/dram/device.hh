@@ -12,6 +12,7 @@
 #ifndef MITHRIL_DRAM_DEVICE_HH
 #define MITHRIL_DRAM_DEVICE_HH
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -78,7 +79,11 @@ class Device
     }
 
     /** Earliest tick an ACT to this bank satisfies bank+rank timing. */
-    Tick earliestAct(BankId b, Tick now) const;
+    Tick earliestAct(BankId b, Tick now) const
+    {
+        return std::max(banks_[b].earliestAct(now),
+                        ranks_[rankOf(b)].earliestAct(now));
+    }
 
     /**
      * Commit an ACT. Informs the tracker and the oracle.

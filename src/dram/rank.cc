@@ -1,7 +1,5 @@
 #include "rank.hh"
 
-#include <algorithm>
-
 namespace mithril::dram
 {
 
@@ -9,19 +7,6 @@ RankTiming::RankTiming(const Timing &timing)
     : timing_(timing)
 {
     recentActs_.fill(-1);
-}
-
-Tick
-RankTiming::earliestAct(Tick now) const
-{
-    Tick t = now;
-    if (lastAct_ >= 0)
-        t = std::max(t, lastAct_ + timing_.tRRD);
-    // The oldest of the last four ACTs gates the next one by tFAW.
-    Tick oldest = recentActs_[head_];
-    if (oldest >= 0)
-        t = std::max(t, oldest + timing_.tFAW);
-    return t;
 }
 
 void

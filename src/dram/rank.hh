@@ -7,6 +7,7 @@
 #ifndef MITHRIL_DRAM_RANK_HH
 #define MITHRIL_DRAM_RANK_HH
 
+#include <algorithm>
 #include <array>
 
 #include "common/types.hh"
@@ -22,7 +23,17 @@ class RankTiming
     explicit RankTiming(const Timing &timing);
 
     /** Earliest tick a new ACT may issue anywhere in this rank. */
-    Tick earliestAct(Tick now) const;
+    Tick earliestAct(Tick now) const
+    {
+        Tick t = now;
+        if (lastAct_ >= 0)
+            t = std::max(t, lastAct_ + timing_.tRRD);
+        // The oldest of the last four ACTs gates the next one by tFAW.
+        const Tick oldest = recentActs_[head_];
+        if (oldest >= 0)
+            t = std::max(t, oldest + timing_.tFAW);
+        return t;
+    }
 
     /** Record an ACT committed at tick t. */
     void recordAct(Tick t);

@@ -41,18 +41,27 @@ Controller::exportMetrics(telemetry::MetricSheet &sheet) const
     sheet.setCounter("mc.rfm_skipped_mrr", stats_.rfmSkippedByMrr);
     sheet.setCounter("mc.arr_executed", stats_.arrExecuted);
     sheet.setCounter("mc.throttle_stalls", stats_.throttleStalls);
+    sheet.histogram("mc.queue_depth", 0.0,
+                    static_cast<double>(params_.queueCapacity),
+                    params_.queueCapacity) = queueDepth_;
 }
 
 Controller::Controller(dram::Device &device, const AddressMap &map,
                        const ControllerParams &params,
                        std::uint32_t channel)
-    : device_(device), map_(map), params_(params), channel_(channel)
+    : device_(device), map_(map), params_(params), channel_(channel),
+      queueDepth_(0.0, static_cast<double>(params_.queueCapacity),
+                  params_.queueCapacity)
 {
     const auto &geom = device_.geometry();
     MITHRIL_ASSERT(channel_ < geom.channels);
+    MITHRIL_ASSERT(params_.queueCapacity > 0);
     firstRank_ = channel_ * geom.ranksPerChannel;
     firstBank_ = firstRank_ * geom.banksPerRank;
-    banks_.resize(geom.ranksPerChannel * geom.banksPerRank);
+    const std::uint32_t owned = geom.ranksPerChannel * geom.banksPerRank;
+    banks_.resize(owned);
+    nonEmpty_.assign((owned + 63) / 64, 0);
+    rankDrain_.resize(geom.ranksPerChannel);
 
     const std::uint32_t total_ranks =
         geom.channels * geom.ranksPerChannel;
@@ -79,33 +88,56 @@ Controller::enqueue(const Request &req, Tick now)
                        "request for channel %u enqueued on the "
                        "channel-%u controller",
                        req.channel, channel_);
-    if (queue_.size() >= params_.queueCapacity)
+    if (queued_ >= params_.queueCapacity)
         return false;
-    Request stored = req;
-    stored.arrival = now;
-    stored.seq = seq_++;
-    queue_.push_back(stored);
+    queueDepth_.sample(static_cast<double>(queued_));
+    std::uint32_t id;
+    if (freeSlots_.empty()) {
+        id = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        id = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    Slot &slot = slots_[id];
+    slot.req = req;
+    slot.req.arrival = now;
+    slot.req.seq = seq_++;
+
+    // Append at the bank's tail: seq grows, so every list stays in
+    // seq order.
+    const std::uint32_t i = req.bank - firstBank_;
+    BankCtl &ctl = banks_[i];
+    slot.prev = ctl.tail;
+    slot.next = kNoSlot;
+    (ctl.tail == kNoSlot ? ctl.head : slots_[ctl.tail].next) = id;
+    ctl.tail = id;
+    nonEmpty_[i / 64] |= 1ull << (i % 64);
+    ++queued_;
+    hintUntil_ = 0;
     return true;
+}
+
+void
+Controller::release(std::uint32_t id)
+{
+    const Slot &slot = slots_[id];
+    const std::uint32_t i = slot.req.bank - firstBank_;
+    BankCtl &ctl = banks_[i];
+    (slot.prev == kNoSlot ? ctl.head : slots_[slot.prev].next) =
+        slot.next;
+    (slot.next == kNoSlot ? ctl.tail : slots_[slot.next].prev) =
+        slot.prev;
+    if (ctl.head == kNoSlot)
+        nonEmpty_[i / 64] &= ~(1ull << (i % 64));
+    freeSlots_.push_back(id);
+    --queued_;
 }
 
 bool
 Controller::idle() const
 {
-    if (!queue_.empty())
-        return false;
-    for (const auto &bank : banks_)
-        if (bank.rfmRequired || !bank.pendingArr.empty())
-            return false;
-    return true;
-}
-
-bool
-Controller::blacklisted(std::uint32_t core, Tick t) const
-{
-    if (!params_.useBliss)
-        return false;
-    auto it = bliss_.blacklistUntil.find(core);
-    return it != bliss_.blacklistUntil.end() && it->second > t;
+    return queued_ == 0 && protectionWork_ == 0;
 }
 
 void
@@ -114,28 +146,29 @@ Controller::noteServed(std::uint32_t core, Tick t)
     if (!params_.useBliss)
         return;
     if (bliss_.lastCore == core) {
-        if (++bliss_.streak > params_.blissStreak)
+        if (++bliss_.streak > params_.blissStreak) {
+            if (core >= bliss_.blacklistUntil.size())
+                bliss_.blacklistUntil.resize(core + 1, 0);
             bliss_.blacklistUntil[core] = t + params_.blissDuration;
+        }
     } else {
         bliss_.lastCore = core;
         bliss_.streak = 1;
     }
 }
 
-bool
-Controller::refreshPressing(std::uint32_t rank, BankId bank,
-                            Tick t) const
+Tick
+Controller::nextRefreshThreshold(Tick t0) const
 {
-    if (t < refreshDue_.at(rank - firstRank_) -
-                2 * device_.timing().tRC)
-        return false;
-    if (!params_.perBankRefresh)
-        return true;  // All-bank REF drains the whole rank.
-    // Same-bank REF only fences the rotation's current target.
-    const BankId target =
-        rank * device_.geometry().banksPerRank +
-        refreshBankPtr_.at(rank - firstRank_);
-    return bank == target;
+    const Tick drain_lead = 2 * device_.timing().tRC;
+    Tick next = kTickMax;
+    for (const Tick due : refreshDue_) {
+        if (t0 < due - drain_lead)
+            next = std::min(next, due - drain_lead);
+        else if (t0 < due)
+            next = std::min(next, due);
+    }
+    return next;
 }
 
 void
@@ -157,6 +190,7 @@ Controller::handleActSideEffects(BankId bank, Tick t,
 {
     (void)t;
     BankCtl &ctl = bankCtl(bank);
+    const bool was_owed = ctl.owesProtection();
     auto *tracker = device_.tracker();
     if (tracker && tracker->usesRfm()) {
         if (++ctl.raa >= tracker->rfmTh())
@@ -165,6 +199,7 @@ Controller::handleActSideEffects(BankId bank, Tick t,
     for (RowId aggressor : arr_out)
         ctl.pendingArr.push_back(aggressor);
     arr_out.clear();
+    noteProtection(ctl, was_owed);
 }
 
 Controller::Decision
@@ -174,11 +209,10 @@ Controller::choose(Tick t0)
     const std::uint32_t banks_per_channel =
         geom.ranksPerChannel * geom.banksPerRank;
 
-    // Commands that cannot issue yet are kept only as wake-up hints so
+    // Commands that cannot issue yet only lower the wake-up hint, so
     // that a stalled high-priority command never blocks ready work on
     // other banks.
-    Decision future;
-    future.kind = Decision::Kind::None;
+    Tick future = kTickMax;
 
     // Priority 1: overdue auto-refresh (all-bank REF or DDR5 REFsb).
     for (std::uint32_t r = 0; r < geom.ranksPerChannel; ++r) {
@@ -227,140 +261,202 @@ Controller::choose(Tick t0)
         }
         if (d.issue <= t0)
             return d;
-        if (d.issue < future.issue)
-            future = d;
+        future = std::min(future, d.issue);
     }
 
     // Priority 2: RFM-required banks and pending ARR work.
-    Decision best;
-    auto *tracker = device_.tracker();
-    for (std::uint32_t i = 0; i < banks_per_channel; ++i) {
-        const BankId b = firstBank_ + i;
-        BankCtl &ctl = banks_[i];
-        if (!ctl.rfmRequired && ctl.pendingArr.empty())
-            continue;
-        const auto &bank = device_.bank(b);
-        Decision d;
-        d.bank = b;
-        if (ctl.rfmRequired && tracker && !tracker->rfmPending(b)) {
-            // Mithril+ MRR poll says no refresh needed: skip the RFM.
-            d.kind = Decision::Kind::MrrSkip;
-            d.issue = t0;
-        } else if (bank.isOpen()) {
-            d.kind = Decision::Kind::Pre;
-            d.issue = bank.earliestPre(t0);
-        } else if (ctl.rfmRequired) {
-            d.kind = Decision::Kind::Rfm;
-            d.issue = bank.earliestRefresh(t0);
-        } else {
-            d.kind = Decision::Kind::Arr;
-            d.issue = bank.earliestRefresh(t0);
-            d.arrAggressor = ctl.pendingArr.front();
-        }
-        if (d.issue < best.issue)
-            best = d;
-    }
-    if (best.kind != Decision::Kind::None) {
-        if (best.issue <= t0)
-            return best;
-        if (best.issue < future.issue)
-            future = best;
-        best = Decision{};
-    }
-
-    // Priority 3: demand requests, BLISS + FR-FCFS + minimalist-open.
-    int best_class = 4;
-    std::uint64_t best_seq = ~0ull;
-    // Blacklist lookups are hash probes; memoize per core for this
-    // scheduling pass (core ids are small).
-    std::uint64_t bl_known = 0;
-    std::uint64_t bl_set = 0;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const Request &req = queue_[i];
-        BankCtl &ctl = bankCtl(req.bank);
-        if (ctl.rfmRequired || !ctl.pendingArr.empty())
-            continue;  // Bank fenced for protection work.
-        if (refreshPressing(firstRank_ + req.rank, req.bank, t0))
-            continue;  // Bank/rank draining for REF.
-
-        const std::uint64_t bl_bit = 1ull << (req.coreId & 63);
-        if (!(bl_known & bl_bit)) {
-            bl_known |= bl_bit;
-            if (blacklisted(req.coreId, t0))
-                bl_set |= bl_bit;
-        }
-        const auto &bank = device_.bank(req.bank);
-        const bool open_hit = bank.isOpen() &&
-                              bank.openRow() == req.row &&
-                              ctl.rowHitStreak < params_.maxRowHits;
-        const int cls = ((bl_set & bl_bit) ? 2 : 0) +
-                        (open_hit ? 0 : 1);
-        if (cls > best_class ||
-            (cls == best_class && req.seq >= best_seq)) {
-            continue;  // A ready candidate already beats this one.
-        }
-
-        Decision d;
-        d.bank = req.bank;
-        d.reqIndex = i;
-        if (open_hit) {
-            d.kind = req.isWrite ? Decision::Kind::Wr
-                                 : Decision::Kind::Rd;
-            d.issue = bank.earliestCol(t0);
-        } else if (bank.isOpen()) {
-            d.kind = Decision::Kind::Pre;
-            d.issue = bank.earliestPre(t0);
-        } else {
-            d.kind = Decision::Kind::Act;
-            Tick t = device_.earliestAct(req.bank, t0);
-            if (tracker) {
-                const Tick throttled =
-                    tracker->throttleAct(req.bank, req.row, t);
-                if (throttled > t) {
-                    // Every pass re-evaluates a held ACT until it
-                    // commits; count and trace each one once.
-                    const std::pair<BankId, RowId> act{req.bank, req.row};
-                    if (std::find(throttledActs_.begin(),
-                                  throttledActs_.end(),
-                                  act) == throttledActs_.end()) {
-                        throttledActs_.push_back(act);
-                        if (eventRecorder_) {
-                            eventRecorder_->record(
-                                telemetry::EventKind::ThrottleStall, t,
-                                req.bank, req.row, 0, throttled - t);
-                        }
-                        ++stats_.throttleStalls;
-                    }
-                    t = throttled;
-                }
+    if (protectionWork_ > 0) {
+        Decision best;
+        auto *tracker = device_.tracker();
+        for (std::uint32_t i = 0; i < banks_per_channel; ++i) {
+            const BankId b = firstBank_ + i;
+            BankCtl &ctl = banks_[i];
+            if (!ctl.owesProtection())
+                continue;
+            const auto &bank = device_.bank(b);
+            Decision d;
+            d.bank = b;
+            if (ctl.rfmRequired && tracker && !tracker->rfmPending(b)) {
+                // Mithril+ MRR poll says no refresh needed: skip the
+                // RFM.
+                d.kind = Decision::Kind::MrrSkip;
+                d.issue = t0;
+            } else if (bank.isOpen()) {
+                d.kind = Decision::Kind::Pre;
+                d.issue = bank.earliestPre(t0);
+            } else if (ctl.rfmRequired) {
+                d.kind = Decision::Kind::Rfm;
+                d.issue = bank.earliestRefresh(t0);
+            } else {
+                d.kind = Decision::Kind::Arr;
+                d.issue = bank.earliestRefresh(t0);
+                d.arrAggressor = ctl.pendingArr.front();
             }
-            d.issue = t;
+            if (d.issue < best.issue)
+                best = d;
         }
-        if (d.issue <= t0) {
-            best = d;
-            best_class = cls;
-            best_seq = req.seq;
-        } else if (d.issue < future.issue) {
-            future = d;
+        if (best.kind != Decision::Kind::None) {
+            if (best.issue <= t0)
+                return best;
+            future = std::min(future, best.issue);
         }
     }
+
+    // Priority 3: demand requests.
+    bool delayed = false;
+    const Decision best = chooseDemand(t0, future, delayed);
     if (best.kind != Decision::Kind::None)
         return best;
-    if (future.issue != kTickMax) {
-        // Nothing is ready; report the earliest future command as the
-        // wake-up hint without executing it.
-        Decision d;
-        d.kind = Decision::Kind::None;
-        d.issue = future.issue;
-        return d;
+
+    // Nothing is ready: report the earliest future command as the
+    // wake-up hint without executing it. Fully idle, the next
+    // auto-refresh still needs a wakeup.
+    Decision d;
+    if (future != kTickMax) {
+        d.issue = future;
+    } else {
+        for (const Tick due : refreshDue_)
+            d.issue = std::min(d.issue, due);
+    }
+    hint_ = d.issue;
+    hintUntil_ =
+        delayed ? 0 : std::min(hint_, nextRefreshThreshold(t0));
+    return d;
+}
+
+Controller::Decision
+Controller::chooseDemand(Tick t0, Tick &future, bool &delayed)
+{
+    constexpr std::uint32_t kNoDrain = ~0u;
+    constexpr std::uint32_t kWholeRank = ~0u - 1;
+    const std::uint32_t bpr = device_.geometry().banksPerRank;
+    const Tick drain_lead = 2 * device_.timing().tRC;
+    auto *tracker = device_.tracker();
+
+    // Banks draining for an imminent REF, once per rank: an all-bank
+    // REF fences the whole rank, a REFsb only the rotation's target.
+    for (std::size_t r = 0; r < rankDrain_.size(); ++r) {
+        rankDrain_[r] = t0 < refreshDue_[r] - drain_lead ? kNoDrain
+                        : params_.perBankRefresh ? refreshBankPtr_[r]
+                                                 : kWholeRank;
     }
 
-    // Fully idle; the next auto-refresh still needs a wakeup.
-    Decision d;
-    for (std::uint32_t r = 0; r < geom.ranksPerChannel; ++r)
-        d.issue = std::min(d.issue, refreshDue_[r]);
-    d.kind = Decision::Kind::None;
-    return d;
+    // The winner is the ready request with the least (class, seq):
+    // class 0/1 for a row hit/miss, plus 2 when its core is
+    // blacklisted. Neither it nor the hint depends on visit order.
+    Decision best;
+    int best_class = 4;
+    std::uint64_t best_seq = ~0ull;
+    auto take = [&](Decision::Kind kind, BankId b, std::uint32_t id,
+                    int cls, Tick issue) {
+        best.kind = kind;
+        best.issue = issue;
+        best.bank = b;
+        best.reqIndex = id;
+        best_class = cls;
+        best_seq = slots_[id].req.seq;
+    };
+    auto beaten = [&](int cls, std::uint64_t seq) {
+        return cls > best_class || (cls == best_class && seq >= best_seq);
+    };
+
+    for (std::size_t w = 0; w < nonEmpty_.size(); ++w) {
+        for (std::uint64_t bits = nonEmpty_[w]; bits; bits &= bits - 1) {
+            const auto i = static_cast<std::uint32_t>(
+                w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
+            const BankCtl &ctl = banks_[i];
+            if (ctl.owesProtection())
+                continue;  // Bank fenced for protection work.
+            const std::uint32_t drain = rankDrain_[i / bpr];
+            if (drain == kWholeRank || drain == i % bpr)
+                continue;  // Bank/rank draining for REF.
+
+            const BankId b = firstBank_ + i;
+            const dram::Bank &bank = device_.bank(b);
+            if (bank.isOpen()) {
+                // Minimalist-open: a hit counts only under the cap.
+                const RowId open_row =
+                    ctl.rowHitStreak < params_.maxRowHits
+                        ? bank.openRow()
+                        : kInvalidRow;
+                const Tick col = bank.earliestCol(t0);
+                const Tick pre = bank.earliestPre(t0);
+                for (std::uint32_t id = ctl.head; id != kNoSlot;
+                     id = slots_[id].next) {
+                    const Request &req = slots_[id].req;
+                    if (req.seq >= best_seq && best_class == 0)
+                        break;  // Later requests here cannot win.
+                    const bool hit = req.row == open_row;
+                    const Tick issue = hit ? col : pre;
+                    if (issue > t0) {
+                        future = std::min(future, issue);
+                        continue;
+                    }
+                    const int cls =
+                        (blacklisted(req.coreId, t0) ? 2 : 0) +
+                        (hit ? 0 : 1);
+                    if (beaten(cls, req.seq))
+                        continue;
+                    Decision::Kind kind = Decision::Kind::Pre;
+                    if (hit) {
+                        kind = req.isWrite ? Decision::Kind::Wr
+                                           : Decision::Kind::Rd;
+                    }
+                    take(kind, b, id, cls, issue);
+                }
+                continue;
+            }
+
+            // Closed bank: every request is an ACT behind one timing
+            // fence, probed in seq order. A probe only rotates
+            // BlockHammer epochs, which is monotone per bank, so
+            // skipping probes of losers never changes tracker state.
+            const Tick act = device_.earliestAct(b, t0);
+            for (std::uint32_t id = ctl.head; id != kNoSlot;
+                 id = slots_[id].next) {
+                const Request &req = slots_[id].req;
+                if (req.seq >= best_seq && best_class <= 1)
+                    break;  // Later requests here cannot win.
+                const int cls = (blacklisted(req.coreId, t0) ? 2 : 0) + 1;
+                if (beaten(cls, req.seq))
+                    continue;
+                const Tick issue = tracker ? throttledAct(req, act) : act;
+                if (issue > act)
+                    delayed = true;
+                if (issue <= t0) {
+                    take(Decision::Kind::Act, b, id, cls, issue);
+                    continue;
+                }
+                future = std::min(future, issue);
+                if (issue == act)
+                    break;  // No later request can issue sooner.
+            }
+        }
+    }
+    return best;
+}
+
+Tick
+Controller::throttledAct(const Request &req, Tick act)
+{
+    const Tick throttled =
+        device_.tracker()->throttleAct(req.bank, req.row, act);
+    if (throttled <= act)
+        return act;
+    // Every pass re-evaluates a held ACT until it commits; count and
+    // trace each one once.
+    const std::pair<BankId, RowId> held{req.bank, req.row};
+    if (std::find(throttledActs_.begin(), throttledActs_.end(), held) ==
+        throttledActs_.end()) {
+        throttledActs_.push_back(held);
+        if (eventRecorder_) {
+            eventRecorder_->record(telemetry::EventKind::ThrottleStall,
+                                   act, req.bank, req.row, 0,
+                                   throttled - act);
+        }
+        ++stats_.throttleStalls;
+    }
+    return throttled;
 }
 
 Tick
@@ -377,7 +473,7 @@ Controller::execute(const Decision &d)
         break;
       }
       case Decision::Kind::Act: {
-        const Request &req = queue_[d.reqIndex];
+        const Request &req = slots_[d.reqIndex].req;
         const auto held = std::find(throttledActs_.begin(),
                                     throttledActs_.end(),
                                     std::make_pair(d.bank, req.row));
@@ -395,9 +491,8 @@ Controller::execute(const Decision &d)
       }
       case Decision::Kind::Rd:
       case Decision::Kind::Wr: {
-        Request req = queue_[d.reqIndex];
-        queue_[d.reqIndex] = queue_.back();
-        queue_.pop_back();
+        const Request req = slots_[d.reqIndex].req;
+        release(d.reqIndex);
         Tick data;
         if (d.kind == Decision::Kind::Rd) {
             data = device_.read(d.bank, d.issue);
@@ -453,8 +548,10 @@ Controller::execute(const Decision &d)
       }
       case Decision::Kind::Rfm: {
         const std::size_t treated = device_.rfm(d.bank, d.issue);
-        bankCtl(d.bank).raa = 0;
-        bankCtl(d.bank).rfmRequired = false;
+        BankCtl &ctl = bankCtl(d.bank);
+        ctl.raa = 0;
+        ctl.rfmRequired = false;
+        noteProtection(ctl, true);
         ++stats_.rfmIssued;
         if (eventRecorder_) {
             eventRecorder_->record(
@@ -464,8 +561,10 @@ Controller::execute(const Decision &d)
         break;
       }
       case Decision::Kind::MrrSkip: {
-        bankCtl(d.bank).raa = 0;
-        bankCtl(d.bank).rfmRequired = false;
+        BankCtl &ctl = bankCtl(d.bank);
+        ctl.raa = 0;
+        ctl.rfmRequired = false;
+        noteProtection(ctl, true);
         ++stats_.rfmSkippedByMrr;
         bus_done = d.issue + params_.mrrLatency;
         if (eventRecorder_) {
@@ -479,6 +578,7 @@ Controller::execute(const Decision &d)
         MITHRIL_ASSERT(!ctl.pendingArr.empty());
         device_.preventiveRefresh(d.bank, d.arrAggressor, d.issue);
         ctl.pendingArr.pop_front();
+        noteProtection(ctl, true);
         ++stats_.arrExecuted;
         if (eventRecorder_) {
             eventRecorder_->record(telemetry::EventKind::ArrFired,
@@ -503,7 +603,11 @@ Controller::service(Tick now)
             next = std::min(next, t0);
             break;
         }
-        Decision d = choose(t0);
+        if (t0 < hintUntil_) {
+            next = std::min(next, hint_);
+            break;  // Nothing a rescan could see has changed.
+        }
+        const Decision d = choose(t0);
         if (d.kind == Decision::Kind::None) {
             next = std::min(next, d.issue);
             break;
@@ -513,6 +617,7 @@ Controller::service(Tick now)
             break;
         }
         busFree_ = execute(d);
+        hintUntil_ = 0;
     }
     return next;
 }

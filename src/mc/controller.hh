@@ -22,6 +22,12 @@
  *
  * The controller is event-driven: service(now) issues every command
  * legal at `now` and returns the next tick it needs servicing.
+ *
+ * A scheduling pass costs O(banks), not O(queue): each bank links its
+ * requests in arrival order, so the demand phase visits only the
+ * non-empty, unfenced banks and reads each bank's timing once. A pass
+ * that finds nothing ready leaves a wake-up hint that later passes
+ * reuse until anything could change it (see service()).
  */
 
 #ifndef MITHRIL_MC_CONTROLLER_HH
@@ -29,7 +35,6 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -127,7 +132,7 @@ class Controller
     bool enqueue(const Request &req, Tick now);
 
     /** Outstanding requests in the channel queue. */
-    std::size_t queueDepth() const { return queue_.size(); }
+    std::size_t queueDepth() const { return queued_; }
 
     /** The channel this controller owns. */
     std::uint32_t channel() const { return channel_; }
@@ -135,13 +140,25 @@ class Controller
     /**
      * Issue every command legal at `now`; returns the next tick the
      * controller can make progress (kTickMax when fully idle).
+     *
+     * A pass that finds nothing ready returns the least issue tick of
+     * every candidate as its hint. The next pass reuses that hint
+     * without rescanning while nothing was enqueued or executed since,
+     * its bus-free tick is below the hint and below every rank's next
+     * refresh threshold, and no throttle probe of the hinting pass
+     * returned a delay. Every candidate's issue tick is then a fixed
+     * timing fence above the pass tick, so a rescan would return the
+     * same hint; a throttle delay is excluded because a later probe
+     * tick may rotate a BlockHammer epoch and lift it.
      */
     Tick service(Tick now);
 
     const ControllerStats &stats() const { return stats_; }
     dram::Device &device() { return device_; }
 
-    /** Set this channel's `mc.*` command and request counters. */
+    /** Set this channel's `mc.*` command and request counters and the
+     *  `mc.queue_depth` histogram: for each accepted request, the
+     *  requests already queued ahead of it. */
     void exportMetrics(telemetry::MetricSheet &sheet) const;
 
     /**
@@ -159,6 +176,9 @@ class Controller
     bool idle() const;
 
   private:
+    /** Marks the end of a bank's request list. */
+    static constexpr std::uint32_t kNoSlot = ~0u;
+
     /** A scheduling decision for one instant on this channel. */
     struct Decision
     {
@@ -180,8 +200,18 @@ class Controller
         Tick issue = kTickMax;
         BankId bank = 0;            //!< Global (system-flat) bank id.
         std::uint32_t rank = 0;     //!< Global flat rank id.
-        std::size_t reqIndex = 0;   //!< For Rd/Wr/Act/Pre on a request.
+        std::uint32_t reqIndex = 0; //!< Slot of the request (Rd/Wr/
+                                    //!< Act/Pre on a request).
         RowId arrAggressor = 0;
+    };
+
+    /** One queued request. Its slot id is stable while it waits; the
+     *  links chain its bank's requests in seq order. */
+    struct Slot
+    {
+        Request req;
+        std::uint32_t prev = kNoSlot;
+        std::uint32_t next = kNoSlot;
     };
 
     struct BankCtl
@@ -190,34 +220,71 @@ class Controller
         bool rfmRequired = false;
         std::deque<RowId> pendingArr;
         std::uint32_t rowHitStreak = 0;
+        std::uint32_t head = kNoSlot;  //!< Oldest queued request.
+        std::uint32_t tail = kNoSlot;  //!< Youngest queued request.
+
+        /** Owed RFM or ARR work fences the bank against demand. */
+        bool owesProtection() const
+        {
+            return rfmRequired || !pendingArr.empty();
+        }
     };
 
     struct BlissState
     {
         std::uint32_t lastCore = ~0u;
         std::uint32_t streak = 0;
-        std::unordered_map<std::uint32_t, Tick> blacklistUntil;
+        /** Per core id, the tick its blacklisting ends. */
+        std::vector<Tick> blacklistUntil;
     };
 
     /** Pick the next command given bus-free tick t0. */
     Decision choose(Tick t0);
 
+    /** The demand phase of choose(): BLISS + FR-FCFS +
+     *  minimalist-open over the non-empty, unfenced banks. Returns
+     *  the winner, or None after lowering `future` to every
+     *  candidate's issue tick; sets `delayed` when a throttle probe
+     *  held an ACT back. */
+    Decision chooseDemand(Tick t0, Tick &future, bool &delayed);
+
+    /** A closed bank's ACT tick for `req` given the bank's timing
+     *  fence `act`: the tracker's throttle probe, counting and
+     *  tracing each held ACT once. */
+    Tick throttledAct(const Request &req, Tick act);
+
     /** Commit a decision; returns the tick the bus frees. */
     Tick execute(const Decision &d);
 
-    bool blacklisted(std::uint32_t core, Tick t) const;
+    bool blacklisted(std::uint32_t core, Tick t) const
+    {
+        return params_.useBliss &&
+               core < bliss_.blacklistUntil.size() &&
+               bliss_.blacklistUntil[core] > t;
+    }
     void noteServed(std::uint32_t core, Tick t);
 
-    /** True when the bank must drain for an imminent auto-refresh.
-     *  `rank` is the global flat rank id. */
-    bool refreshPressing(std::uint32_t rank, BankId bank,
-                         Tick t) const;
+    /** The earliest tick past t0 at which a rank's refresh state
+     *  changes what a pass sees: the drain fence 2*tRC before a REF
+     *  falls due, then the REF itself. */
+    Tick nextRefreshThreshold(Tick t0) const;
+
+    /** Unlink a served request and free its slot. */
+    void release(std::uint32_t slot);
 
     /** Apply the DDR5 RAA decrement to one refreshed bank. */
     void decrementRaa(BankId bank);
 
     void handleActSideEffects(BankId bank, Tick t,
                               std::vector<RowId> &arr_out);
+
+    /** Keep protectionWork_ in step after `ctl`'s RFM/ARR state
+     *  changed from `was_owed`. */
+    void noteProtection(const BankCtl &ctl, bool was_owed)
+    {
+        if (ctl.owesProtection() != was_owed)
+            was_owed ? --protectionWork_ : ++protectionWork_;
+    }
 
     /** Per-bank control state of a global bank id in our channel. */
     BankCtl &bankCtl(BankId bank) { return banks_[bank - firstBank_]; }
@@ -230,7 +297,21 @@ class Controller
     BankId firstBank_;            //!< First global bank id we own.
     CompletionFn onComplete_;
 
-    std::vector<Request> queue_;  //!< The channel's request queue.
+    std::vector<Slot> slots_;             //!< The channel's requests.
+    std::vector<std::uint32_t> freeSlots_;
+    std::size_t queued_ = 0;              //!< Slots in use.
+    /** One bit per owned bank that has a queued request. */
+    std::vector<std::uint64_t> nonEmpty_;
+    /** Owned banks that owe RFM or ARR work. */
+    std::uint32_t protectionWork_ = 0;
+    /** The last hint a pass found nothing ready at, reusable by
+     *  service() while t0 < hintUntil_ (0 after any state change). */
+    Tick hint_ = kTickMax;
+    Tick hintUntil_ = 0;
+    /** Per owned rank, scratch for one pass: kNoDrain, kWholeRank,
+     *  or the one bank (index in rank) a pending REFsb fences. */
+    std::vector<std::uint32_t> rankDrain_;
+
     Tick busFree_ = 0;            //!< The channel's command bus.
     BlissState bliss_;
     std::vector<Tick> refreshDue_;               //!< Per owned rank.
@@ -246,6 +327,8 @@ class Controller
 
     std::uint64_t seq_ = 0;
     ControllerStats stats_;
+    /** Requests already queued ahead of each accepted one. */
+    Histogram queueDepth_;
     /** (bank, row) of every ACT a throttle has held back and that has
      *  not committed yet: one stall per delayed ACT, not per pass. */
     std::vector<std::pair<BankId, RowId>> throttledActs_;

@@ -1,6 +1,7 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.hh"
 
@@ -105,12 +106,12 @@ System::access(std::uint32_t core_id, const workload::TraceRecord &rec,
     // and, when the victim line is dirty, one slot in the channel its
     // writeback decodes to, which (for cache lines wider than the
     // channel-interleave granularity) need not be the fill's channel.
-    const auto victim = cache_->peekVictim(rec.addr);
-    if (!victim.hit) {
+    const cpu::Cache::AccessResult found = cache_->lookup(rec.addr);
+    if (!found.hit) {
         const std::uint32_t fill_ch = channelOf(rec.addr);
         std::size_t fill_need = 1;
-        if (victim.writeback) {
-            const std::uint32_t wb_ch = channelOf(victim.writebackAddr);
+        if (found.writeback) {
+            const std::uint32_t wb_ch = channelOf(found.writebackAddr);
             if (wb_ch == fill_ch) {
                 ++fill_need;
             } else if (lanes_[wb_ch]->controller->queueDepth() + 1 >
@@ -126,19 +127,17 @@ System::access(std::uint32_t core_id, const workload::TraceRecord &rec,
         }
     }
 
-    const auto result = cache_->access(rec.addr, rec.write);
-    MITHRIL_ASSERT(result.hit == victim.hit);
-    MITHRIL_ASSERT(result.writeback == victim.writeback);
-    if (result.hit)
+    cache_->commit(found, rec.write);
+    if (found.hit)
         return outcome;  // Hit: no DRAM traffic.
 
     const bool accepted = enqueue(rec.addr, rec.write, true);
     MITHRIL_ASSERT(accepted);
-    if (result.writeback) {
+    if (found.writeback) {
         // The slot was reserved above; a failed enqueue here would be
         // silent write loss (the bug this path regressed with before).
         const bool wb_accepted =
-            enqueue(result.writebackAddr, true, false);
+            enqueue(found.writebackAddr, true, false);
         MITHRIL_ASSERT_MSG(wb_accepted,
                            "cross-channel writeback dropped: no queue "
                            "slot despite reservation");
@@ -169,11 +168,15 @@ System::scheduleWake(std::uint32_t core_id, Tick when)
     if (coreWake_[core_id] <= when)
         return;
     coreWake_[core_id] = when;
-    evq_.schedule(when, [this, core_id](Tick t) {
-        if (coreWake_[core_id] == t)
-            coreWake_[core_id] = kTickMax;
-        wakeCore(core_id, t);
-    });
+    pushEvent(when, core_id, Event::Kind::Wake);
+}
+
+void
+System::pushEvent(Tick tick, std::uint32_t core, Event::Kind kind)
+{
+    MITHRIL_ASSERT(tick >= eventNow_);
+    events_.push_back(Event{tick, eventSeq_++, core, kind});
+    std::push_heap(events_.begin(), events_.end(), std::greater<>());
 }
 
 bool
@@ -242,7 +245,7 @@ System::run()
         Tick t_mc = kTickMax;
         for (const auto &lane : lanes_)
             t_mc = std::min(t_mc, lane->next);
-        const Tick t_ev = evq_.nextTime();
+        const Tick t_ev = events_.empty() ? kTickMax : events_.front().tick;
 
         if (t_mc <= t_ev) {
             // Lanes are due strictly before the next event: advance
@@ -269,13 +272,8 @@ System::run()
                         actObserver_(act.bank, act.row, act.tick);
                 }
                 lane->acts.clear();
-                for (const Lane::Completion &c : lane->completions) {
-                    const std::uint32_t core_id = c.coreId;
-                    evq_.schedule(c.tick, [this, core_id](Tick t) {
-                        cores_[core_id]->onCompletion(t);
-                        wakeCore(core_id, t);
-                    });
-                }
+                for (const Lane::Completion &c : lane->completions)
+                    pushEvent(c.tick, c.coreId, Event::Kind::Completion);
                 lane->completions.clear();
             }
             continue;
@@ -283,7 +281,16 @@ System::run()
 
         if (t_ev == kTickMax || t_ev > config_.horizon)
             break;
-        now_ = evq_.popAndRun();
+        std::pop_heap(events_.begin(), events_.end(), std::greater<>());
+        const Event ev = events_.back();
+        events_.pop_back();
+        now_ = eventNow_ = ev.tick;
+        if (ev.kind == Event::Kind::Completion) {
+            cores_[ev.core]->onCompletion(ev.tick);
+        } else if (coreWake_[ev.core] == ev.tick) {
+            coreWake_[ev.core] = kTickMax;
+        }
+        wakeCore(ev.core, ev.tick);
         // The event may have enqueued requests; give every lane a
         // chance to act at the current tick.
         for (auto &lane : lanes_)

@@ -31,7 +31,6 @@
 #include "cpu/core.hh"
 #include "dram/device.hh"
 #include "mc/controller.hh"
-#include "sim/event_queue.hh"
 #include "telemetry/telemetry.hh"
 #include "trackers/rh_protection.hh"
 #include "workload/trace.hh"
@@ -189,6 +188,33 @@ class System
         Tick next = 0;  //!< Next tick the controller needs service.
     };
 
+    /** A pending core event. The heap pops the least (tick, seq);
+     *  seq is the insertion order, so same-tick events run in the
+     *  order they were scheduled. */
+    struct Event
+    {
+        enum class Kind : std::uint8_t
+        {
+            Wake,        //!< Retry the core's pending work.
+            Completion,  //!< A read returned; then wake the core.
+        };
+
+        Tick tick;
+        std::uint64_t seq;
+        std::uint32_t core;
+        Kind kind;
+
+        /** Heap order: the later event sinks. */
+        bool
+        operator>(const Event &other) const
+        {
+            return tick > other.tick ||
+                   (tick == other.tick && seq > other.seq);
+        }
+    };
+
+    void pushEvent(Tick tick, std::uint32_t core, Event::Kind kind);
+
     /** Core memory-access callback: LLC then MC. */
     cpu::Core::AccessOutcome access(std::uint32_t core_id,
                                     const workload::TraceRecord &rec,
@@ -216,7 +242,9 @@ class System
     std::unique_ptr<cpu::Cache> cache_;
     std::vector<std::unique_ptr<cpu::Core>> cores_;
     std::vector<std::unique_ptr<workload::TraceGenerator>> traces_;
-    EventQueue evq_;
+    std::vector<Event> events_;       //!< Min-heap on (tick, seq).
+    std::uint64_t eventSeq_ = 0;
+    Tick eventNow_ = 0;               //!< Tick of the last popped event.
     std::vector<Tick> coreWake_;      //!< Pending wake per core.
     dram::Device::ActObserver actObserver_;
     Tick lookahead_;                  //!< min(tCL,tCWL)+tBL causality.

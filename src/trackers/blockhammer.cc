@@ -181,19 +181,7 @@ BlockHammer::throttleAct(BankId bank, RowId row, Tick now)
     auto it = state.lastBlacklistedAct.find(row);
     if (it == state.lastBlacklistedAct.end())
         return now;
-    const Tick earliest = it->second + tDelay_;
-    if (earliest > now) {
-        ++throttles_;
-        return earliest;
-    }
-    return now;
-}
-
-void
-BlockHammer::mergeStatsFrom(const RhProtection &other)
-{
-    RhProtection::mergeStatsFrom(other);
-    throttles_ += dynamic_cast<const BlockHammer &>(other).throttles_;
+    return std::max(now, it->second + tDelay_);
 }
 
 double

@@ -71,8 +71,6 @@ class BlockHammer : public RhProtection
 
     double tableBytesPerBank() const override;
 
-    void mergeStatsFrom(const RhProtection &other) override;
-
     /** Minimum count of the row across hashes, max over both CBFs. */
     std::uint32_t estimate(BankId bank, RowId row, Tick now) const;
 
@@ -81,9 +79,6 @@ class BlockHammer : public RhProtection
 
     /** Enforced ACT spacing for blacklisted rows. */
     Tick delayQuantum() const { return tDelay_; }
-
-    /** Throttle events applied so far. */
-    std::uint64_t throttles() const { return throttles_; }
 
   private:
     struct Cbf
@@ -108,7 +103,6 @@ class BlockHammer : public RhProtection
     /** Prepared exact divisor for `% cbfSize` (Barrett reduction). */
     simd::U64Divisor cbfMod_;
     std::vector<BankState> banks_;
-    std::uint64_t throttles_ = 0;
     /** Reusable slot-index block for the batched path (one hash
      *  evaluation per row instead of four, a block of rows at a
      *  time). */

@@ -474,6 +474,27 @@ TEST_F(ControllerTest, BlissBlacklistsStreakyCore)
     EXPECT_LT(positions_[1], positions_[0]);
 }
 
+TEST_F(ControllerTest, BlissClassIsPerCoreBeyondSixtyFourCores)
+{
+    // Cores 0 and 64 share no BLISS state: core 0's blacklisting must
+    // not demote core 64, whose later ready row hit therefore wins.
+    ControllerParams params;
+    params.blissStreak = 2;
+    params.maxRowHits = 16;
+    build(nullptr, params);
+    for (std::uint32_t c = 0; c < 3; ++c)
+        ASSERT_TRUE(ctrl_->enqueue(makeReq(3, 100, c, false, 0), 0));
+    drain();
+    ASSERT_EQ(completions_.size(), 3u);  // Core 0 is now blacklisted.
+
+    ASSERT_TRUE(ctrl_->enqueue(makeReq(3, 100, 3, false, 0), 0));
+    ASSERT_TRUE(ctrl_->enqueue(makeReq(3, 100, 4, false, 64), 0));
+    drain();
+    ASSERT_EQ(completions_.size(), 5u);
+    EXPECT_EQ(completions_[3].first.coreId, 64u);
+    EXPECT_EQ(completions_[4].first.coreId, 0u);
+}
+
 TEST_F(ControllerTest, PerBankRefreshRotatesBanks)
 {
     ControllerParams params;

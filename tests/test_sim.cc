@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the simulation layer: event queue ordering, the ACT-level
- * harness, and full-system integration runs for every scheme.
+ * Tests for the simulation layer: the ACT-level harness and
+ * full-system integration runs for every scheme.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/mithril.hh"
 #include "sim/act_harness.hh"
-#include "sim/event_queue.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "workload/attacks.hh"
@@ -18,44 +17,6 @@ namespace mithril::sim
 {
 namespace
 {
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&](Tick) { order.push_back(3); });
-    q.schedule(10, [&](Tick) { order.push_back(1); });
-    q.schedule(20, [&](Tick) { order.push_back(2); });
-    while (!q.empty())
-        q.popAndRun();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, SameTickFifo)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(100, [&order, i](Tick) { order.push_back(i); });
-    while (!q.empty())
-        q.popAndRun();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CallbackMaySchedule)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&](Tick t) {
-        ++fired;
-        q.schedule(t + 1, [&](Tick) { ++fired; });
-    });
-    while (!q.empty())
-        q.popAndRun();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(q.now(), 2);
-    EXPECT_EQ(q.nextTime(), kTickMax);
-}
 
 TEST(ActHarness, RefreshCadenceMatchesTrefi)
 {
@@ -224,13 +185,18 @@ TEST(SystemIntegration, UnprotectedLongAttackFlipsBits)
 
 TEST(SystemIntegration, TelemetrySheetCoversComponents)
 {
+    // Eight cores on one channel: the channel queue fills up.
     SystemConfig cfg;
     cfg.flipTh = 6250;
+    cfg.geometry.channels = 1;
     System system(cfg, nullptr);
+    constexpr std::uint32_t kCores = 8;
     cpu::CoreParams params;
     params.instrBudget = 5000;
-    system.addCore(params,
-                   makeWorkloadThread(WorkloadKind::MixHigh, 0, 1, 1));
+    for (std::uint32_t i = 0; i < kCores; ++i) {
+        system.addCore(params, makeWorkloadThread(WorkloadKind::MixHigh,
+                                                  i, kCores, 1));
+    }
     system.run();
 
     // No telemetry bundle: the sheet still covers every component.
@@ -245,6 +211,21 @@ TEST(SystemIntegration, TelemetrySheetCoversComponents)
     EXPECT_EQ(sheet.counterValue("oracle.bit_flips"), 0u);
     EXPECT_EQ(sheet.dump().find("trace."), std::string::npos);
     EXPECT_EQ(sheet.dump().find("heatmap."), std::string::npos);
+
+    // Every accepted request samples the queue depth it found.
+    const std::map<std::string, double> flat = sheet.exportFlat();
+    const double capacity = cfg.mcParams.queueCapacity;
+    EXPECT_GE(flat.at("mc.queue_depth.count"),
+              static_cast<double>(sheet.counterValue("mc.reads") +
+                                  sheet.counterValue("mc.writes")));
+    EXPECT_LE(flat.at("mc.queue_depth.p50"), capacity);
+    EXPECT_LE(flat.at("mc.queue_depth.p99"), capacity);
+    std::uint64_t retries = 0;
+    for (std::uint32_t i = 0; i < kCores; ++i) {
+        retries += sheet.counterValue("core" + std::to_string(i) +
+                                      ".queue_full_retries");
+    }
+    EXPECT_GT(retries, 0u);
 }
 
 TEST(SystemIntegration, EnergyOverheadHelpers)
