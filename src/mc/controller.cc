@@ -58,10 +58,9 @@ Controller::Controller(dram::Device &device, const AddressMap &map,
     MITHRIL_ASSERT(params_.queueCapacity > 0);
     firstRank_ = channel_ * geom.ranksPerChannel;
     firstBank_ = firstRank_ * geom.banksPerRank;
-    const std::uint32_t owned = geom.ranksPerChannel * geom.banksPerRank;
-    banks_.resize(owned);
-    nonEmpty_.assign((owned + 63) / 64, 0);
-    rankDrain_.resize(geom.ranksPerChannel);
+    banks_.resize(geom.ranksPerChannel * geom.banksPerRank);
+    wordsPerRank_ = (geom.banksPerRank + 63) / 64;
+    nonEmpty_.assign(geom.ranksPerChannel * wordsPerRank_, 0);
 
     const std::uint32_t total_ranks =
         geom.channels * geom.ranksPerChannel;
@@ -106,13 +105,13 @@ Controller::enqueue(const Request &req, Tick now)
 
     // Append at the bank's tail: seq grows, so every list stays in
     // seq order.
-    const std::uint32_t i = req.bank - firstBank_;
-    BankCtl &ctl = banks_[i];
+    BankCtl &ctl = bankCtl(req.bank);
     slot.prev = ctl.tail;
     slot.next = kNoSlot;
     (ctl.tail == kNoSlot ? ctl.head : slots_[ctl.tail].next) = id;
     ctl.tail = id;
-    nonEmpty_[i / 64] |= 1ull << (i % 64);
+    const auto [word, bit] = nonEmptyBit(req.bank);
+    nonEmpty_[word] |= bit;
     ++queued_;
     hintUntil_ = 0;
     return true;
@@ -122,16 +121,27 @@ void
 Controller::release(std::uint32_t id)
 {
     const Slot &slot = slots_[id];
-    const std::uint32_t i = slot.req.bank - firstBank_;
-    BankCtl &ctl = banks_[i];
+    BankCtl &ctl = bankCtl(slot.req.bank);
     (slot.prev == kNoSlot ? ctl.head : slots_[slot.prev].next) =
         slot.next;
     (slot.next == kNoSlot ? ctl.tail : slots_[slot.next].prev) =
         slot.prev;
-    if (ctl.head == kNoSlot)
-        nonEmpty_[i / 64] &= ~(1ull << (i % 64));
+    if (ctl.head == kNoSlot) {
+        const auto [word, bit] = nonEmptyBit(slot.req.bank);
+        nonEmpty_[word] &= ~bit;
+    }
     freeSlots_.push_back(id);
     --queued_;
+}
+
+std::pair<std::size_t, std::uint64_t>
+Controller::nonEmptyBit(BankId bank) const
+{
+    const std::uint32_t bpr = device_.geometry().banksPerRank;
+    const std::uint32_t rank = device_.rankOf(bank) - firstRank_;
+    const std::uint32_t k = bank % bpr;
+    return {static_cast<std::size_t>(rank) * wordsPerRank_ + k / 64,
+            1ull << (k % 64)};
 }
 
 bool
@@ -212,7 +222,8 @@ Controller::choose(Tick t0)
     // Commands that cannot issue yet only lower the wake-up hint, so
     // that a stalled high-priority command never blocks ready work on
     // other banks.
-    Tick future = kTickMax;
+    Pass pass;
+    pass.t0 = t0;
 
     // Priority 1: overdue auto-refresh (all-bank REF or DDR5 REFsb).
     for (std::uint32_t r = 0; r < geom.ranksPerChannel; ++r) {
@@ -261,7 +272,7 @@ Controller::choose(Tick t0)
         }
         if (d.issue <= t0)
             return d;
-        future = std::min(future, d.issue);
+        pass.future = std::min(pass.future, d.issue);
     }
 
     // Priority 2: RFM-required banks and pending ARR work.
@@ -298,142 +309,125 @@ Controller::choose(Tick t0)
         if (best.kind != Decision::Kind::None) {
             if (best.issue <= t0)
                 return best;
-            future = std::min(future, best.issue);
+            pass.future = std::min(pass.future, best.issue);
         }
     }
 
     // Priority 3: demand requests.
-    bool delayed = false;
-    const Decision best = chooseDemand(t0, future, delayed);
-    if (best.kind != Decision::Kind::None)
-        return best;
+    chooseDemand(pass);
+    if (pass.best.kind != Decision::Kind::None)
+        return pass.best;
 
     // Nothing is ready: report the earliest future command as the
     // wake-up hint without executing it. Fully idle, the next
     // auto-refresh still needs a wakeup.
     Decision d;
-    if (future != kTickMax) {
-        d.issue = future;
+    if (pass.future != kTickMax) {
+        d.issue = pass.future;
     } else {
         for (const Tick due : refreshDue_)
             d.issue = std::min(d.issue, due);
     }
     hint_ = d.issue;
     hintUntil_ =
-        delayed ? 0 : std::min(hint_, nextRefreshThreshold(t0));
+        pass.delayed ? 0 : std::min(hint_, nextRefreshThreshold(t0));
     return d;
 }
 
-Controller::Decision
-Controller::chooseDemand(Tick t0, Tick &future, bool &delayed)
+void
+Controller::chooseDemand(Pass &pass)
 {
-    constexpr std::uint32_t kNoDrain = ~0u;
-    constexpr std::uint32_t kWholeRank = ~0u - 1;
+    constexpr std::uint32_t kNoBank = ~0u;
     const std::uint32_t bpr = device_.geometry().banksPerRank;
     const Tick drain_lead = 2 * device_.timing().tRC;
-    auto *tracker = device_.tracker();
-
-    // Banks draining for an imminent REF, once per rank: an all-bank
-    // REF fences the whole rank, a REFsb only the rotation's target.
-    for (std::size_t r = 0; r < rankDrain_.size(); ++r) {
-        rankDrain_[r] = t0 < refreshDue_[r] - drain_lead ? kNoDrain
-                        : params_.perBankRefresh ? refreshBankPtr_[r]
-                                                 : kWholeRank;
-    }
-
-    // The winner is the ready request with the least (class, seq):
-    // class 0/1 for a row hit/miss, plus 2 when its core is
-    // blacklisted. Neither it nor the hint depends on visit order.
-    Decision best;
-    int best_class = 4;
-    std::uint64_t best_seq = ~0ull;
-    auto take = [&](Decision::Kind kind, BankId b, std::uint32_t id,
-                    int cls, Tick issue) {
-        best.kind = kind;
-        best.issue = issue;
-        best.bank = b;
-        best.reqIndex = id;
-        best_class = cls;
-        best_seq = slots_[id].req.seq;
-    };
-    auto beaten = [&](int cls, std::uint64_t seq) {
-        return cls > best_class || (cls == best_class && seq >= best_seq);
-    };
-
-    for (std::size_t w = 0; w < nonEmpty_.size(); ++w) {
-        for (std::uint64_t bits = nonEmpty_[w]; bits; bits &= bits - 1) {
-            const auto i = static_cast<std::uint32_t>(
-                w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
-            const BankCtl &ctl = banks_[i];
-            if (ctl.owesProtection())
-                continue;  // Bank fenced for protection work.
-            const std::uint32_t drain = rankDrain_[i / bpr];
-            if (drain == kWholeRank || drain == i % bpr)
-                continue;  // Bank/rank draining for REF.
-
-            const BankId b = firstBank_ + i;
-            const dram::Bank &bank = device_.bank(b);
-            if (bank.isOpen()) {
-                // Minimalist-open: a hit counts only under the cap.
-                const RowId open_row =
-                    ctl.rowHitStreak < params_.maxRowHits
-                        ? bank.openRow()
-                        : kInvalidRow;
-                const Tick col = bank.earliestCol(t0);
-                const Tick pre = bank.earliestPre(t0);
-                for (std::uint32_t id = ctl.head; id != kNoSlot;
-                     id = slots_[id].next) {
-                    const Request &req = slots_[id].req;
-                    if (req.seq >= best_seq && best_class == 0)
-                        break;  // Later requests here cannot win.
-                    const bool hit = req.row == open_row;
-                    const Tick issue = hit ? col : pre;
-                    if (issue > t0) {
-                        future = std::min(future, issue);
-                        continue;
-                    }
-                    const int cls =
-                        (blacklisted(req.coreId, t0) ? 2 : 0) +
-                        (hit ? 0 : 1);
-                    if (beaten(cls, req.seq))
-                        continue;
-                    Decision::Kind kind = Decision::Kind::Pre;
-                    if (hit) {
-                        kind = req.isWrite ? Decision::Kind::Wr
-                                           : Decision::Kind::Rd;
-                    }
-                    take(kind, b, id, cls, issue);
-                }
+    for (std::uint32_t r = 0; r < refreshDue_.size(); ++r) {
+        // Banks draining for an imminent REF: an all-bank REF fences
+        // the whole rank, a REFsb only the rotation's target.
+        std::uint32_t fenced = kNoBank;
+        if (pass.t0 >= refreshDue_[r] - drain_lead) {
+            if (!params_.perBankRefresh)
                 continue;
-            }
-
-            // Closed bank: every request is an ACT behind one timing
-            // fence, probed in seq order. A probe only rotates
-            // BlockHammer epochs, which is monotone per bank, so
-            // skipping probes of losers never changes tracker state.
-            const Tick act = device_.earliestAct(b, t0);
-            for (std::uint32_t id = ctl.head; id != kNoSlot;
-                 id = slots_[id].next) {
-                const Request &req = slots_[id].req;
-                if (req.seq >= best_seq && best_class <= 1)
-                    break;  // Later requests here cannot win.
-                const int cls = (blacklisted(req.coreId, t0) ? 2 : 0) + 1;
-                if (beaten(cls, req.seq))
-                    continue;
-                const Tick issue = tracker ? throttledAct(req, act) : act;
-                if (issue > act)
-                    delayed = true;
-                if (issue <= t0) {
-                    take(Decision::Kind::Act, b, id, cls, issue);
-                    continue;
-                }
-                future = std::min(future, issue);
-                if (issue == act)
-                    break;  // No later request can issue sooner.
+            fenced = refreshBankPtr_[r];
+        }
+        for (std::uint32_t w = 0; w < wordsPerRank_; ++w) {
+            std::uint64_t bits = nonEmpty_[r * wordsPerRank_ + w];
+            for (; bits; bits &= bits - 1) {
+                const std::uint32_t k =
+                    w * 64 +
+                    static_cast<std::uint32_t>(__builtin_ctzll(bits));
+                const BankCtl &ctl = banks_[r * bpr + k];
+                if (k == fenced || ctl.owesProtection())
+                    continue;  // Draining for REF or owing RFM/ARR.
+                const BankId b = firstBank_ + r * bpr + k;
+                if (device_.bank(b).isOpen())
+                    scanOpenBank(pass, b, ctl);
+                else
+                    scanClosedBank(pass, b, ctl);
             }
         }
     }
-    return best;
+}
+
+void
+Controller::scanOpenBank(Pass &pass, BankId b, const BankCtl &ctl)
+{
+    const dram::Bank &bank = device_.bank(b);
+    // Minimalist-open: a hit counts only under the cap.
+    const RowId open_row = ctl.rowHitStreak < params_.maxRowHits
+                               ? bank.openRow()
+                               : kInvalidRow;
+    const Tick col = bank.earliestCol(pass.t0);
+    const Tick pre = bank.earliestPre(pass.t0);
+    for (std::uint32_t id = ctl.head; id != kNoSlot;
+         id = slots_[id].next) {
+        const Request &req = slots_[id].req;
+        if (req.seq >= pass.bestSeq && pass.bestClass == 0)
+            break;  // Later requests here cannot win.
+        const bool hit = req.row == open_row;
+        const Tick issue = hit ? col : pre;
+        if (issue > pass.t0) {
+            pass.future = std::min(pass.future, issue);
+            continue;
+        }
+        const int cls =
+            (blacklisted(req.coreId, pass.t0) ? 2 : 0) + (hit ? 0 : 1);
+        if (pass.beaten(cls, req.seq))
+            continue;
+        Decision::Kind kind = Decision::Kind::Pre;
+        if (hit)
+            kind = req.isWrite ? Decision::Kind::Wr : Decision::Kind::Rd;
+        pass.take(kind, b, id, cls, req.seq, issue);
+    }
+}
+
+void
+Controller::scanClosedBank(Pass &pass, BankId b, const BankCtl &ctl)
+{
+    // Every request is an ACT behind one timing fence, probed in seq
+    // order. A probe's only side effect is BlockHammer's epoch
+    // rotation, monotone per bank, so skipping the probes of requests
+    // that cannot win never changes tracker state.
+    const bool probe = device_.tracker() != nullptr;
+    const Tick act = device_.earliestAct(b, pass.t0);
+    for (std::uint32_t id = ctl.head; id != kNoSlot;
+         id = slots_[id].next) {
+        const Request &req = slots_[id].req;
+        if (req.seq >= pass.bestSeq && pass.bestClass <= 1)
+            break;  // Later requests here cannot win.
+        const int cls = (blacklisted(req.coreId, pass.t0) ? 2 : 0) + 1;
+        if (pass.beaten(cls, req.seq))
+            continue;
+        const Tick issue = probe ? throttledAct(req, act) : act;
+        if (issue > act)
+            pass.delayed = true;
+        if (issue <= pass.t0) {
+            pass.take(Decision::Kind::Act, b, id, cls, req.seq, issue);
+            continue;
+        }
+        pass.future = std::min(pass.future, issue);
+        if (issue == act)
+            break;  // No later request can issue sooner.
+    }
 }
 
 Tick

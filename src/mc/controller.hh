@@ -238,15 +238,57 @@ class Controller
         std::vector<Tick> blacklistUntil;
     };
 
+    /**
+     * One scheduling pass's running state. The demand winner is the
+     * ready request with the least (class, seq): class 0/1 for a row
+     * hit/miss, plus 2 when its core is blacklisted. `future` is the
+     * least issue tick of every candidate that is not ready. Neither
+     * depends on the order banks are visited in.
+     */
+    struct Pass
+    {
+        Tick t0 = 0;
+        Decision best;
+        int bestClass = 4;
+        std::uint64_t bestSeq = ~0ull;
+        Tick future = kTickMax;
+        bool delayed = false;  //!< A throttle probe held an ACT back.
+
+        /** True when (cls, seq) cannot beat the best ready request. */
+        bool
+        beaten(int cls, std::uint64_t seq) const
+        {
+            return cls > bestClass || (cls == bestClass && seq >= bestSeq);
+        }
+
+        /** Make the request in slot `id`, ready at `issue`, the best. */
+        void
+        take(Decision::Kind kind, BankId b, std::uint32_t id, int cls,
+             std::uint64_t seq, Tick issue)
+        {
+            best.kind = kind;
+            best.issue = issue;
+            best.bank = b;
+            best.reqIndex = id;
+            bestClass = cls;
+            bestSeq = seq;
+        }
+    };
+
     /** Pick the next command given bus-free tick t0. */
     Decision choose(Tick t0);
 
     /** The demand phase of choose(): BLISS + FR-FCFS +
-     *  minimalist-open over the non-empty, unfenced banks. Returns
-     *  the winner, or None after lowering `future` to every
-     *  candidate's issue tick; sets `delayed` when a throttle probe
-     *  held an ACT back. */
-    Decision chooseDemand(Tick t0, Tick &future, bool &delayed);
+     *  minimalist-open over the non-empty, unfenced banks. */
+    void chooseDemand(Pass &pass);
+
+    /** Offer an open bank's requests: row hits behind its column
+     *  fence, misses behind its precharge fence. */
+    void scanOpenBank(Pass &pass, BankId b, const BankCtl &ctl);
+
+    /** Offer a closed bank's requests: ACTs behind its timing fence
+     *  and, per row, the tracker's throttle. */
+    void scanClosedBank(Pass &pass, BankId b, const BankCtl &ctl);
 
     /** A closed bank's ACT tick for `req` given the bank's timing
      *  fence `act`: the tracker's throttle probe, counting and
@@ -271,6 +313,9 @@ class Controller
 
     /** Unlink a served request and free its slot. */
     void release(std::uint32_t slot);
+
+    /** The nonEmpty_ word and bit of an owned bank. */
+    std::pair<std::size_t, std::uint64_t> nonEmptyBit(BankId bank) const;
 
     /** Apply the DDR5 RAA decrement to one refreshed bank. */
     void decrementRaa(BankId bank);
@@ -300,18 +345,16 @@ class Controller
     std::vector<Slot> slots_;             //!< The channel's requests.
     std::vector<std::uint32_t> freeSlots_;
     std::size_t queued_ = 0;              //!< Slots in use.
-    /** One bit per owned bank that has a queued request. */
+    /** One bit per owned bank that has a queued request, rank by
+     *  rank in wordsPerRank_ words each. */
     std::vector<std::uint64_t> nonEmpty_;
+    std::uint32_t wordsPerRank_;
     /** Owned banks that owe RFM or ARR work. */
     std::uint32_t protectionWork_ = 0;
     /** The last hint a pass found nothing ready at, reusable by
      *  service() while t0 < hintUntil_ (0 after any state change). */
     Tick hint_ = kTickMax;
     Tick hintUntil_ = 0;
-    /** Per owned rank, scratch for one pass: kNoDrain, kWholeRank,
-     *  or the one bank (index in rank) a pending REFsb fences. */
-    std::vector<std::uint32_t> rankDrain_;
-
     Tick busFree_ = 0;            //!< The channel's command bus.
     BlissState bliss_;
     std::vector<Tick> refreshDue_;               //!< Per owned rank.
