@@ -94,6 +94,7 @@ Controller::enqueue(const Request &req, Tick now)
     if (freeSlots_.empty()) {
         id = static_cast<std::uint32_t>(slots_.size());
         slots_.emplace_back();
+        clearances_.emplace_back();
     } else {
         id = freeSlots_.back();
         freeSlots_.pop_back();
@@ -102,6 +103,7 @@ Controller::enqueue(const Request &req, Tick now)
     slot.req = req;
     slot.req.arrival = now;
     slot.req.seq = seq_++;
+    clearances_[id] = Clearance{};
 
     // Append at the bank's tail: seq grows, so every list stays in
     // seq order.
@@ -329,6 +331,7 @@ Controller::choose(Tick t0)
             d.issue = std::min(d.issue, due);
     }
     hint_ = d.issue;
+    hintFrom_ = t0;
     hintUntil_ =
         pass.delayed ? 0 : std::min(hint_, nextRefreshThreshold(t0));
     return d;
@@ -417,9 +420,16 @@ Controller::scanClosedBank(Pass &pass, BankId b, const BankCtl &ctl)
         const int cls = (blacklisted(req.coreId, pass.t0) ? 2 : 0) + 1;
         if (pass.beaten(cls, req.seq))
             continue;
-        const Tick issue = probe ? throttledAct(req, act) : act;
-        if (issue > act)
-            pass.delayed = true;
+        Tick issue = act;
+        Clearance &clear = clearances_[id];
+        if (probe &&
+            (clear.epoch != ctl.trackerEpoch || act < clear.tick)) {
+            issue = throttledAct(req, act);
+            if (issue > act)
+                pass.delayed = true;
+            else
+                clear = Clearance{ctl.trackerEpoch, act};
+        }
         if (issue <= pass.t0) {
             pass.take(Decision::Kind::Act, b, id, cls, req.seq, issue);
             continue;
@@ -478,7 +488,9 @@ Controller::execute(const Decision &d)
         scratch_.reset();
         device_.activate(d.bank, req.row, d.issue, scratch_.arr);
         handleActSideEffects(d.bank, d.issue, scratch_.arr);
-        bankCtl(d.bank).rowHitStreak = 0;
+        BankCtl &ctl = bankCtl(d.bank);
+        ctl.rowHitStreak = 0;
+        ++ctl.trackerEpoch;
         ++stats_.activates;
         ++stats_.rowMisses;
         break;
@@ -514,6 +526,7 @@ Controller::execute(const Decision &d)
         for (std::uint32_t i = 0;
              i < device_.geometry().banksPerRank; ++i) {
             decrementRaa(first + i);
+            ++bankCtl(first + i).trackerEpoch;
         }
         break;
       }
@@ -538,6 +551,7 @@ Controller::execute(const Decision &d)
             device_.geometry().banksPerRank;
         ++stats_.refreshes;
         decrementRaa(d.bank);
+        ++bankCtl(d.bank).trackerEpoch;
         break;
       }
       case Decision::Kind::Rfm: {
@@ -545,6 +559,7 @@ Controller::execute(const Decision &d)
         BankCtl &ctl = bankCtl(d.bank);
         ctl.raa = 0;
         ctl.rfmRequired = false;
+        ++ctl.trackerEpoch;
         noteProtection(ctl, true);
         ++stats_.rfmIssued;
         if (eventRecorder_) {
@@ -597,7 +612,7 @@ Controller::service(Tick now)
             next = std::min(next, t0);
             break;
         }
-        if (t0 < hintUntil_) {
+        if (hintFrom_ <= t0 && t0 < hintUntil_) {
             next = std::min(next, hint_);
             break;  // Nothing a rescan could see has changed.
         }

@@ -214,6 +214,16 @@ class Controller
         std::uint32_t next = kNoSlot;
     };
 
+    /** The bank's trackerEpoch and the tick of the last throttle
+     *  probe that let a slot's ACT through (no such probe: epoch ~0).
+     *  Kept beside slots_, not in Slot, so a Slot stays one cache
+     *  line. */
+    struct Clearance
+    {
+        std::uint64_t epoch = ~0ull;
+        Tick tick = 0;
+    };
+
     struct BankCtl
     {
         std::uint32_t raa = 0;
@@ -222,6 +232,17 @@ class Controller
         std::uint32_t rowHitStreak = 0;
         std::uint32_t head = kNoSlot;  //!< Oldest queued request.
         std::uint32_t tail = kNoSlot;  //!< Youngest queued request.
+        /**
+         * Counts the bank's commands the tracker observes (ACT, REF,
+         * REFsb, RFM). A throttle probe that let an ACT through at
+         * tick t would let it through at any later tick until the
+         * tracker observes another command on the bank: trackers keep
+         * per-bank state (engine shards rely on that too), and
+         * BlockHammer's only change in between, epoch rotation, can
+         * lift a throttle but never impose one. So an ACT cleared in
+         * the current epoch is not probed again.
+         */
+        std::uint64_t trackerEpoch = 0;
 
         /** Owed RFM or ARR work fences the bank against demand. */
         bool owesProtection() const
@@ -343,6 +364,7 @@ class Controller
     CompletionFn onComplete_;
 
     std::vector<Slot> slots_;             //!< The channel's requests.
+    std::vector<Clearance> clearances_;   //!< Per slot.
     std::vector<std::uint32_t> freeSlots_;
     std::size_t queued_ = 0;              //!< Slots in use.
     /** One bit per owned bank that has a queued request, rank by
@@ -352,8 +374,10 @@ class Controller
     /** Owned banks that owe RFM or ARR work. */
     std::uint32_t protectionWork_ = 0;
     /** The last hint a pass found nothing ready at, reusable by
-     *  service() while t0 < hintUntil_ (0 after any state change). */
+     *  service() for t0 in [hintFrom_, hintUntil_) (hintUntil_ is 0
+     *  after any state change). */
     Tick hint_ = kTickMax;
+    Tick hintFrom_ = 0;
     Tick hintUntil_ = 0;
     Tick busFree_ = 0;            //!< The channel's command bus.
     BlissState bliss_;
