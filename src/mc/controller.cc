@@ -94,7 +94,6 @@ Controller::enqueue(const Request &req, Tick now)
     if (freeSlots_.empty()) {
         id = static_cast<std::uint32_t>(slots_.size());
         slots_.emplace_back();
-        clearances_.emplace_back();
     } else {
         id = freeSlots_.back();
         freeSlots_.pop_back();
@@ -103,7 +102,6 @@ Controller::enqueue(const Request &req, Tick now)
     slot.req = req;
     slot.req.arrival = now;
     slot.req.seq = seq_++;
-    clearances_[id] = Clearance{};
 
     // Append at the bank's tail: seq grows, so every list stays in
     // seq order.
@@ -420,16 +418,9 @@ Controller::scanClosedBank(Pass &pass, BankId b, const BankCtl &ctl)
         const int cls = (blacklisted(req.coreId, pass.t0) ? 2 : 0) + 1;
         if (pass.beaten(cls, req.seq))
             continue;
-        Tick issue = act;
-        Clearance &clear = clearances_[id];
-        if (probe &&
-            (clear.epoch != ctl.trackerEpoch || act < clear.tick)) {
-            issue = throttledAct(req, act);
-            if (issue > act)
-                pass.delayed = true;
-            else
-                clear = Clearance{ctl.trackerEpoch, act};
-        }
+        const Tick issue = probe ? throttledAct(req, act) : act;
+        if (issue > act)
+            pass.delayed = true;
         if (issue <= pass.t0) {
             pass.take(Decision::Kind::Act, b, id, cls, req.seq, issue);
             continue;
@@ -488,9 +479,7 @@ Controller::execute(const Decision &d)
         scratch_.reset();
         device_.activate(d.bank, req.row, d.issue, scratch_.arr);
         handleActSideEffects(d.bank, d.issue, scratch_.arr);
-        BankCtl &ctl = bankCtl(d.bank);
-        ctl.rowHitStreak = 0;
-        ++ctl.trackerEpoch;
+        bankCtl(d.bank).rowHitStreak = 0;
         ++stats_.activates;
         ++stats_.rowMisses;
         break;
@@ -526,7 +515,6 @@ Controller::execute(const Decision &d)
         for (std::uint32_t i = 0;
              i < device_.geometry().banksPerRank; ++i) {
             decrementRaa(first + i);
-            ++bankCtl(first + i).trackerEpoch;
         }
         break;
       }
@@ -551,7 +539,6 @@ Controller::execute(const Decision &d)
             device_.geometry().banksPerRank;
         ++stats_.refreshes;
         decrementRaa(d.bank);
-        ++bankCtl(d.bank).trackerEpoch;
         break;
       }
       case Decision::Kind::Rfm: {
@@ -559,7 +546,6 @@ Controller::execute(const Decision &d)
         BankCtl &ctl = bankCtl(d.bank);
         ctl.raa = 0;
         ctl.rfmRequired = false;
-        ++ctl.trackerEpoch;
         noteProtection(ctl, true);
         ++stats_.rfmIssued;
         if (eventRecorder_) {

@@ -144,9 +144,9 @@ class Controller
      * A pass that finds nothing ready returns the least issue tick of
      * every candidate as its hint. The next pass reuses that hint
      * without rescanning while nothing was enqueued or executed since,
-     * its bus-free tick is below the hint and below every rank's next
-     * refresh threshold, and no throttle probe of the hinting pass
-     * returned a delay. Every candidate's issue tick is then a fixed
+     * its bus-free tick is not before the hinting pass's and is below
+     * the hint and below every rank's next refresh threshold, and no
+     * throttle probe of the hinting pass returned a delay. Every candidate's issue tick is then a fixed
      * timing fence above the pass tick, so a rescan would return the
      * same hint; a throttle delay is excluded because a later probe
      * tick may rotate a BlockHammer epoch and lift it.
@@ -214,16 +214,6 @@ class Controller
         std::uint32_t next = kNoSlot;
     };
 
-    /** The bank's trackerEpoch and the tick of the last throttle
-     *  probe that let a slot's ACT through (no such probe: epoch ~0).
-     *  Kept beside slots_, not in Slot, so a Slot stays one cache
-     *  line. */
-    struct Clearance
-    {
-        std::uint64_t epoch = ~0ull;
-        Tick tick = 0;
-    };
-
     struct BankCtl
     {
         std::uint32_t raa = 0;
@@ -232,17 +222,6 @@ class Controller
         std::uint32_t rowHitStreak = 0;
         std::uint32_t head = kNoSlot;  //!< Oldest queued request.
         std::uint32_t tail = kNoSlot;  //!< Youngest queued request.
-        /**
-         * Counts the bank's commands the tracker observes (ACT, REF,
-         * REFsb, RFM). A throttle probe that let an ACT through at
-         * tick t would let it through at any later tick until the
-         * tracker observes another command on the bank: trackers keep
-         * per-bank state (engine shards rely on that too), and
-         * BlockHammer's only change in between, epoch rotation, can
-         * lift a throttle but never impose one. So an ACT cleared in
-         * the current epoch is not probed again.
-         */
-        std::uint64_t trackerEpoch = 0;
 
         /** Owed RFM or ARR work fences the bank against demand. */
         bool owesProtection() const
@@ -364,7 +343,6 @@ class Controller
     CompletionFn onComplete_;
 
     std::vector<Slot> slots_;             //!< The channel's requests.
-    std::vector<Clearance> clearances_;   //!< Per slot.
     std::vector<std::uint32_t> freeSlots_;
     std::size_t queued_ = 0;              //!< Slots in use.
     /** One bit per owned bank that has a queued request, rank by

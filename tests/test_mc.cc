@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <memory>
 
 #include "core/mithril.hh"
@@ -446,62 +444,6 @@ TEST_F(ControllerTest, ThrottledActIsDelayed)
     // Throttling stretched the run: the last completion lands far
     // beyond the unthrottled time (tDelay is hundreds of us here).
     EXPECT_GT(completions_.back().second, usToTick(10.0));
-}
-
-TEST_F(ControllerTest, ThrottleIsReprobedAfterItsBankActivates)
-{
-    // Every ACT holds the next ACT to its bank back by kHold. The
-    // controller may skip re-probing an ACT a probe already let
-    // through, but only until the tracker sees another command on
-    // that bank.
-    constexpr Tick kHold = 5'000'000;  // 5 us.
-    class HoldBankAfterAct : public trackers::RhProtection
-    {
-      public:
-        std::string name() const override { return "test"; }
-        trackers::Location location() const override
-        {
-            return trackers::Location::Mc;
-        }
-        void
-        onActivate(BankId bank, RowId, Tick now,
-                   std::vector<RowId> &) override
-        {
-            lastAct_[bank] = now;
-        }
-        Tick
-        throttleAct(BankId bank, RowId, Tick now) override
-        {
-            const auto it = lastAct_.find(bank);
-            return it == lastAct_.end() ? now
-                                        : std::max(now, it->second + kHold);
-        }
-        double tableBytesPerBank() const override { return 0.0; }
-
-      private:
-        std::map<BankId, Tick> lastAct_;
-    };
-
-    ControllerParams params;
-    params.blissStreak = 1;
-    build(std::make_unique<HoldBankAfterAct>(), params);
-    // Blacklist core 0 with two requests to banks 5 and 6.
-    ASSERT_TRUE(ctrl_->enqueue(makeReq(5, 10, 0, false, 0), 0));
-    ASSERT_TRUE(ctrl_->enqueue(makeReq(6, 10, 0, false, 0), 0));
-    drain();
-    ASSERT_EQ(completions_.size(), 2u);
-
-    // Both bank-3 ACTs are probed and let through in one pass; core
-    // 1's wins on class. Its ACT must hold core 0's back.
-    ASSERT_TRUE(ctrl_->enqueue(makeReq(3, 100, 0, false, 0), 0));
-    ASSERT_TRUE(ctrl_->enqueue(makeReq(3, 200, 0, false, 1), 0));
-    drain(msToTick(1.0));
-    ASSERT_EQ(completions_.size(), 4u);
-    EXPECT_EQ(completions_[2].first.coreId, 1u);
-    EXPECT_EQ(completions_[3].first.coreId, 0u);
-    EXPECT_GE(completions_[3].second, completions_[2].second + kHold -
-                                          timing_.tCL - timing_.tBL);
-    EXPECT_EQ(ctrl_->stats().throttleStalls, 1u);
 }
 
 TEST_F(ControllerTest, BlissBlacklistsStreakyCore)
