@@ -181,11 +181,12 @@ driverGeometry()
 }
 
 /**
- * Drive a Controller the test owns with a seeded open-loop stream:
- * eight cores, each mostly streaming columns of its current row, often
- * jumping among a few hot rows of its bank (conflicts and hammering)
- * and sometimes anywhere. Arrivals outpace service, so the queue fills
- * and full-queue retries call service() between wake-up hints.
+ * Drive a Controller the test owns with a seeded open-loop stream of
+ * bursty cores. Seven stream columns of their current row, often jump
+ * among a few hot rows of their bank (row conflicts), step to the next
+ * bank or jump anywhere; the eighth hammers two rows of one bank.
+ * Arrivals outpace service, so the queue fills and full-queue retries
+ * call service() between wake-up hints.
  */
 std::string
 controllerDigest(const ControllerParams &params,
