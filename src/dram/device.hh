@@ -81,8 +81,8 @@ class Device
     /** Earliest tick an ACT to this bank satisfies bank+rank timing. */
     Tick earliestAct(BankId b, Tick now) const
     {
-        return std::max(banks_[b].earliestAct(now),
-                        ranks_[rankOf(b)].earliestAct(now));
+        return std::max(banks_.at(b).earliestAct(now),
+                        ranks_.at(rankOf(b)).earliestAct(now));
     }
 
     /**
