@@ -62,32 +62,26 @@ SourceCursor::SourceCursor(std::unique_ptr<engine::ActSource> source)
 }
 
 bool
-SourceCursor::peek(TraceRecord &out)
-{
-    if (pos_ == batch_.size())
-        refill();
-    if (pos_ == batch_.size())
-        return false;
-    const engine::ActRecord record = batch_.record(pos_);
-    out = TraceRecord{record.bank, record.row, record.tick};
-    return true;
-}
-
-void
-SourceCursor::pop()
-{
-    ++pos_;
-}
-
-void
 SourceCursor::refill()
 {
     if (drained_)
-        return;
-    batch_.clear();
+        return false;
+    // One scratch batch per thread serves every cursor: a refill
+    // decodes at most kBufferRecords records and copies them out
+    // before any other cursor refills. It is allocated on first use,
+    // so threads that never compose carry only the pointer.
+    thread_local const std::unique_ptr<engine::ActBatch> scratch =
+        std::make_unique<engine::ActBatch>();
+    scratch->clear();
+    const std::size_t n = source_->fill(*scratch, kBufferRecords);
+    for (std::size_t i = 0; i < n; ++i) {
+        const engine::ActRecord record = scratch->record(i);
+        buffer_[i] = TraceRecord{record.bank, record.row, record.tick};
+    }
     pos_ = 0;
-    if (source_->fill(batch_, engine::ActBatch::kCapacity) == 0)
-        drained_ = true;
+    size_ = static_cast<std::uint32_t>(n);
+    drained_ = n == 0;
+    return !drained_;
 }
 
 // --------------------------------------------------- TraceFileStream

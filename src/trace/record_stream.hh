@@ -23,6 +23,8 @@
 #ifndef MITHRIL_TRACE_RECORD_STREAM_HH
 #define MITHRIL_TRACE_RECORD_STREAM_HH
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -55,30 +57,46 @@ class RecordStream
 };
 
 /**
- * Record-at-a-time lookahead cursor over any engine::ActSource,
- * refilled a batch at a time. It drains a whole trace for
- * TraceFileStream and one bank's shardSlice() for the k-way merge's
- * heap and splice's injection, so N inputs x B banks cost one parse
- * + one mapping per input.
+ * Record-at-a-time lookahead cursor over any engine::ActSource. It
+ * drains a whole trace for TraceFileStream and one bank's
+ * shardSlice() for the k-way merge and splice's injection, so N
+ * inputs x B banks cost one parse + one mapping per input.
+ *
+ * The cursor buffers at most kBufferRecords records inline (about
+ * 1 KB), refilled through one per-thread scratch ActBatch, so a
+ * merge over thousands of per-bank cursors stays small: a per-bank
+ * slice of a captured run holds a few hundred records, far below a
+ * whole ActBatch.
  */
 class SourceCursor
 {
   public:
+    static constexpr std::uint32_t kBufferRecords = 64;
+
     explicit SourceCursor(std::unique_ptr<engine::ActSource> source);
 
     /** The current head record; false when the source is exhausted. */
-    bool peek(TraceRecord &out);
+    bool
+    peek(TraceRecord &out)
+    {
+        if (pos_ == size_ && !refill())
+            return false;
+        out = buffer_[pos_];
+        return true;
+    }
 
-    /** Consume the current head. */
-    void pop();
+    /** Consume the current head (which peek() must have returned). */
+    void pop() { ++pos_; }
 
   private:
-    void refill();
+    /** Decode the next records into buffer_; false when drained. */
+    bool refill();
 
     std::unique_ptr<engine::ActSource> source_;
-    engine::ActBatch batch_;
-    std::size_t pos_ = 0;
+    std::uint32_t pos_ = 0;
+    std::uint32_t size_ = 0;
     bool drained_ = false;
+    std::array<TraceRecord, kBufferRecords> buffer_;
 };
 
 /** Leaf stream over one `.acttrace` file in canonical order. */

@@ -32,6 +32,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -307,7 +308,7 @@ TEST(TracePipelineMaterialize, RecordsTheSpecInMeta)
               std::string(trace::kPipelineMetaPrefix) + spec);
 }
 
-// --------------------------------------------- merge: k-way heap
+// --------------------------------------- merge: k-way loser tree
 
 TEST(TraceMerge, SliceByBankThenMergeIsIdentity)
 {
@@ -361,6 +362,112 @@ TEST(TraceMerge, EmitsGlobalTickOrderAndDeterministicBytes)
     trace::materializePipeline(spec, out1, 42);
     trace::materializePipeline(spec, out2, 42);
     EXPECT_EQ(readFile(out1), readFile(out2));
+}
+
+/** Stream over `banks` whose ticks advance by 0-2 per record, so
+ *  ticks tie within a bank and across banks. */
+std::vector<Rec>
+tiedStream(std::uint64_t seed, std::size_t count,
+           const std::vector<BankId> &banks)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<Tick> last(kBanks, 0);
+    std::vector<Rec> recs;
+    for (std::size_t i = 0; i < count; ++i) {
+        const BankId bank = banks[rng() % banks.size()];
+        last[bank] += static_cast<Tick>(rng() % 3);
+        recs.push_back(
+            {bank, static_cast<RowId>(rng() % kRows), last[bank]});
+    }
+    return recs;
+}
+
+std::vector<Rec>
+rotateBanks(std::vector<Rec> recs, std::uint32_t by)
+{
+    for (Rec &r : recs)
+        r.bank = (r.bank + by) % kBanks;
+    return recs;
+}
+
+TEST(TraceMerge, MatchesStableSortReference)
+{
+    const dram::Geometry geom = smallGeometry();
+    std::vector<BankId> all_banks(kBanks);
+    for (BankId b = 0; b < kBanks; ++b)
+        all_banks[b] = b;
+    const std::vector<Rec> full = tiedStream(41, 3000, all_banks);
+    const std::vector<Rec> two_banks = tiedStream(42, 500, {3, 7});
+    const auto traceOf = [&](const std::string &name,
+                             const std::vector<Rec> &recs) {
+        const std::string path = tmpPath("ref_" + name);
+        writeTrace(path, geom, 1, name, recs);
+        return path;
+    };
+    const std::string one = traceOf("one", {{3, 17, 5}});
+    const std::string two = traceOf("two", two_banks);
+    const std::string two_rot = traceOf("two_rot", rotateBanks(two_banks, 5));
+    // Bank-rotated copies of one trace: every tick ties across them.
+    std::vector<std::string> copies;
+    for (std::uint32_t r = 0; r < 8; ++r) {
+        copies.push_back(traceOf("full_rot" + std::to_string(r),
+                                 rotateBanks(full, r)));
+    }
+    std::vector<std::string> wide = copies;
+    wide.push_back(two);
+
+    // Each case names its (input, bank) cursor count.
+    const std::vector<std::pair<std::size_t, std::vector<std::string>>>
+        cases = {{1, {one}},
+                 {3, {two, one}},
+                 {5, {two, two_rot, one}},
+                 {130, wide}};
+    for (const auto &[cursors, inputs] : cases) {
+        // Reference: every input's per-bank subsequences in file
+        // order, input-major then bank-ascending, stably sorted by
+        // (tick, input, bank).
+        struct Keyed
+        {
+            Rec rec;
+            std::size_t input;
+        };
+        std::vector<Keyed> ref;
+        std::size_t touched = 0;
+        std::string spec = "merge:";
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            spec += (i ? "," : "") + inputs[i];
+            for (const std::vector<Rec> &bank :
+                 perBank(readRecords(inputs[i]), kBanks)) {
+                touched += bank.empty() ? 0 : 1;
+                for (const Rec &r : bank)
+                    ref.push_back({r, i});
+            }
+        }
+        ASSERT_EQ(touched, cursors);
+        std::stable_sort(ref.begin(), ref.end(),
+                         [](const Keyed &a, const Keyed &b) {
+                             if (a.rec.tick != b.rec.tick)
+                                 return a.rec.tick < b.rec.tick;
+                             if (a.input != b.input)
+                                 return a.input < b.input;
+                             return a.rec.bank < b.rec.bank;
+                         });
+        std::vector<Rec> want;
+        for (const Keyed &k : ref)
+            want.push_back(k.rec);
+
+        const std::unique_ptr<trace::RecordStream> stream =
+            trace::buildPipeline(spec, 42);
+        EXPECT_EQ(drainStream(*stream), want)
+            << cursors << " cursors";
+    }
+}
+
+TEST(TraceMerge, CursorIsSmall)
+{
+    // A merge holds one cursor per (input, bank): 65,536 of them for
+    // 1024 tenants of a 64-bank capture.
+    EXPECT_LE(sizeof(trace::SourceCursor), 2048u);
 }
 
 // -------------------------------------------- dilate: time scaling
