@@ -37,6 +37,8 @@ constexpr std::size_t kEndMagicBytes = 8;
 constexpr std::size_t kFooterBytes = 8 + 8 + kEndMagicBytes;
 // magic + 4 geometry u32 + seed u64 + meta length u32.
 constexpr std::size_t kHeaderFixedBytes = kMagicBytes + 16 + 8 + 4;
+// Block header: bank, record count, payload bytes (u32 each).
+constexpr std::size_t kBlockHeaderBytes = 12;
 constexpr std::size_t kMaxMetaBytes = 1 << 20;
 
 [[noreturn]] void
@@ -47,13 +49,19 @@ corrupt(const std::string &path, const std::string &what)
 
 // ------------------------------------------- little-endian scalars
 
+/** Overwrite four bytes already in a buffer. */
+void
+storeU32(std::uint8_t *out, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 void
 putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
 {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
+    out.resize(out.size() + 4);
+    storeU32(&out[out.size() - 4], v);
 }
 
 void
@@ -328,7 +336,11 @@ ActTraceWriter::flushChunk()
         if (buf.rows.empty())
             continue;
 
-        scratch_.clear();
+        // The 12-byte block header (bank, count, payload bytes)
+        // leads the payload in scratch_ and is patched in once the
+        // payload's size is known, so a block is one write and no
+        // allocation.
+        scratch_.assign(kBlockHeaderBytes, 0);
         RowId prev_row = 0;
         Tick prev_tick = 0;
         for (std::size_t i = 0; i < buf.rows.size(); ++i) {
@@ -351,15 +363,13 @@ ActTraceWriter::flushChunk()
         IndexBlock block;
         block.bank = bank;
         block.count = static_cast<std::uint32_t>(buf.rows.size());
-        block.payloadBytes =
-            static_cast<std::uint32_t>(scratch_.size());
+        block.payloadBytes = static_cast<std::uint32_t>(
+            scratch_.size() - kBlockHeaderBytes);
         chunk.blocks.push_back(block);
 
-        std::vector<std::uint8_t> head;
-        putU32(head, block.bank);
-        putU32(head, block.count);
-        putU32(head, block.payloadBytes);
-        writeRaw(head.data(), head.size());
+        storeU32(&scratch_[0], block.bank);
+        storeU32(&scratch_[4], block.count);
+        storeU32(&scratch_[8], block.payloadBytes);
         writeRaw(scratch_.data(), scratch_.size());
 
         buf.rows.clear();
@@ -620,7 +630,7 @@ ActTraceSource::parse(const std::string &path)
                                   " records in " +
                                   std::to_string(block.payloadBytes) +
                                   " bytes");
-            cursor += 12;
+            cursor += kBlockHeaderBytes;
             block.payloadOffset = cursor;
             cursor += block.payloadBytes;
             if (cursor > index_offset)
@@ -710,8 +720,8 @@ ActTraceSource::loadBlock(const IndexBlock &block)
     // payload inside [data_begin, index_offset), so header and
     // payload both sit inside the mapping.
     const std::uint8_t *head =
-        parsed_->map.data + (block.payloadOffset - 12);
-    ByteReader reader(head, 12, path_, "block header");
+        parsed_->map.data + (block.payloadOffset - kBlockHeaderBytes);
+    ByteReader reader(head, kBlockHeaderBytes, path_, "block header");
     const std::uint32_t bank = reader.u32();
     const std::uint32_t count = reader.u32();
     const std::uint32_t bytes = reader.u32();
@@ -721,7 +731,7 @@ ActTraceSource::loadBlock(const IndexBlock &block)
                        "(bank " +
                            std::to_string(bank) + " vs " +
                            std::to_string(block.bank) + ")");
-    blockData_ = head + 12;
+    blockData_ = head + kBlockHeaderBytes;
     blockSize_ = block.payloadBytes;
     decodePos_ = 0;
     first_ = true;

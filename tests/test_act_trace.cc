@@ -1275,5 +1275,23 @@ TEST(ActTraceGolden, ReplayMatchesFrozenOutcome)
     EXPECT_EQ(first.simTicks, kFrozenSimTicks);
 }
 
+TEST(ActTraceGolden, WriterReencodesTheGoldenByteForByte)
+{
+    // The golden trace is one chunk, so writing its records back in
+    // canonical order must reproduce every byte: this pins the
+    // writer's encoding, not just the reader's.
+    engine::ActTraceSource source(kGoldenTrace);
+    const engine::ActTraceInfo info = source.info();
+    ASSERT_EQ(info.chunks, 1u);
+    dram::Geometry geom = dram::paperGeometry();
+    geom.channels = info.channels;
+    geom.ranksPerChannel = info.ranksPerChannel;
+    geom.banksPerRank = info.banksPerRank;
+    geom.rowsPerBank = info.rowsPerBank;
+    const std::string path = tmpPath("golden_reencoded");
+    writeTrace(path, geom, info.seed, info.meta, drain(source));
+    EXPECT_EQ(readFile(path), readFile(kGoldenTrace));
+}
+
 } // namespace
 } // namespace mithril
