@@ -23,6 +23,7 @@ import math
 SCALING_MIN = 0.9         # threads=4 vs threads=1 sharded throughput
 SCHEME_REGRESSION = 0.9   # per-scheme normalized throughput vs baseline
 GEOMEAN_REGRESSION = 0.98  # geomean normalized throughput vs baseline
+COMPOSE_RSS_MAX_MB = 512  # peak RSS after composing 1024 tenants
 
 
 def load(path):
@@ -190,6 +191,15 @@ def cmd_replay(args):
         assert corpus["bytes"] > 0 and corpus["attack"], corpus
         assert corpus["loops"] >= 1, corpus
         assert corpus["compose_seconds"] > 0, corpus
+        # Memory gate: a 1024-tenant merge holds 64K per-bank cursors,
+        # so a cursor that grows back to a whole ActBatch (64 KB) puts
+        # gigabytes here.
+        rss = corpus["compose_peak_rss_mb"]
+        assert rss > 0, corpus
+        if corpus["tenants"] == 1024:
+            assert rss < COMPOSE_RSS_MAX_MB, \
+                (f"1024-tenant compose peaked at {rss:.0f} MB, "
+                 f"gate {COMPOSE_RSS_MAX_MB} MB")
         pts = {p["threads"]: p for p in corpus["replay"]}
         assert set(pts) == {1, 4}, pts
         for p in pts.values():
@@ -199,7 +209,8 @@ def cmd_replay(args):
         # one outcome; the speedup just documents the
         # capture-once-replay-many ratio.
         print(f"tenants={corpus['tenants']} OK:",
-              f"composed in {corpus['compose_seconds']:.2f} s,",
+              f"composed in {corpus['compose_seconds']:.2f} s",
+              f"(peak RSS {corpus['compose_peak_rss_mb']:.0f} MB),",
               f"{pts[1]['speedup_vs_system']:.1f}x vs System")
 
 

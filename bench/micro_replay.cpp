@@ -30,8 +30,11 @@
  *          reused per corpus width),
  *        json=FILE write the BENCH_replay.json artifact (schema v4:
  *          one "corpora" row per tenant width, each with its compose
- *          time and its own replay grid).
+ *          time, the process's peak RSS right after that compose, and
+ *          its own replay grid).
  */
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -67,6 +70,7 @@ struct CorpusResult
     std::uint64_t bytes = 0;
     std::uint64_t loops = 0;  //!< Scaled per-point repetitions.
     double composeSeconds = 0.0; //!< Remaps + merge + splice.
+    double composePeakRssMb = 0.0; //!< Process peak RSS after it.
     std::vector<ReplayPoint> points;
 };
 
@@ -75,6 +79,15 @@ seconds(std::chrono::steady_clock::time_point t0,
         std::chrono::steady_clock::time_point t1)
 {
     return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/** The process's peak resident set so far, in MiB. */
+double
+peakRssMb()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0; // KiB on Linux.
 }
 
 std::uint64_t
@@ -129,12 +142,13 @@ writeJson(const std::string &path, const sim::ExperimentSpec &sys_spec,
             f,
             "    {\"tenants\": %llu, \"records\": %llu, "
             "\"bytes\": %llu, \"attack\": \"%s\", "
-            "\"compose_seconds\": %.4f, \"loops\": %llu, "
+            "\"compose_seconds\": %.4f, "
+            "\"compose_peak_rss_mb\": %.1f, \"loops\": %llu, "
             "\"replay\": [",
             static_cast<unsigned long long>(cr.tenants),
             static_cast<unsigned long long>(cr.info.records),
             static_cast<unsigned long long>(cr.bytes), kBurstAttack,
-            cr.composeSeconds,
+            cr.composeSeconds, cr.composePeakRssMb,
             static_cast<unsigned long long>(cr.loops));
         for (std::size_t i = 0; i < cr.points.size(); ++i) {
             const ReplayPoint &p = cr.points[i];
@@ -261,6 +275,7 @@ main(int argc, char **argv)
             std::remove(tenant.c_str());
         const auto comp_t1 = std::chrono::steady_clock::now();
         cr.composeSeconds = seconds(comp_t0, comp_t1);
+        cr.composePeakRssMb = peakRssMb();
         cr.bytes = fileBytes(corpus_path);
 
         // Scale the repetitions to the first corpus's record volume
@@ -276,14 +291,14 @@ main(int argc, char **argv)
 
         std::printf(
             "corpus: %llu tenants merged + %llu-ACT %s burst = "
-            "%llu records, %llu bytes (composed in %.3f s, "
-            "replayed x%llu)\n",
+            "%llu records, %llu bytes (composed in %.3f s, peak RSS "
+            "%.0f MB, replayed x%llu)\n",
             static_cast<unsigned long long>(tenants),
             static_cast<unsigned long long>(kBurstActs),
             kBurstAttack,
             static_cast<unsigned long long>(cr.info.records),
             static_cast<unsigned long long>(cr.bytes),
-            cr.composeSeconds,
+            cr.composeSeconds, cr.composePeakRssMb,
             static_cast<unsigned long long>(cr.loops));
 
         sim::RunMetrics reference;
