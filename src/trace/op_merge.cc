@@ -42,7 +42,7 @@ class MergeStream : public RecordStream
         }
         // Each input is mapped once; its per-bank cursors are slices
         // of that mapping and hold no file handles (64 banks x 1024
-        // tenants are 65,536 cursors of about 1 KB each).
+        // tenants are 65,536 cursors).
         std::vector<std::unique_ptr<engine::ActTraceSource>> sources;
         sources.reserve(inputs.size());
         for (const std::string &path : inputs)

@@ -62,16 +62,17 @@ class RecordStream
  * shardSlice() for the k-way merge and splice's injection, so N
  * inputs x B banks cost one parse + one mapping per input.
  *
- * The cursor buffers at most kBufferRecords records inline (about
- * 1 KB), refilled through one per-thread scratch ActBatch, so a
- * merge over thousands of per-bank cursors stays small: a per-bank
- * slice of a captured run holds a few hundred records, far below a
- * whole ActBatch.
+ * The cursor buffers kBufferRecords records inline, refilled
+ * through one per-thread scratch ActBatch. A merge visits its
+ * thousands of per-bank cursors in turn, so their total size decides
+ * how many stay in cache: at 16 records a cursor is under 300 bytes,
+ * and a 128-way merge of 64-bank traces fits its 8,192 cursors in
+ * 2.3 MB.
  */
 class SourceCursor
 {
   public:
-    static constexpr std::uint32_t kBufferRecords = 64;
+    static constexpr std::uint32_t kBufferRecords = 16;
 
     explicit SourceCursor(std::unique_ptr<engine::ActSource> source);
 
