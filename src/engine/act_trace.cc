@@ -325,6 +325,7 @@ ActTraceWriter::flushChunk()
     std::uint32_t block_count = 0;
     for (const BankBuffer &buf : buffers_)
         block_count += buf.rows.empty() ? 0 : 1;
+    chunk.blocks.reserve(block_count);
     scratch_.clear();
     putU32(scratch_, kChunkMagic);
     putU32(scratch_, block_count);
