@@ -408,12 +408,11 @@ TEST(TraceMerge, MatchesStableSortReference)
     const std::string two = traceOf("two", two_banks);
     const std::string two_rot = traceOf("two_rot", rotateBanks(two_banks, 5));
     // Bank-rotated copies of one trace: every tick ties across them.
-    std::vector<std::string> copies;
+    std::vector<std::string> wide;
     for (std::uint32_t r = 0; r < 8; ++r) {
-        copies.push_back(traceOf("full_rot" + std::to_string(r),
-                                 rotateBanks(full, r)));
+        wide.push_back(traceOf("full_rot" + std::to_string(r),
+                               rotateBanks(full, r)));
     }
-    std::vector<std::string> wide = copies;
     wide.push_back(two);
 
     // Each case names its (input, bank) cursor count.
