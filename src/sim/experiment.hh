@@ -16,7 +16,6 @@
 
 #include "sim/experiment_spec.hh"
 #include "sim/system.hh"
-#include "sim/workload_suite.hh"
 #include "telemetry/telemetry.hh"
 
 namespace mithril::sim

@@ -15,8 +15,8 @@
 
 #include "core/mithril.hh"
 #include "mc/address_map.hh"
+#include "registry/workload_registry.hh"
 #include "sim/system.hh"
-#include "sim/workload_suite.hh"
 #include "workload/trace.hh"
 
 namespace mithril::sim
@@ -168,8 +168,8 @@ TEST(MultiChannel, CapturedActsCoverEveryChannel)
     for (std::uint32_t i = 0; i < 4; ++i) {
         cpu::CoreParams params;
         params.instrBudget = 20000;
-        system.addCore(params, makeWorkloadThread(WorkloadKind::MixHigh,
-                                                  i, 4, 1));
+        system.addCore(params, registry::makeWorkload(
+                                   "mix-high", {}, {i, 4, 1}));
     }
     system.run();
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mithril.hh"
+#include "registry/workload_registry.hh"
 #include "sim/act_harness.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -194,8 +195,8 @@ TEST(SystemIntegration, TelemetrySheetCoversComponents)
     cpu::CoreParams params;
     params.instrBudget = 5000;
     for (std::uint32_t i = 0; i < kCores; ++i) {
-        system.addCore(params, makeWorkloadThread(WorkloadKind::MixHigh,
-                                                  i, kCores, 1));
+        system.addCore(params, registry::makeWorkload(
+                                   "mix-high", {}, {i, kCores, 1}));
     }
     system.run();
 

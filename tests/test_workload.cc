@@ -11,7 +11,7 @@
 #include <set>
 
 #include "mc/address_map.hh"
-#include "sim/workload_suite.hh"
+#include "registry/workload_registry.hh"
 #include "workload/attacks.hh"
 #include "workload/multithreaded.hh"
 #include "workload/spec_like.hh"
@@ -365,22 +365,13 @@ TEST_F(AttackTest, CbfPollutionAlternatesWithinBurst)
     EXPECT_NE(decode(a->addr).row, decode(b->addr).row);
 }
 
-TEST(WorkloadSuite, NamesRoundTrip)
-{
-    for (auto kind : sim::allWorkloads()) {
-        EXPECT_EQ(sim::workloadFromName(sim::workloadName(kind)),
-                  kind);
-    }
-    EXPECT_EQ(sim::multiProgrammedWorkloads().size(), 2u);
-    EXPECT_EQ(sim::multiThreadedWorkloads().size(), 3u);
-}
-
 TEST(WorkloadSuite, BuildsEveryThread)
 {
-    for (auto kind : sim::allWorkloads()) {
+    for (const std::string &name :
+         registry::workloadRegistry().names()) {
         for (std::uint32_t i = 0; i < 16; ++i) {
-            auto gen = sim::makeWorkloadThread(kind, i, 16, 1);
-            ASSERT_NE(gen, nullptr);
+            auto gen = registry::makeWorkload(name, {}, {i, 16, 1});
+            ASSERT_NE(gen, nullptr) << name;
             auto r = gen->next();
             ASSERT_TRUE(r.has_value());
         }
@@ -389,10 +380,8 @@ TEST(WorkloadSuite, BuildsEveryThread)
 
 TEST(WorkloadSuite, MultiProgrammedFootprintsAreDisjoint)
 {
-    auto g0 = sim::makeWorkloadThread(sim::WorkloadKind::MixHigh, 0,
-                                      16, 1);
-    auto g5 = sim::makeWorkloadThread(sim::WorkloadKind::MixHigh, 5,
-                                      16, 1);
+    auto g0 = registry::makeWorkload("mix-high", {}, {0, 16, 1});
+    auto g5 = registry::makeWorkload("mix-high", {}, {5, 16, 1});
     Addr min0 = ~0ull, max0 = 0, min5 = ~0ull, max5 = 0;
     for (int i = 0; i < 2000; ++i) {
         const Addr a0 = g0->next()->addr;
