@@ -11,8 +11,7 @@ namespace mithril::dram
 Device::Device(const Timing &timing, const Geometry &geometry,
                std::uint32_t flip_th, std::uint32_t blast_radius)
     : timing_(timing), geometry_(geometry),
-      oracle_(geometry.totalBanks(), geometry.rowsPerBank, flip_th,
-              blast_radius),
+      protection_(geometry, timing, flip_th, blast_radius),
       blastRadius_(blast_radius)
 {
     const std::uint32_t total_banks = geometry_.totalBanks();
@@ -28,19 +27,14 @@ Device::Device(const Timing &timing, const Geometry &geometry,
 }
 
 void
-Device::activate(BankId b, RowId row, Tick t, std::vector<RowId> &arr_out)
+Device::activate(BankId b, RowId row, Tick t)
 {
     banks_.at(b).doActivate(t, row);
     ranks_.at(rankOf(b)).recordAct(t);
     energy_.addAct();
-    // Event-timestamp cursor for oracle flip/near-miss tracing (one
-    // dead store when no recorder is attached).
-    oracle_.setNow(t);
-    oracle_.onActivate(b, row);
+    protection_.activate(b, row, t);
     if (actObserver_)
         actObserver_(b, row, t);
-    if (tracker_)
-        tracker_->onActivate(b, row, t, arr_out);
 }
 
 void
@@ -77,10 +71,8 @@ Device::autoRefreshRank(std::uint32_t flat_rank, Tick t)
         // The controller must have closed the bank already.
         MITHRIL_ASSERT(!bank.isOpen());
         bank.doRefresh(std::max(t, bank.earliestRefresh(t)), timing_.tRFC);
-        oracle_.onAutoRefresh(b, groups);
+        protection_.refresh(b, t);
         energy_.addRefreshRows(rows_per_group);
-        if (tracker_)
-            tracker_->onRefresh(b, t);
     }
 }
 
@@ -94,10 +86,8 @@ Device::autoRefreshBank(BankId b, Tick t)
     MITHRIL_ASSERT(!bank.isOpen());
     bank.doRefresh(std::max(t, bank.earliestRefresh(t)),
                    timing_.tRFCsb);
-    oracle_.onAutoRefresh(b, groups);
+    protection_.refresh(b, t);
     energy_.addRefreshRows(rows_per_group);
-    if (tracker_)
-        tracker_->onRefresh(b, t);
 }
 
 std::size_t
@@ -106,26 +96,13 @@ Device::rfm(BankId b, Tick t)
     Bank &bank = banks_.at(b);
     MITHRIL_ASSERT(!bank.isOpen());
     bank.doRefresh(t, timing_.tRFM);
-    ++rfmCount_;
-
-    scratch_.reset();
-    if (tracker_)
-        tracker_->onRfm(b, t, scratch_.arr);
-
-    if (scratch_.arr.empty()) {
-        ++rfmSkipped_;
-        return 0;
-    }
-    for (RowId aggressor : scratch_.arr) {
-        oracle_.onNeighborRefresh(b, aggressor);
-        energy_.addPreventiveRows(2ull * blastRadius_);
-        ++preventiveCount_;
-    }
-    return scratch_.arr.size();
+    const std::size_t treated = protection_.rfm(b, t);
+    energy_.addPreventiveRows(2ull * blastRadius_ * treated);
+    return treated;
 }
 
 void
-Device::preventiveRefresh(BankId b, RowId aggressor, Tick t)
+Device::arr(BankId b, Tick t)
 {
     Bank &bank = banks_.at(b);
     MITHRIL_ASSERT(!bank.isOpen());
@@ -133,9 +110,8 @@ Device::preventiveRefresh(BankId b, RowId aggressor, Tick t)
     const Tick duration =
         static_cast<Tick>(2 * blastRadius_) * timing_.tRC;
     bank.doRefresh(std::max(t, bank.earliestRefresh(t)), duration);
-    oracle_.onNeighborRefresh(b, aggressor);
+    protection_.arr(b, t);
     energy_.addPreventiveRows(2ull * blastRadius_);
-    ++preventiveCount_;
 }
 
 void
@@ -145,9 +121,10 @@ Device::exportMetrics(telemetry::MetricSheet &sheet) const
     sheet.setCounter("dram.pres", energy_.pres());
     sheet.setCounter("dram.refresh_rows", energy_.refreshRows());
     sheet.setCounter("dram.preventive_rows", energy_.preventiveRows());
-    sheet.setCounter("dram.rfm_count", rfmCount_);
-    sheet.setCounter("dram.rfm_skipped", rfmSkipped_);
-    oracle_.exportMetrics(sheet);
+    const Protection::Counts c = protection_.total();
+    sheet.setCounter("dram.rfm_count", c.rfms);
+    sheet.setCounter("dram.rfm_skipped", c.idleRfms);
+    protection_.oracle().exportMetrics(sheet);
 }
 
 } // namespace mithril::dram

@@ -2,11 +2,11 @@
  * @file
  * Whole-system DRAM device model.
  *
- * Owns every bank's state machine, rank-level ACT pacing, the ground
- * truth RH oracle, the energy meter, and the hook into the active RH
- * protection scheme. The memory controller drives it by committing
- * commands; the device executes them, keeps the oracle honest, and
- * meters energy.
+ * Owns every bank's state machine, rank-level ACT pacing, the energy
+ * meter, and the lane's dram::Protection core (the tracker, the ground
+ * truth RH oracle and the RFM/ARR protocol state). The memory
+ * controller drives it by committing commands; the device adds each
+ * command's bank timing and energy to the core's protocol step.
  */
 
 #ifndef MITHRIL_DRAM_DEVICE_HH
@@ -21,8 +21,8 @@
 #include "common/types.hh"
 #include "dram/bank.hh"
 #include "dram/energy.hh"
+#include "dram/protection.hh"
 #include "dram/rank.hh"
-#include "dram/rh_oracle.hh"
 #include "dram/timing.hh"
 #include "trackers/rh_protection.hh"
 
@@ -43,8 +43,18 @@ class Device
            std::uint32_t flip_th, std::uint32_t blast_radius = 1);
 
     /** Attach the active protection scheme (may be null = unprotected). */
-    void setTracker(trackers::RhProtection *tracker) { tracker_ = tracker; }
-    trackers::RhProtection *tracker() const { return tracker_; }
+    void setTracker(trackers::RhProtection *tracker)
+    {
+        protection_.setTracker(tracker);
+    }
+    trackers::RhProtection *tracker() const
+    {
+        return protection_.tracker();
+    }
+
+    /** The protocol core: what each bank owes, and the step counts. */
+    Protection &protection() { return protection_; }
+    const Protection &protection() const { return protection_; }
 
     /** Observes every committed ACT (bank, row, issue tick) — the
      *  tap an act-trace recorder captures a System run through.
@@ -85,14 +95,9 @@ class Device
                         ranks_.at(rankOf(b)).earliestAct(now));
     }
 
-    /**
-     * Commit an ACT. Informs the tracker and the oracle.
-     * @param arr_out Aggressor rows the (ARR-based) tracker wants
-     *                refreshed immediately; the controller must follow
-     *                up with preventiveRefresh() calls.
-     */
-    void activate(BankId b, RowId row, Tick t,
-                  std::vector<RowId> &arr_out);
+    /** Commit an ACT. ARR or RFM work it makes the bank owe is
+     *  queued in protection() for the controller to schedule. */
+    void activate(BankId b, RowId row, Tick t);
 
     /** Commit a PRE. */
     void precharge(BankId b, Tick t);
@@ -122,28 +127,19 @@ class Device
      */
     std::size_t rfm(BankId b, Tick t);
 
-    /**
-     * Execute a preventive refresh around an aggressor row (used both
-     * for ARR commands and inside RFM windows). Occupies the bank for
-     * roughly one row cycle per victim row.
-     */
-    void preventiveRefresh(BankId b, RowId aggressor, Tick t);
+    /** Commit an ARR for the bank's oldest owed aggressor: its victims
+     *  are refreshed at roughly one row cycle each. */
+    void arr(BankId b, Tick t);
 
-    RhOracle &oracle() { return oracle_; }
-    const RhOracle &oracle() const { return oracle_; }
+    RhOracle &oracle() { return protection_.oracle(); }
+    const RhOracle &oracle() const { return protection_.oracle(); }
 
     EnergyMeter &energy() { return energy_; }
     const EnergyMeter &energy() const { return energy_; }
 
-    /** Total RFM commands executed. */
-    std::uint64_t rfmCount() const { return rfmCount_; }
-    /** RFM commands whose preventive refresh was skipped (adaptive). */
-    std::uint64_t rfmSkipped() const { return rfmSkipped_; }
-    /** Preventive refresh operations (aggressors treated). */
-    std::uint64_t preventiveCount() const { return preventiveCount_; }
-
     /** Set the `dram.*` counters (energy-meter command counts, RFMs
-     *  executed and skipped) plus the oracle's `oracle.*`. */
+     *  executed and those that treated nothing) plus the oracle's
+     *  `oracle.*`. */
     void exportMetrics(telemetry::MetricSheet &sheet) const;
 
   private:
@@ -151,19 +147,10 @@ class Device
     Geometry geometry_;
     std::vector<Bank> banks_;
     std::vector<RankTiming> ranks_;
-    RhOracle oracle_;
+    Protection protection_;
     EnergyMeter energy_;
-    trackers::RhProtection *tracker_ = nullptr;
     ActObserver actObserver_;
     std::uint32_t blastRadius_;
-
-    std::uint64_t rfmCount_ = 0;
-    std::uint64_t rfmSkipped_ = 0;
-    std::uint64_t preventiveCount_ = 0;
-
-    /** RFM aggressor scratch — the shared reusable-buffer protocol
-     *  (trackers append, frontend drains). */
-    trackers::ActScratch scratch_;
 };
 
 } // namespace mithril::dram

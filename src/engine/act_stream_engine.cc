@@ -29,10 +29,9 @@ EngineConfig::singleBank(const dram::Timing &timing,
 
 ActStreamEngine::ActStreamEngine(const EngineConfig &config,
                                  trackers::RhProtection *tracker)
-    : config_(config), tracker_(tracker),
-      oracle_(config.geometry.totalBanks(), config.geometry.rowsPerBank,
-              config.flipTh, config.blastRadius),
-      refreshGroups_(dram::refreshGroups(config.timing)),
+    : config_(config),
+      protection_(config.geometry, config.timing, config.flipTh,
+                  config.blastRadius, config.enableOracle),
       banks_(config.geometry.totalBanks())
 {
     MITHRIL_ASSERT(config_.geometry.totalBanks() > 0);
@@ -47,80 +46,36 @@ ActStreamEngine::ActStreamEngine(const EngineConfig &config,
     partRows_.resize(ActBatch::kCapacity);
     for (BankState &bs : banks_)
         bs.nextRef = config_.timing.tREFI;
-    if (tracker_) {
-        usesRfm_ = tracker_->usesRfm();
-        rfmTh_ = tracker_->rfmTh();
-    }
+    protection_.setTracker(tracker);
 }
 
 void
 ActStreamEngine::maybeRefresh(BankState &bs, BankId bank)
 {
     while (bs.now >= bs.nextRef) {
-        if (config_.enableOracle)
-            oracle_.onAutoRefresh(bank, refreshGroups_);
-        if (tracker_)
-            tracker_->onRefresh(bank, bs.nextRef);
+        protection_.refresh(bank, bs.nextRef);
         bs.now += config_.timing.tRFC;  // Bank blocked for tRFC.
         bs.nextRef += config_.timing.tREFI;
-        ++bs.refs;
-        ++refs_;
     }
 }
 
 void
-ActStreamEngine::applyArr(BankState &bs, BankId bank)
+ActStreamEngine::settle(BankState &bs, BankId bank)
 {
-    if (events_ && !scratch_.arr.empty()) {
-        events_->record(
-            telemetry::EventKind::ArrFired, bs.now, bank,
-            scratch_.arr.front(),
-            static_cast<std::uint32_t>(scratch_.arr.size()));
-    }
-    for (RowId aggressor : scratch_.arr) {
-        if (config_.enableOracle)
-            oracle_.onNeighborRefresh(bank, aggressor);
+    while (protection_.arrOwed(bank)) {
+        protection_.arr(bank, bs.now);
         bs.now += static_cast<Tick>(2 * config_.blastRadius) *
                   config_.timing.tRC;
-        ++bs.preventive;
-        ++preventive_;
     }
-}
-
-void
-ActStreamEngine::maybeRfm(BankState &bs, BankId bank,
-                          std::uint32_t consumed)
-{
-    if (!tracker_ || !usesRfm_)
+    if (!protection_.rfmOwed(bank))
         return;
-    bs.raa += consumed;
-    if (bs.raa < rfmTh_)
-        return;
-    bs.raa = 0;
-    if (tracker_->rfmPending(bank)) {
-        scratch_.reset();
-        tracker_->onRfm(bank, bs.now, scratch_.arr);
-        if (events_) {
-            events_->record(
-                telemetry::EventKind::RfmIssued, bs.now, bank,
-                scratch_.arr.empty() ? kInvalidRow
-                                     : scratch_.arr.front(),
-                static_cast<std::uint32_t>(scratch_.arr.size()));
-        }
-        for (RowId aggressor : scratch_.arr) {
-            if (config_.enableOracle)
-                oracle_.onNeighborRefresh(bank, aggressor);
-            ++bs.preventive;
-            ++preventive_;
-        }
+    if (protection_.rfmSkippable(bank)) {
+        // Mithril+ MRR skip: no time cost beyond the poll.
+        protection_.skipRfm(bank, bs.now);
+    } else {
+        protection_.rfm(bank, bs.now);
         bs.now += config_.timing.tRFM;
-        ++bs.rfms;
-        ++rfms_;
-    } else if (events_) {
-        events_->record(telemetry::EventKind::RfmSkipped, bs.now,
-                        bank, kInvalidRow);
     }
-    // Mithril+ MRR skip: no time cost beyond the poll.
 }
 
 void
@@ -128,44 +83,10 @@ ActStreamEngine::activate(BankId bank, RowId row)
 {
     BankState &bs = banks_.at(bank);
     maybeRefresh(bs, bank);
-
-    if (config_.honorThrottle && tracker_) {
-        const Tick earliest = tracker_->throttleAct(bank, row, bs.now);
-        if (earliest > bs.now) {
-            if (events_) {
-                events_->record(telemetry::EventKind::ThrottleStall,
-                                bs.now, bank, row, 0,
-                                earliest - bs.now);
-            }
-            ++throttleStalls_;
-            bs.now = earliest;
-            maybeRefresh(bs, bank);
-        }
-    }
-
-    if (heatmap_)
-        heatmap_->touch(bank, row);
-    if (config_.enableOracle) {
-        if (events_)
-            oracle_.setNow(bs.now);
-        oracle_.onActivate(bank, row);
-    }
-    ++bs.acts;
-    ++acts_;
-    scratch_.reset();
-    if (tracker_)
-        tracker_->onActivate(bank, row, bs.now, scratch_.arr);
+    protection_.activate(bank, row, bs.now);
     bs.now += config_.timing.tRC;
-
-    // Immediate ARR work requested by reactive schemes.
-    applyArr(bs, bank);
-
-    // RFM cadence. Scalar dispatch re-reads the virtual per ACT,
-    // faithful to the historical harness loop; the cached values it
-    // must agree with are pinned constant by the RhProtection
-    // contract.
-    if (tracker_ && tracker_->usesRfm())
-        maybeRfm(bs, bank, 1);
+    if (protection_.owes(bank))
+        settle(bs, bank);
 }
 
 void
@@ -183,9 +104,8 @@ ActStreamEngine::processRun(BankState &bs, BankId bank,
         const Tick until_ref = bs.nextRef - bs.now;
         std::uint64_t cap = tRcDiv_.div(
             static_cast<std::uint64_t>(until_ref + t_rc - 1));
-        if (usesRfm_)
-            cap = std::min<std::uint64_t>(cap, rfmTh_ - bs.raa);
-        cap = std::min<std::uint64_t>(cap, n);
+        cap = std::min({cap, protection_.actsToRfm(bank),
+                        static_cast<std::uint64_t>(n)});
 
         trackers::ActSpan span;
         span.bank = bank;
@@ -193,38 +113,10 @@ ActStreamEngine::processRun(BankState &bs, BankId bank,
         span.size = static_cast<std::size_t>(cap);
         span.tick0 = bs.now;
         span.tickStride = t_rc;
-
-        scratch_.reset();
-        std::size_t consumed = span.size;
-        if (tracker_) {
-            consumed = tracker_->onActivateBatch(span, scratch_.arr);
-            MITHRIL_ASSERT(consumed >= 1 && consumed <= span.size);
-        }
-
-        if (heatmap_) {
-            for (std::size_t i = 0; i < consumed; ++i)
-                heatmap_->touch(bank, rows[i]);
-        }
-        if (config_.enableOracle) {
-            if (events_) {
-                // Tracing variant: stamp the oracle's event clock
-                // with each record's exact tick.
-                for (std::size_t i = 0; i < consumed; ++i) {
-                    oracle_.setNow(span.tick0 +
-                                   static_cast<Tick>(i) * t_rc);
-                    oracle_.onActivate(bank, rows[i]);
-                }
-            } else {
-                for (std::size_t i = 0; i < consumed; ++i)
-                    oracle_.onActivate(bank, rows[i]);
-            }
-        }
-        bs.acts += consumed;
-        acts_ += consumed;
+        const std::size_t consumed = protection_.activateRun(span);
         bs.now += static_cast<Tick>(consumed) * t_rc;
-
-        applyArr(bs, bank);
-        maybeRfm(bs, bank, static_cast<std::uint32_t>(consumed));
+        if (protection_.owes(bank))
+            settle(bs, bank);
 
         rows += consumed;
         n -= consumed;
@@ -240,11 +132,10 @@ ActStreamEngine::dispatchBatch(const ActBatch &batch, std::size_t n)
     const RowId *row_col = batch.rows();
     const auto num_banks = static_cast<std::uint32_t>(banks_.size());
     const bool scalar =
-        config_.dispatch == EngineConfig::Dispatch::Scalar ||
-        config_.honorThrottle;
+        config_.dispatch == EngineConfig::Dispatch::Scalar;
 
     // Uniform-bank fast path: sharded runs and single-bank workloads
-    // deliver whole batches on one bank; one SIMD sweep detects that
+    // deliver whole batches on one bank; one sweep detects that
     // and skips the partition entirely. Dispatch order is trivially
     // identical (one bank, stream order).
     if (simd::uniformPrefix(bank_col, n, bank_col[0]) == n) {
@@ -302,15 +193,9 @@ std::uint64_t
 ActStreamEngine::run(ActSource &source, std::uint64_t max_acts)
 {
     if (config_.telemetry) {
-        events_ = config_.telemetry->events();
-        heatmap_ = config_.telemetry->heatmap();
+        protection_.attach(*config_.telemetry);
         if (config_.telemetry->config().phases)
             phases_ = &config_.telemetry->phases();
-        if (events_) {
-            oracle_.setEventRecorder(events_);
-            if (tracker_)
-                tracker_->setEventRecorder(events_);
-        }
     }
     std::uint64_t done = 0;
     telemetry::PhaseTimer timer;
@@ -338,13 +223,15 @@ ActStreamEngine::run(ActSource &source, std::uint64_t max_acts)
 void
 ActStreamEngine::exportMetrics(telemetry::MetricSheet &sheet) const
 {
-    sheet.setCounter("engine.acts", acts_);
-    sheet.setCounter("engine.refs", refs_);
-    sheet.setCounter("engine.rfms", rfms_);
-    sheet.setCounter("engine.preventive", preventive_);
-    sheet.setCounter("engine.throttle_stalls", throttleStalls_);
+    const dram::Protection::Counts c = protection_.total();
+    sheet.setCounter("engine.acts", c.acts);
+    sheet.setCounter("engine.refs", c.refs);
+    sheet.setCounter("engine.rfms", c.rfms);
+    sheet.setCounter("engine.rfm_skipped_mrr", c.mrrSkips);
+    sheet.setCounter("engine.arr_executed", c.arrs);
+    sheet.setCounter("engine.preventive", c.preventive);
     if (config_.enableOracle)
-        oracle_.exportMetrics(sheet);
+        protection_.oracle().exportMetrics(sheet);
 }
 
 } // namespace mithril::engine

@@ -6,11 +6,12 @@
  * It generalizes the historical single-bank ActHarness to the full
  * dram::Geometry (channels x ranks x banks, each bank an independent
  * clock at one ACT per tRC), consumes SoA batches of activations from
- * an ActSource, and interleaves REF (every tREFI, per the refresh-group
- * rotation), RFM (every rfmTh() ACTs), immediate ARR work, and —
- * optionally — BlockHammer-style throttling per bank exactly as the
- * harness always has, while keeping the ground-truth oracle and the
- * ACT/REF/RFM/preventive counters per bank.
+ * an ActSource, and keeps each bank's REF cadence (every tREFI, per
+ * the refresh-group rotation). The RFM/ARR protocol itself — tracker,
+ * oracle, RAA, owed work and counters — is the part's
+ * dram::Protection; the engine only decides when owed work runs: right
+ * after the ACT that owes it, ARRs first (each blocking the bank for
+ * 2*radius row cycles), then the RFM (tRFM) or its MRR skip.
  *
  * Two dispatch modes share all bookkeeping:
  *
@@ -18,20 +19,20 @@
  *    one virtual tracker call per activation.
  *  - Batched (default): activations are partitioned per bank and cut
  *    into maximal runs that cross no REF or RFM boundary; each run is
- *    handed to RhProtection::onActivateBatch() with precomputed ticks
- *    (tick = run start + i*tRC), so the hot trackers amortize virtual
- *    dispatch, table lookup, and scratch management over the whole
- *    run. ARR triggers terminate a run (preventive refreshes advance
+ *    handed to dram::Protection::activateRun() with precomputed ticks
+ *    (tick = run start + i*tRC), so the hot trackers' batch paths
+ *    amortize virtual dispatch, table lookup, and scratch management
+ *    over the whole run. ARR triggers terminate a run (preventive refreshes advance
  *    the bank clock), which keeps both modes byte-identical at any
  *    batch size — pinned by the engine equivalence golden test.
  *
  * Every buffer (batch, partition scratch, ARR scratch) is reused
  * across the run, so the steady-state loop performs zero heap
- * allocations. Per-bank hot state is cache-line-aligned (one
+ * allocations. Per-bank clocks are cache-line-aligned (one
  * `BankState` per line) so engines running on different shard threads
  * never false-share, and the batch partition is a flat counting sort
- * into one reused buffer — with a SIMD uniform-bank fast path that
- * skips it entirely for the single-bank batches sharded runs produce.
+ * into one reused buffer — with a uniform-bank fast path that skips it
+ * entirely for the single-bank batches sharded runs produce.
  */
 
 #ifndef MITHRIL_ENGINE_ACT_STREAM_ENGINE_HH
@@ -41,16 +42,14 @@
 #include <vector>
 
 #include "common/simd.hh"
-#include "dram/rh_oracle.hh"
+#include "dram/protection.hh"
 #include "dram/timing.hh"
 #include "engine/act_source.hh"
 #include "trackers/rh_protection.hh"
 
 namespace mithril::telemetry
 {
-class ActHeatmap;
 class EngineTelemetry;
-class EventRecorder;
 class MetricSheet;
 class PhaseProfile;
 }
@@ -73,24 +72,20 @@ struct EngineConfig
     std::uint32_t flipTh = 6250;
     std::uint32_t blastRadius = 1;
     Dispatch dispatch = Dispatch::Batched;
-    /** Ground-truth safety accounting. Throughput benches may disable
-     *  it to time the tracker/dispatch hot loop alone; safety
-     *  experiments must keep it on. */
+    /** Ground-truth safety accounting (dram::Protection's oracle).
+     *  Throughput benches may disable it to time the tracker/dispatch
+     *  hot loop alone; safety experiments must keep it on. The engine
+     *  ignores RhProtection::throttleAct(): max-rate sweeps model an
+     *  attacker that ignores advisories. */
     bool enableOracle = true;
-    /** Honour RhProtection::throttleAct() (System-style frontends).
-     *  Off by default — the harness never throttled, and max-rate
-     *  safety sweeps model an attacker that ignores advisories.
-     *  Throttling is an inherently per-ACT decision, so enabling it
-     *  forces scalar dispatch regardless of `dispatch`. */
-    bool honorThrottle = false;
 
     /**
      * Optional telemetry bundle (not owned; must outlive the engine
      * and its tracker). Null — the default — costs the hot loop one
      * pointer check per batch; non-null never changes simulated
      * outcomes, only observes them. Its collectors attach to the
-     * engine, oracle and tracker when run() starts, so anything fed
-     * to the tracker before (warm-up) is not observed.
+     * protection core when run() starts, so anything fed to the
+     * tracker before (warm-up) is not observed.
      */
     telemetry::EngineTelemetry *telemetry = nullptr;
 
@@ -124,8 +119,8 @@ class ActStreamEngine
      */
     std::uint64_t run(ActSource &source, std::uint64_t max_acts);
 
-    const dram::RhOracle &oracle() const { return oracle_; }
-    dram::RhOracle &oracle() { return oracle_; }
+    const dram::RhOracle &oracle() const { return protection_.oracle(); }
+    dram::RhOracle &oracle() { return protection_.oracle(); }
 
     std::uint32_t numBanks() const
     {
@@ -135,50 +130,43 @@ class ActStreamEngine
     /** Per-bank virtual clock. */
     Tick now(BankId bank = 0) const { return banks_.at(bank).now; }
 
+    /** The part's protocol state and step counts. */
+    const dram::Protection &protection() const { return protection_; }
+
     // Aggregate counters (sum over banks).
-    std::uint64_t acts() const { return acts_; }
-    std::uint64_t refs() const { return refs_; }
-    std::uint64_t rfms() const { return rfms_; }
-    std::uint64_t preventiveRefreshes() const { return preventive_; }
-    std::uint64_t throttleStalls() const { return throttleStalls_; }
+    std::uint64_t acts() const { return protection_.total().acts; }
+    std::uint64_t refs() const { return protection_.total().refs; }
+    std::uint64_t rfms() const { return protection_.total().rfms; }
+    std::uint64_t preventiveRefreshes() const
+    {
+        return protection_.total().preventive;
+    }
 
     // Per-bank counters.
     std::uint64_t actsAt(BankId bank) const
     {
-        return banks_.at(bank).acts;
-    }
-    std::uint64_t refsAt(BankId bank) const
-    {
-        return banks_.at(bank).refs;
-    }
-    std::uint64_t rfmsAt(BankId bank) const
-    {
-        return banks_.at(bank).rfms;
+        return protection_.counts(bank).acts;
     }
     std::uint64_t preventiveRefreshesAt(BankId bank) const
     {
-        return banks_.at(bank).preventive;
+        return protection_.counts(bank).preventive;
     }
 
     const EngineConfig &config() const { return config_; }
 
-    /** Set the `engine.*` counters, plus the oracle's `oracle.*`
-     *  when the oracle is enabled. */
+    /** Set the `engine.*` counters (`engine.rfm_skipped_mrr` and
+     *  `engine.arr_executed` name what mc.* names them in a System
+     *  sheet), plus the oracle's `oracle.*` when the oracle is on. */
     void exportMetrics(telemetry::MetricSheet &sheet) const;
 
   private:
-    /** Per-bank interleaving state, padded to exactly one cache line
-     *  so adjacent banks — and engines on different shard threads —
-     *  never false-share. */
+    /** Per-bank clock, padded to exactly one cache line so adjacent
+     *  banks — and engines on different shard threads — never
+     *  false-share. */
     struct alignas(64) BankState
     {
         Tick now = 0;
         Tick nextRef = 0;
-        std::uint32_t raa = 0;
-        std::uint64_t acts = 0;
-        std::uint64_t refs = 0;
-        std::uint64_t rfms = 0;
-        std::uint64_t preventive = 0;
     };
     static_assert(sizeof(BankState) == 64,
                   "BankState must fill exactly one cache line");
@@ -188,11 +176,9 @@ class ActStreamEngine
     /** Catch the bank up on every REF due at or before its clock. */
     void maybeRefresh(BankState &bs, BankId bank);
 
-    /** Execute the immediate ARR work in scratch_ for the bank. */
-    void applyArr(BankState &bs, BankId bank);
-
-    /** Per-ACT RFM cadence bookkeeping after `consumed` ACTs. */
-    void maybeRfm(BankState &bs, BankId bank, std::uint32_t consumed);
+    /** Run the bank's owed work at its clock: ARRs, then the RFM or
+     *  its MRR skip. */
+    void settle(BankState &bs, BankId bank);
 
     /** Batched-dispatch processing of one bank's contiguous rows. */
     void processRun(BankState &bs, BankId bank, const RowId *rows,
@@ -202,21 +188,11 @@ class ActStreamEngine
     void dispatchBatch(const ActBatch &batch, std::size_t n);
 
     EngineConfig config_;
-    trackers::RhProtection *tracker_;
-    dram::RhOracle oracle_;
-
-    // Telemetry taps hoisted out of the bundle (all null when off).
-    telemetry::EventRecorder *events_ = nullptr;
-    telemetry::ActHeatmap *heatmap_ = nullptr;
+    dram::Protection protection_;
+    /** Phase profile (null unless the bundle profiles phases). */
     telemetry::PhaseProfile *phases_ = nullptr;
 
-    // Tracker constants hoisted out of the hot loop (batched path).
-    bool usesRfm_ = false;
-    std::uint32_t rfmTh_ = 0;
-    std::uint32_t refreshGroups_;
-
     std::vector<BankState> banks_;
-    trackers::ActScratch scratch_;
     ActBatch batch_;
 
     /** REF-boundary division by tRC without a hardware divide. */
@@ -230,12 +206,6 @@ class ActStreamEngine
     std::vector<std::uint32_t> partOffset_;
     std::vector<std::uint32_t> partCursor_;
     std::vector<RowId> partRows_;
-
-    std::uint64_t acts_ = 0;
-    std::uint64_t refs_ = 0;
-    std::uint64_t rfms_ = 0;
-    std::uint64_t preventive_ = 0;
-    std::uint64_t throttleStalls_ = 0;
 };
 
 } // namespace mithril::engine

@@ -248,15 +248,6 @@ ShardedActStreamEngine::preventiveRefreshes() const
     return sum;
 }
 
-std::uint64_t
-ShardedActStreamEngine::throttleStalls() const
-{
-    std::uint64_t sum = 0;
-    for (const Shard &s : shards_)
-        sum += s.engine->throttleStalls();
-    return sum;
-}
-
 double
 ShardedActStreamEngine::maxDisturbanceEver() const
 {

@@ -10,8 +10,8 @@
  * shard count and any pool size:
  *
  *  - Every bank is an independent virtual clock, and all engine
- *    bookkeeping (REF rotation, RFM cadence, ARR work, oracle rows,
- *    counters) is per-bank state.
+ *    bookkeeping (REF rotation, and the protection core's RFM cadence,
+ *    ARR work, oracle rows and counters) is per-bank state.
  *  - Tracker state is per-bank by construction; the two historic
  *    exceptions — PARA's and PARFM's shared RNG — now draw from
  *    per-bank streams seeded via `RhProtection::bankSeed()`, so a
@@ -171,7 +171,6 @@ class ShardedActStreamEngine
     std::uint64_t refs() const;
     std::uint64_t rfms() const;
     std::uint64_t preventiveRefreshes() const;
-    std::uint64_t throttleStalls() const;
 
     /** Merged ground-truth oracle reductions. */
     double maxDisturbanceEver() const;
@@ -186,14 +185,6 @@ class ShardedActStreamEngine
     std::uint64_t actsAt(BankId bank) const
     {
         return engineFor(bank).actsAt(bank);
-    }
-    std::uint64_t refsAt(BankId bank) const
-    {
-        return engineFor(bank).refsAt(bank);
-    }
-    std::uint64_t rfmsAt(BankId bank) const
-    {
-        return engineFor(bank).rfmsAt(bank);
     }
     std::uint64_t preventiveRefreshesAt(BankId bank) const
     {

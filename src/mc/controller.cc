@@ -27,20 +27,33 @@ ControllerStats::mergeFrom(const ControllerStats &other)
     readLatencyNs.mergeFrom(other.readLatencyNs);
 }
 
+ControllerStats
+Controller::stats() const
+{
+    ControllerStats s = stats_;
+    const dram::Protection::Counts c = device_.protection().total(
+        firstBank_, firstBank_ + static_cast<BankId>(banks_.size()));
+    s.rfmIssued = c.rfms;
+    s.rfmSkippedByMrr = c.mrrSkips;
+    s.arrExecuted = c.arrs;
+    return s;
+}
+
 void
 Controller::exportMetrics(telemetry::MetricSheet &sheet) const
 {
-    sheet.setCounter("mc.acts", stats_.activates);
-    sheet.setCounter("mc.reads", stats_.reads);
-    sheet.setCounter("mc.writes", stats_.writes);
-    sheet.setCounter("mc.row_hits", stats_.rowHits);
-    sheet.setCounter("mc.row_misses", stats_.rowMisses);
-    sheet.setCounter("mc.precharges", stats_.precharges);
-    sheet.setCounter("mc.refreshes", stats_.refreshes);
-    sheet.setCounter("mc.rfm_issued", stats_.rfmIssued);
-    sheet.setCounter("mc.rfm_skipped_mrr", stats_.rfmSkippedByMrr);
-    sheet.setCounter("mc.arr_executed", stats_.arrExecuted);
-    sheet.setCounter("mc.throttle_stalls", stats_.throttleStalls);
+    const ControllerStats s = stats();
+    sheet.setCounter("mc.acts", s.activates);
+    sheet.setCounter("mc.reads", s.reads);
+    sheet.setCounter("mc.writes", s.writes);
+    sheet.setCounter("mc.row_hits", s.rowHits);
+    sheet.setCounter("mc.row_misses", s.rowMisses);
+    sheet.setCounter("mc.precharges", s.precharges);
+    sheet.setCounter("mc.refreshes", s.refreshes);
+    sheet.setCounter("mc.rfm_issued", s.rfmIssued);
+    sheet.setCounter("mc.rfm_skipped_mrr", s.rfmSkippedByMrr);
+    sheet.setCounter("mc.arr_executed", s.arrExecuted);
+    sheet.setCounter("mc.throttle_stalls", s.throttleStalls);
     sheet.histogram("mc.queue_depth", 0.0,
                     static_cast<double>(params_.queueCapacity),
                     params_.queueCapacity) = queueDepth_;
@@ -58,6 +71,7 @@ Controller::Controller(dram::Device &device, const AddressMap &map,
     MITHRIL_ASSERT(params_.queueCapacity > 0);
     firstRank_ = channel_ * geom.ranksPerChannel;
     firstBank_ = firstRank_ * geom.banksPerRank;
+    device_.protection().setRaaRefDecrement(params_.raaRefDecrement);
     banks_.resize(geom.ranksPerChannel * geom.banksPerRank);
     wordsPerRank_ = (geom.banksPerRank + 63) / 64;
     nonEmpty_.assign(geom.ranksPerChannel * wordsPerRank_, 0);
@@ -181,37 +195,6 @@ Controller::nextRefreshThreshold(Tick t0) const
     return next;
 }
 
-void
-Controller::decrementRaa(BankId bank)
-{
-    if (params_.raaRefDecrement == 0)
-        return;
-    BankCtl &ctl = bankCtl(bank);
-    if (ctl.rfmRequired)
-        return;  // An owed RFM is not cancelled by a REF.
-    ctl.raa = ctl.raa > params_.raaRefDecrement
-                  ? ctl.raa - params_.raaRefDecrement
-                  : 0;
-}
-
-void
-Controller::handleActSideEffects(BankId bank, Tick t,
-                                 std::vector<RowId> &arr_out)
-{
-    (void)t;
-    BankCtl &ctl = bankCtl(bank);
-    const bool was_owed = ctl.owesProtection();
-    auto *tracker = device_.tracker();
-    if (tracker && tracker->usesRfm()) {
-        if (++ctl.raa >= tracker->rfmTh())
-            ctl.rfmRequired = true;
-    }
-    for (RowId aggressor : arr_out)
-        ctl.pendingArr.push_back(aggressor);
-    arr_out.clear();
-    noteProtection(ctl, was_owed);
-}
-
 Controller::Decision
 Controller::choose(Tick t0)
 {
@@ -275,19 +258,18 @@ Controller::choose(Tick t0)
         pass.future = std::min(pass.future, d.issue);
     }
 
-    // Priority 2: RFM-required banks and pending ARR work.
+    // Priority 2: banks owing an RFM or ARR work.
     if (protectionWork_ > 0) {
         Decision best;
-        auto *tracker = device_.tracker();
+        const dram::Protection &prot = device_.protection();
         for (std::uint32_t i = 0; i < banks_per_channel; ++i) {
             const BankId b = firstBank_ + i;
-            BankCtl &ctl = banks_[i];
-            if (!ctl.owesProtection())
+            if (!prot.owes(b))
                 continue;
             const auto &bank = device_.bank(b);
             Decision d;
             d.bank = b;
-            if (ctl.rfmRequired && tracker && !tracker->rfmPending(b)) {
+            if (prot.rfmSkippable(b)) {
                 // Mithril+ MRR poll says no refresh needed: skip the
                 // RFM.
                 d.kind = Decision::Kind::MrrSkip;
@@ -295,13 +277,10 @@ Controller::choose(Tick t0)
             } else if (bank.isOpen()) {
                 d.kind = Decision::Kind::Pre;
                 d.issue = bank.earliestPre(t0);
-            } else if (ctl.rfmRequired) {
-                d.kind = Decision::Kind::Rfm;
-                d.issue = bank.earliestRefresh(t0);
             } else {
-                d.kind = Decision::Kind::Arr;
+                d.kind = prot.rfmOwed(b) ? Decision::Kind::Rfm
+                                         : Decision::Kind::Arr;
                 d.issue = bank.earliestRefresh(t0);
-                d.arrAggressor = ctl.pendingArr.front();
             }
             if (d.issue < best.issue)
                 best = d;
@@ -357,9 +336,9 @@ Controller::chooseDemand(Pass &pass)
                     w * 64 +
                     static_cast<std::uint32_t>(__builtin_ctzll(bits));
                 const BankCtl &ctl = banks_[r * bpr + k];
-                if (k == fenced || ctl.owesProtection())
-                    continue;  // Draining for REF or owing RFM/ARR.
                 const BankId b = firstBank_ + r * bpr + k;
+                if (k == fenced || device_.protection().owes(b))
+                    continue;  // Draining for REF or owing RFM/ARR.
                 if (device_.bank(b).isOpen())
                     scanOpenBank(pass, b, ctl);
                 else
@@ -444,10 +423,10 @@ Controller::throttledAct(const Request &req, Tick act)
     if (std::find(throttledActs_.begin(), throttledActs_.end(), held) ==
         throttledActs_.end()) {
         throttledActs_.push_back(held);
-        if (eventRecorder_) {
-            eventRecorder_->record(telemetry::EventKind::ThrottleStall,
-                                   act, req.bank, req.row, 0,
-                                   throttled - act);
+        if (telemetry::EventRecorder *events =
+                device_.protection().events()) {
+            events->record(telemetry::EventKind::ThrottleStall, act,
+                           req.bank, req.row, 0, throttled - act);
         }
         ++stats_.throttleStalls;
     }
@@ -476,9 +455,8 @@ Controller::execute(const Decision &d)
             *held = throttledActs_.back();
             throttledActs_.pop_back();
         }
-        scratch_.reset();
-        device_.activate(d.bank, req.row, d.issue, scratch_.arr);
-        handleActSideEffects(d.bank, d.issue, scratch_.arr);
+        device_.activate(d.bank, req.row, d.issue);
+        noteProtection(d.bank, false);  // Demand skips owing banks.
         bankCtl(d.bank).rowHitStreak = 0;
         ++stats_.activates;
         ++stats_.rowMisses;
@@ -510,12 +488,6 @@ Controller::execute(const Decision &d)
         device_.autoRefreshRank(d.rank, d.issue);
         refreshDue_[d.rank - firstRank_] += timing.tREFI;
         ++stats_.refreshes;
-        const BankId first =
-            d.rank * device_.geometry().banksPerRank;
-        for (std::uint32_t i = 0;
-             i < device_.geometry().banksPerRank; ++i) {
-            decrementRaa(first + i);
-        }
         break;
       }
       case Decision::Kind::RefSb: {
@@ -538,50 +510,21 @@ Controller::execute(const Decision &d)
             (refreshBankPtr_[r] + 1) %
             device_.geometry().banksPerRank;
         ++stats_.refreshes;
-        decrementRaa(d.bank);
         break;
       }
-      case Decision::Kind::Rfm: {
-        const std::size_t treated = device_.rfm(d.bank, d.issue);
-        BankCtl &ctl = bankCtl(d.bank);
-        ctl.raa = 0;
-        ctl.rfmRequired = false;
-        noteProtection(ctl, true);
-        ++stats_.rfmIssued;
-        if (eventRecorder_) {
-            eventRecorder_->record(
-                telemetry::EventKind::RfmIssued, d.issue, d.bank,
-                kInvalidRow, static_cast<std::uint32_t>(treated));
-        }
+      case Decision::Kind::Rfm:
+        device_.rfm(d.bank, d.issue);
+        noteProtection(d.bank, true);
         break;
-      }
-      case Decision::Kind::MrrSkip: {
-        BankCtl &ctl = bankCtl(d.bank);
-        ctl.raa = 0;
-        ctl.rfmRequired = false;
-        noteProtection(ctl, true);
-        ++stats_.rfmSkippedByMrr;
+      case Decision::Kind::MrrSkip:
+        device_.protection().skipRfm(d.bank, d.issue);
+        noteProtection(d.bank, true);
         bus_done = d.issue + params_.mrrLatency;
-        if (eventRecorder_) {
-            eventRecorder_->record(telemetry::EventKind::RfmSkipped,
-                                   d.issue, d.bank, kInvalidRow);
-        }
         break;
-      }
-      case Decision::Kind::Arr: {
-        BankCtl &ctl = bankCtl(d.bank);
-        MITHRIL_ASSERT(!ctl.pendingArr.empty());
-        device_.preventiveRefresh(d.bank, d.arrAggressor, d.issue);
-        ctl.pendingArr.pop_front();
-        noteProtection(ctl, true);
-        ++stats_.arrExecuted;
-        if (eventRecorder_) {
-            eventRecorder_->record(telemetry::EventKind::ArrFired,
-                                   d.issue, d.bank, d.arrAggressor,
-                                   1);
-        }
+      case Decision::Kind::Arr:
+        device_.arr(d.bank, d.issue);
+        noteProtection(d.bank, true);
         break;
-      }
       case Decision::Kind::None:
         panic("executing a None decision");
     }

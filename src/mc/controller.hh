@@ -3,13 +3,16 @@
  * The per-channel memory-controller frontend.
  *
  * One Controller instance owns exactly one channel of the geometry:
- * its request queue, its command bus, its BLISS state, and — for the
- * channel's rank slice — the DDR5 RAA (rolling accumulated ACT)
- * counters, RFM issue at RFM_TH per Figure 1, pending ARR preventive
- * refreshes for the ARR-based baselines, and the auto-refresh cadence
- * (all-bank REF every tREFI, or the REFsb rotation). Requests are
- * arbitrated with BLISS (FR-FCFS + served-streak blacklisting) under
- * a minimalist-open page policy.
+ * its request queue, its command bus, its BLISS state, the
+ * auto-refresh cadence (all-bank REF every tREFI, or the REFsb
+ * rotation) and the scheduling of protection work. What each bank
+ * owes — an RFM once its RAA (rolling accumulated ACT) count reaches
+ * RFM_TH per Figure 1, or ARR preventive refreshes for the ARR-based
+ * baselines — is the Device's dram::Protection core; the controller
+ * fences an owing bank against demand and issues the MRR poll, RFM or
+ * ARR at the highest priority after REF. Requests are arbitrated with
+ * BLISS (FR-FCFS + served-streak blacklisting) under a minimalist-open
+ * page policy.
  *
  * A multi-channel System builds one Controller per channel and
  * interleaves their service() loops deterministically (min-tick, ties
@@ -33,7 +36,6 @@
 #ifndef MITHRIL_MC_CONTROLLER_HH
 #define MITHRIL_MC_CONTROLLER_HH
 
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -43,11 +45,9 @@
 #include "dram/device.hh"
 #include "mc/address_map.hh"
 #include "mc/request.hh"
-#include "trackers/rh_protection.hh"
 
 namespace mithril::telemetry
 {
-class EventRecorder;
 class MetricSheet;
 }
 
@@ -67,14 +67,17 @@ struct ControllerParams
      *  tREFI/banksPerRank instead of an all-bank REF every tREFI. */
     bool perBankRefresh = false;
     /** DDR5 RAA decrement applied by each REF the bank receives
-     *  (0 = the paper's reset-only RAA semantics). */
+     *  (0 = the paper's reset-only RAA semantics); the controller
+     *  hands it to the Device's protection core. */
     std::uint32_t raaRefDecrement = 0;
     Tick commandSlot = nsToTick(0.83);  //!< Command bus occupancy.
     Tick mrrLatency = nsToTick(2.0);    //!< Mithril+ MRR poll cost
                                         //!< (command-bus occupancy).
 };
 
-/** Aggregate controller statistics (one channel's slice). */
+/** Aggregate controller statistics (one channel's slice). The RFM,
+ *  MRR-skip and ARR counts are the protection core's, over the
+ *  channel's banks. */
 struct ControllerStats
 {
     std::uint64_t reads = 0;
@@ -153,24 +156,13 @@ class Controller
      */
     Tick service(Tick now);
 
-    const ControllerStats &stats() const { return stats_; }
+    ControllerStats stats() const;
     dram::Device &device() { return device_; }
 
     /** Set this channel's `mc.*` command and request counters and the
      *  `mc.queue_depth` histogram: for each accepted request, the
      *  requests already queued ahead of it. */
     void exportMetrics(telemetry::MetricSheet &sheet) const;
-
-    /**
-     * Attach a mitigation-event recorder: RFM issue/skip, executed
-     * ARRs, and throttle stalls emit trace events at their issue
-     * ticks. Observation only — never affects scheduling. Null
-     * detaches.
-     */
-    void setEventRecorder(telemetry::EventRecorder *recorder)
-    {
-        eventRecorder_ = recorder;
-    }
 
     /** True when the queue and every pending-work list is empty. */
     bool idle() const;
@@ -202,7 +194,6 @@ class Controller
         std::uint32_t rank = 0;     //!< Global flat rank id.
         std::uint32_t reqIndex = 0; //!< Slot of the request (Rd/Wr/
                                     //!< Act/Pre on a request).
-        RowId arrAggressor = 0;
     };
 
     /** One queued request. Its slot id is stable while it waits; the
@@ -216,18 +207,9 @@ class Controller
 
     struct BankCtl
     {
-        std::uint32_t raa = 0;
-        bool rfmRequired = false;
-        std::deque<RowId> pendingArr;
         std::uint32_t rowHitStreak = 0;
         std::uint32_t head = kNoSlot;  //!< Oldest queued request.
         std::uint32_t tail = kNoSlot;  //!< Youngest queued request.
-
-        /** Owed RFM or ARR work fences the bank against demand. */
-        bool owesProtection() const
-        {
-            return rfmRequired || !pendingArr.empty();
-        }
     };
 
     struct BlissState
@@ -291,8 +273,8 @@ class Controller
     void scanClosedBank(Pass &pass, BankId b, const BankCtl &ctl);
 
     /** A closed bank's ACT tick for `req` given the bank's timing
-     *  fence `act`: the tracker's throttle probe, counting and
-     *  tracing each held ACT once. */
+     *  fence `act`: the tracker's throttle probe, counting each held
+     *  ACT once and tracing it to the protection core's recorder. */
     Tick throttledAct(const Request &req, Tick act);
 
     /** Commit a decision; returns the tick the bus frees. */
@@ -317,17 +299,11 @@ class Controller
     /** The nonEmpty_ word and bit of an owned bank. */
     std::pair<std::size_t, std::uint64_t> nonEmptyBit(BankId bank) const;
 
-    /** Apply the DDR5 RAA decrement to one refreshed bank. */
-    void decrementRaa(BankId bank);
-
-    void handleActSideEffects(BankId bank, Tick t,
-                              std::vector<RowId> &arr_out);
-
-    /** Keep protectionWork_ in step after `ctl`'s RFM/ARR state
-     *  changed from `was_owed`. */
-    void noteProtection(const BankCtl &ctl, bool was_owed)
+    /** Keep protectionWork_ in step after a command on `bank`
+     *  changed whether it owes RFM/ARR work from `was_owed`. */
+    void noteProtection(BankId bank, bool was_owed)
     {
-        if (ctl.owesProtection() != was_owed)
+        if (device_.protection().owes(bank) != was_owed)
             was_owed ? --protectionWork_ : ++protectionWork_;
     }
 
@@ -377,11 +353,6 @@ class Controller
     /** (bank, row) of every ACT a throttle has held back and that has
      *  not committed yet: one stall per delayed ACT, not per pass. */
     std::vector<std::pair<BankId, RowId>> throttledActs_;
-    /** ARR/RFM aggressor scratch — the same reusable-buffer protocol
-     *  the ActStream engine uses (trackers append, frontend drains). */
-    trackers::ActScratch scratch_;
-    /** Non-null while mitigation-event tracing is enabled. */
-    telemetry::EventRecorder *eventRecorder_ = nullptr;
 };
 
 } // namespace mithril::mc

@@ -202,12 +202,15 @@ runEngineExperiment(const ExperimentSpec &spec,
 
     eng.run(make_stream, spec.engineActs);
 
+    // The engine's historical mapping, which perfbench/manifest.json
+    // pins: arrExecuted repeats every preventive refresh (RFM-treated
+    // aggressors included), and MRR skips stay out of rfmSkippedMrr
+    // (the sheet's engine.rfm_skipped_mrr has them).
     RunMetrics m;
     m.acts = eng.acts();
     m.rfmIssued = eng.rfms();
     m.preventiveRefreshes = eng.preventiveRefreshes();
     m.arrExecuted = eng.preventiveRefreshes();
-    m.throttleStalls = eng.throttleStalls();
     m.maxDisturbance = eng.maxDisturbanceEver();
     m.bitFlips = eng.bitFlips();
     Tick latest = 0;
@@ -349,6 +352,9 @@ runSystemExperiment(const ExperimentSpec &spec,
     m.throttleStalls = stats.throttleStalls;
     m.avgReadLatencyNs = stats.avgReadLatencyNs();
     m.p95ReadLatencyNs = stats.readLatencyNs.percentile(0.95);
+    // The System's historical mapping, which perfbench/manifest.json
+    // pins: preventiveCount() already includes every ARR, so each ARR
+    // counts twice.
     m.preventiveRefreshes =
         system.preventiveCount() + stats.arrExecuted;
 

@@ -212,28 +212,16 @@ System::run()
     started_ = true;
 
     // Observers attach here, after any warm-up fed the trackers.
-    // Each lane's device tap feeds the lane heatmap directly and
-    // buffers records for the channel-order observer drain below.
+    // Each lane's collectors attach to its protection core; its device
+    // tap buffers records for the channel-order observer drain below.
     for (auto &lane : lanes_) {
-        telemetry::EventRecorder *events =
-            lane->telemetry ? lane->telemetry->events() : nullptr;
-        telemetry::ActHeatmap *heatmap =
-            lane->telemetry ? lane->telemetry->heatmap() : nullptr;
-        if (events) {
-            lane->controller->setEventRecorder(events);
-            lane->device->oracle().setEventRecorder(events);
-            if (lane->tracker)
-                lane->tracker->setEventRecorder(events);
-        }
-        if (actObserver_ || heatmap) {
+        if (lane->telemetry)
+            lane->device->protection().attach(*lane->telemetry);
+        if (actObserver_) {
             Lane *lp = lane.get();
-            const bool capture = static_cast<bool>(actObserver_);
             lane->device->setActObserver(
-                [lp, heatmap, capture](BankId b, RowId r, Tick t) {
-                    if (heatmap)
-                        heatmap->touch(b, r);
-                    if (capture)
-                        lp->acts.push_back({b, r, t});
+                [lp](BankId b, RowId r, Tick t) {
+                    lp->acts.push_back({b, r, t});
                 });
         }
     }
@@ -351,7 +339,7 @@ System::preventiveCount() const
 {
     std::uint64_t sum = 0;
     for (const auto &lane : lanes_)
-        sum += lane->device->preventiveCount();
+        sum += lane->device->protection().total().preventive;
     return sum;
 }
 

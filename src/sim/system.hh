@@ -128,7 +128,7 @@ class System
     std::uint64_t bitFlips() const;
     double maxDisturbanceEver() const;
 
-    /** Device preventive refreshes summed across channels. */
+    /** Aggressors treated by RFM or ARR, summed across channels. */
     std::uint64_t preventiveCount() const;
 
     /** Tracker logic operations summed across channels. */

@@ -27,13 +27,16 @@ namespace mithril::telemetry
 
 class MetricSheet;
 
-/** Typed mitigation events emitted by engines, trackers, and the
- *  oracle. Keep in sync with eventKindName(). */
+/** Typed mitigation events emitted by the protection core
+ *  (dram::Protection), the controller's throttle probe, trackers and
+ *  the oracle. Keep in sync with eventKindName(). */
 enum class EventKind : std::uint8_t
 {
-    RfmIssued,     //!< MC issued an RFM command (arg = RAA at issue).
+    RfmIssued,     //!< RFM executed (row = first treated aggressor
+                   //!< or kInvalidRow, arg = aggressor count).
     RfmSkipped,    //!< Mithril+ MRR poll skipped a needless RFM.
-    ArrFired,      //!< ARR preventive refresh (arg = aggressor count).
+    ArrFired,      //!< ARR refresh of one aggressor's victims
+                   //!< (row = aggressor, arg = 1).
     ThrottleStall, //!< BlockHammer delayed an ACT (dur = stall ticks).
     CbsInsert,     //!< CbS table inserted a new row entry.
     CbsEvict,      //!< CbS table evicted a minimum entry (overflow).

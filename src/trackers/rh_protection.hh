@@ -65,19 +65,6 @@ struct ActSpan
 };
 
 /**
- * Reusable aggressor scratch shared by every frontend — engine runs,
- * the single-bank harness wrapper, and the MC's ARR/RFM protocol.
- * One heap buffer, cleared (capacity kept) between uses, so steady
- * state performs zero allocations.
- */
-struct ActScratch
-{
-    std::vector<RowId> arr;
-
-    void reset() { arr.clear(); }
-};
-
-/**
  * Base class for all protection schemes.
  *
  * The base is cache-line-aligned: the sharded engine allocates one
@@ -97,8 +84,8 @@ class alignas(64) RhProtection
     virtual Location location() const = 0;
 
     /** True when the scheme consumes RFM commands. Must be constant
-     *  over the tracker's lifetime — the ActStream engine caches it
-     *  at construction for the batched hot loop. */
+     *  over the tracker's lifetime — dram::Protection reads it once,
+     *  when the tracker is attached. */
     virtual bool usesRfm() const { return false; }
 
     /** RFM threshold the MC must honour (0 when usesRfm() is false).

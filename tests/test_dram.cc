@@ -575,9 +575,9 @@ TEST(DeviceTest, ActivateInformsOracleAndMeters)
     const Timing timing = ddr5_4800();
     Geometry geom = paperGeometry();
     Device device(timing, geom, 1000);
-    std::vector<RowId> arr;
-    device.activate(3, 50, 0, arr);
+    device.activate(3, 50, 0);
     EXPECT_EQ(device.energy().acts(), 1u);
+    EXPECT_EQ(device.protection().counts(3).acts, 1u);
     EXPECT_DOUBLE_EQ(device.oracle().disturbance(3, 51), 1.0);
     EXPECT_TRUE(device.bank(3).isOpen());
 }
@@ -587,21 +587,44 @@ TEST(DeviceTest, RfmWithoutTrackerSkips)
     const Timing timing = ddr5_4800();
     Device device(timing, paperGeometry(), 1000);
     EXPECT_EQ(device.rfm(0, 0), 0u);
-    EXPECT_EQ(device.rfmCount(), 1u);
-    EXPECT_EQ(device.rfmSkipped(), 1u);
+    EXPECT_EQ(device.protection().total().rfms, 1u);
+    EXPECT_EQ(device.protection().total().idleRfms, 1u);
 }
 
 TEST(DeviceTest, PreventiveRefreshClearsVictimsAndCharges)
 {
+    // Requests an ARR for every activated row.
+    class ArrEveryAct : public trackers::RhProtection
+    {
+      public:
+        std::string name() const override { return "test"; }
+        trackers::Location location() const override
+        {
+            return trackers::Location::Mc;
+        }
+        void
+        onActivate(BankId, RowId row, Tick,
+                   std::vector<RowId> &arr) override
+        {
+            arr.push_back(row);
+        }
+        double tableBytesPerBank() const override { return 0.0; }
+    };
+
     const Timing timing = ddr5_4800();
     Device device(timing, paperGeometry(), 1000);
-    std::vector<RowId> arr;
-    device.activate(0, 100, 0, arr);
+    ArrEveryAct tracker;
+    device.setTracker(&tracker);
+    device.activate(0, 100, 0);
+    EXPECT_TRUE(device.protection().arrOwed(0));
+    EXPECT_FALSE(device.protection().rfmOwed(0));
     device.precharge(0, device.bank(0).earliestPre(0));
-    device.preventiveRefresh(0, 100, timing.tRC * 4);
+    device.arr(0, timing.tRC * 4);
+    EXPECT_FALSE(device.protection().owes(0));
     EXPECT_DOUBLE_EQ(device.oracle().disturbance(0, 101), 0.0);
     EXPECT_EQ(device.energy().preventiveRows(), 2u);
-    EXPECT_EQ(device.preventiveCount(), 1u);
+    EXPECT_EQ(device.protection().total().arrs, 1u);
+    EXPECT_EQ(device.protection().total().preventive, 1u);
 }
 
 TEST(DeviceTest, AutoRefreshBlocksEveryBankOfRank)

@@ -479,44 +479,5 @@ TEST(EngineSources, AttackSourceRejectsExplicitBankTarget)
                  registry::SpecError);
 }
 
-// --------------------------------------------- throttle frontends
-
-TEST(EngineThrottle, HonorThrottleDelaysBlacklistedActs)
-{
-    // BlockHammer with throttling honoured must accumulate stalls
-    // under a hammer pair and stretch the stream over strictly more
-    // virtual time than the advisory-ignoring run.
-    const dram::Timing timing = dram::ddr5_4800();
-    dram::Geometry geom = dram::paperGeometry();
-    geom.rowsPerBank = kRows;
-
-    auto run = [&](bool honor) {
-        registry::SchemeKnobs knobs;
-        knobs.flipTh = 1500;
-        auto tracker =
-            registry::makeScheme("blockhammer", knobs.toParams(),
-                                 {timing, geom});
-        engine::EngineConfig cfg = engine::EngineConfig::singleBank(
-            timing, kRows, 1500, 1);
-        cfg.honorThrottle = honor;
-        engine::ActStreamEngine eng(cfg, tracker.get());
-        engine::CallbackSource source(
-            dram::maxActsPerWindow(timing) / 2, [](std::uint64_t i) {
-                return 2000 + 2 * static_cast<RowId>(i % 2);
-            });
-        eng.run(source);
-        return std::make_tuple(eng.throttleStalls(), eng.now(0),
-                               eng.oracle().bitFlips());
-    };
-
-    const auto [stalls, now, flips] = run(true);
-    const auto [free_stalls, free_now, free_flips] = run(false);
-    (void)flips;
-    (void)free_flips;
-    EXPECT_GT(stalls, 0u);
-    EXPECT_EQ(free_stalls, 0u);
-    EXPECT_GT(now, free_now);
-}
-
 } // namespace
 } // namespace mithril

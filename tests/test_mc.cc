@@ -362,7 +362,7 @@ TEST_F(ControllerTest, RfmIssuedEveryRfmThActs)
     EXPECT_GE(ctrl_->stats().activates, 64u);
     EXPECT_LE(ctrl_->stats().activates, 68u);
     EXPECT_EQ(ctrl_->stats().rfmIssued, 4u);  // 64 / 16.
-    EXPECT_EQ(device_->rfmCount(), 4u);
+    EXPECT_EQ(device_->protection().total().rfms, 4u);
 }
 
 TEST_F(ControllerTest, MithrilPlusSkipsNeedlessRfm)
@@ -416,7 +416,7 @@ TEST_F(ControllerTest, ArrExecutedForReactiveTracker)
         drain();
     }
     EXPECT_EQ(ctrl_->stats().arrExecuted, 4u);
-    EXPECT_EQ(device_->preventiveCount(), 4u);
+    EXPECT_EQ(device_->protection().total().preventive, 4u);
 }
 
 TEST_F(ControllerTest, ThrottledActIsDelayed)
@@ -563,8 +563,7 @@ TEST_F(ControllerTest, PerBankRefreshKeepsOracleCovered)
     ControllerParams params;
     params.perBankRefresh = true;
     build(nullptr, params);
-    std::vector<RowId> arr;
-    device_->activate(3, 100, 0, arr);
+    device_->activate(3, 100, 0);
     device_->precharge(3, device_->bank(3).earliestPre(0));
     // A full tREFW of REFsb rotation refreshes every row of the bank.
     Tick now = timing_.tRP + timing_.tRAS;

@@ -78,8 +78,7 @@ makeAttackStream(const std::string &attack = "multi-sided")
 /** Everything both engines must agree on, byte for byte. */
 struct Outcome
 {
-    std::uint64_t acts = 0, refs = 0, rfms = 0, preventive = 0,
-                  stalls = 0;
+    std::uint64_t acts = 0, refs = 0, rfms = 0, preventive = 0;
     double maxDisturbance = 0.0;
     std::uint64_t bitFlips = 0, flippedRows = 0, logicOps = 0;
     std::vector<std::uint64_t> bankActs, bankPrev;
@@ -89,7 +88,7 @@ struct Outcome
     operator==(const Outcome &o) const
     {
         return acts == o.acts && refs == o.refs && rfms == o.rfms &&
-               preventive == o.preventive && stalls == o.stalls &&
+               preventive == o.preventive &&
                maxDisturbance == o.maxDisturbance &&
                bitFlips == o.bitFlips &&
                flippedRows == o.flippedRows &&
@@ -103,7 +102,6 @@ operator<<(std::ostream &os, const Outcome &o)
 {
     return os << "acts=" << o.acts << " refs=" << o.refs
               << " rfms=" << o.rfms << " prev=" << o.preventive
-              << " stalls=" << o.stalls
               << " maxDist=" << o.maxDisturbance
               << " flips=" << o.bitFlips
               << " flippedRows=" << o.flippedRows
@@ -111,14 +109,11 @@ operator<<(std::ostream &os, const Outcome &o)
 }
 
 Outcome
-runSingle(const std::string &scheme, bool honor_throttle = false,
-          const std::string &attack = "multi-sided")
+runSingle(const std::string &scheme)
 {
     auto tracker = makeTracker(scheme);
-    engine::EngineConfig cfg = testEngineConfig();
-    cfg.honorThrottle = honor_throttle;
-    engine::ActStreamEngine eng(cfg, tracker.get());
-    auto source = makeAttackStream(attack);
+    engine::ActStreamEngine eng(testEngineConfig(), tracker.get());
+    auto source = makeAttackStream();
     eng.run(*source, kActs);
 
     Outcome o;
@@ -126,7 +121,6 @@ runSingle(const std::string &scheme, bool honor_throttle = false,
     o.refs = eng.refs();
     o.rfms = eng.rfms();
     o.preventive = eng.preventiveRefreshes();
-    o.stalls = eng.throttleStalls();
     o.maxDisturbance = eng.oracle().maxDisturbanceEver();
     o.bitFlips = eng.oracle().bitFlips();
     o.flippedRows = eng.oracle().flippedRows();
@@ -141,25 +135,21 @@ runSingle(const std::string &scheme, bool honor_throttle = false,
 
 Outcome
 runSharded(const std::string &scheme, std::uint32_t shards,
-           runner::ThreadPool *pool = nullptr,
-           bool honor_throttle = false,
-           const std::string &attack = "multi-sided")
+           runner::ThreadPool *pool = nullptr)
 {
     engine::ShardedEngineConfig cfg;
     cfg.engine = testEngineConfig();
-    cfg.engine.honorThrottle = honor_throttle;
     cfg.shards = shards;
     cfg.pool = pool;
     engine::ShardedActStreamEngine eng(
         cfg, [&] { return makeTracker(scheme); });
-    eng.run([&] { return makeAttackStream(attack); }, kActs);
+    eng.run([&] { return makeAttackStream(); }, kActs);
 
     Outcome o;
     o.acts = eng.acts();
     o.refs = eng.refs();
     o.rfms = eng.rfms();
     o.preventive = eng.preventiveRefreshes();
-    o.stalls = eng.throttleStalls();
     o.maxDisturbance = eng.maxDisturbanceEver();
     o.bitFlips = eng.bitFlips();
     o.flippedRows = eng.flippedRows();
@@ -237,18 +227,6 @@ TEST(ShardedEngine, ParaDerivedSeedsAreRunToRunDeterministic)
     const Outcome b = runSharded("para", 4);
     EXPECT_TRUE(a == b) << "\n  a: " << a << "\n  b: " << b;
     EXPECT_GT(a.preventive, 0u);
-}
-
-TEST(ShardedEngine, ThrottledBlockHammerShardsExactly)
-{
-    runner::ThreadPool pool(3);
-    const Outcome single =
-        runSingle("blockhammer", true, "double-sided");
-    const Outcome sharded = runSharded("blockhammer", 4, &pool, true,
-                                       "double-sided");
-    EXPECT_TRUE(sharded == single)
-        << "\n  sharded: " << sharded << "\n  single:  " << single;
-    EXPECT_GT(single.stalls, 0u);
 }
 
 TEST(ShardedEngine, MergeTrackerStatsReducesCrossBankCounters)

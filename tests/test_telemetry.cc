@@ -98,8 +98,7 @@ allOn()
 /** The simulated outcome a run must not change under observation. */
 struct Outcome
 {
-    std::uint64_t acts = 0, refs = 0, rfms = 0, preventive = 0,
-                  stalls = 0;
+    std::uint64_t acts = 0, refs = 0, rfms = 0, preventive = 0;
     double maxDisturbance = 0.0;
     std::uint64_t bitFlips = 0, flippedRows = 0, logicOps = 0;
     std::vector<Tick> bankNow;
@@ -108,7 +107,7 @@ struct Outcome
     operator==(const Outcome &o) const
     {
         return acts == o.acts && refs == o.refs && rfms == o.rfms &&
-               preventive == o.preventive && stalls == o.stalls &&
+               preventive == o.preventive &&
                maxDisturbance == o.maxDisturbance &&
                bitFlips == o.bitFlips &&
                flippedRows == o.flippedRows &&
@@ -124,7 +123,6 @@ outcomeOf(engine::ShardedActStreamEngine &eng)
     o.refs = eng.refs();
     o.rfms = eng.rfms();
     o.preventive = eng.preventiveRefreshes();
-    o.stalls = eng.throttleStalls();
     o.maxDisturbance = eng.maxDisturbanceEver();
     o.bitFlips = eng.bitFlips();
     o.flippedRows = eng.flippedRows();

@@ -826,8 +826,7 @@ corpusTrace()
 /** Everything a replay must reproduce byte for byte. */
 struct Outcome
 {
-    std::uint64_t acts = 0, refs = 0, rfms = 0, preventive = 0,
-                  stalls = 0;
+    std::uint64_t acts = 0, refs = 0, rfms = 0, preventive = 0;
     double maxDisturbance = 0.0;
     std::uint64_t bitFlips = 0, flippedRows = 0, logicOps = 0;
     std::vector<std::uint64_t> bankActs, bankPrev;
@@ -837,7 +836,7 @@ struct Outcome
     operator==(const Outcome &o) const
     {
         return acts == o.acts && refs == o.refs && rfms == o.rfms &&
-               preventive == o.preventive && stalls == o.stalls &&
+               preventive == o.preventive &&
                maxDisturbance == o.maxDisturbance &&
                bitFlips == o.bitFlips &&
                flippedRows == o.flippedRows &&
@@ -851,7 +850,6 @@ operator<<(std::ostream &os, const Outcome &o)
 {
     return os << "acts=" << o.acts << " refs=" << o.refs
               << " rfms=" << o.rfms << " prev=" << o.preventive
-              << " stalls=" << o.stalls
               << " maxDist=" << o.maxDisturbance
               << " flips=" << o.bitFlips
               << " flippedRows=" << o.flippedRows
@@ -899,7 +897,6 @@ replayCorpusSharded(const std::string &scheme,
     o.refs = eng.refs();
     o.rfms = eng.rfms();
     o.preventive = eng.preventiveRefreshes();
-    o.stalls = eng.throttleStalls();
     o.maxDisturbance = eng.maxDisturbanceEver();
     o.bitFlips = eng.bitFlips();
     o.flippedRows = eng.flippedRows();
