@@ -81,9 +81,10 @@ struct BenchScale
         scale.instrPerCore =
             params.getUint("instr", scale.instrPerCore);
         scale.seed = params.getUint("seed", scale.seed);
-        scale.jobs =
-            params.getUint32("jobs", runner::defaultThreadCount());
-        scale.progress = params.getBool("progress", scale.progress);
+        const runner::RunnerOptions run =
+            runner::RunnerOptions::fromParams(params);
+        scale.jobs = run.jobs;
+        scale.progress = run.progress;
         scale.jsonOut = params.getString("json", "");
         scale.csvOut = params.getString("csv", "");
         return scale;

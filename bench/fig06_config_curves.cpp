@@ -7,7 +7,7 @@
  * Lossy-Counting columns reproduce the paper's dotted comparison lines
  * at 25K and 50K. '-' marks infeasible points (the harmonic term alone
  * exceeds FlipTH/2). The solver grid is embarrassingly parallel, so
- * the cells are computed on the runner's work-stealing pool (`jobs=N`)
+ * the cells are computed on the runner's thread pool (`jobs=N`)
  * and printed in grid order afterwards.
  */
 

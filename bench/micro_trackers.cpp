@@ -5,7 +5,7 @@
  * operations a per-bank hardware pipeline (and this simulator) must
  * sustain at one ACT per tRC.
  *
- * Each case is one job on the runner's work-stealing pool; `jobs=1`
+ * Each case is one job on the runner's thread pool; `jobs=1`
  * (the default here) times them back-to-back, higher values trade
  * timing fidelity for wall-clock. `iters=N` scales the loop counts.
  */

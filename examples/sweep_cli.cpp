@@ -3,7 +3,7 @@
  * Run an arbitrary experiment sweep from the command line — no new
  * binary needed for a new grid. The cartesian product of `schemes=`,
  * `flip=`, `rfm=`, `workloads=`, and `attacks=` expands into jobs
- * that the work-stealing runner executes in parallel; results go to
+ * that the runner executes in parallel on its thread pool; results go to
  * an aligned table on stdout and optionally to JSON/CSV artifacts.
  * Every axis resolves through the scheme/workload/attack registries,
  * so user-registered entries sweep exactly like the built-ins, and
@@ -112,16 +112,9 @@ main(int argc, char **argv)
                  "journal", "resume", "strict", "job-timeout",
                  "retries"});
 
-    runner::RunnerOptions options;
-    options.jobs = static_cast<unsigned>(
-        params.getUint("jobs", runner::defaultThreadCount()));
-    options.progress = params.getBool("progress", true);
-    options.journal = params.getString("journal", "");
-    options.resume = params.getBool("resume", false);
-    options.strict = strict_flag || params.getBool("strict", false);
-    options.jobTimeout = params.getDouble("job-timeout", 0.0);
-    options.retries = static_cast<unsigned>(
-        params.getUint("retries", 0));
+    runner::RunnerOptions options =
+        runner::RunnerOptions::fromParams(params);
+    options.strict = options.strict || strict_flag;
 
     std::fprintf(stderr, "sweep: %zu jobs on %u workers\n",
                  spec.jobCount(),

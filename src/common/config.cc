@@ -128,7 +128,8 @@ ParamSet::getDoubleIn(const std::string &key, double def, double min,
                       double max) const
 {
     const double v = getDouble(key, def);
-    if (v < min || v > max)
+    // Written so that NaN, which compares false with everything, fails.
+    if (!(v >= min && v <= max))
         fatal("parameter %s=%g is out of range [%g, %g]", key.c_str(),
               v, min, max);
     return v;

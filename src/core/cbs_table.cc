@@ -570,15 +570,6 @@ CbsTable::entries() const
     return out;
 }
 
-std::uint64_t
-CbsTable::wrappedValue(RowId row) const
-{
-    const std::uint64_t mask = (counterBits_ >= 64)
-                                   ? ~0ull
-                                   : ((1ull << counterBits_) - 1);
-    return estimate(row) & mask;
-}
-
 bool
 CbsTable::wrappedLess(std::uint64_t a, std::uint64_t b, std::uint32_t bits)
 {

@@ -34,8 +34,8 @@
  * Counters are kept as absolute 64-bit values internally; the hardware's
  * *wrapping* counters (Section IV-E) are equivalent as long as the
  * max-min spread stays below half the counter range, which Theorem 1
- * guarantees. wrappedValue()/wrappedLess() expose the hardware semantics
- * for verification.
+ * guarantees. wrappedLess() exposes the hardware comparison for
+ * verification.
  */
 
 #ifndef MITHRIL_CORE_CBS_TABLE_HH
@@ -148,9 +148,6 @@ class CbsTable
 
     /** Snapshot of all entries (unspecified order). */
     std::vector<Entry> entries() const;
-
-    /** Counter value under the hardware's wrapping-counter view. */
-    std::uint64_t wrappedValue(RowId row) const;
 
     /**
      * Hardware comparison of two wrapped counter values: a < b in the

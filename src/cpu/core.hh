@@ -87,9 +87,6 @@ class Core
     /** Retired instructions per cycle. */
     double ipc() const;
 
-    /** Ticks per core cycle. */
-    Tick cycleTick() const { return cycleTick_; }
-
     /** Set the `core<id>.instructions` and `core<id>.queue_full_retries`
      *  counters and the `core<id>.ipc` gauge. */
     void exportMetrics(telemetry::MetricSheet &sheet) const;

@@ -83,11 +83,6 @@ class Device
         return b / (geometry_.banksPerRank * geometry_.ranksPerChannel);
     }
 
-    RankTiming &rankTiming(std::uint32_t flat_rank)
-    {
-        return ranks_.at(flat_rank);
-    }
-
     /** Earliest tick an ACT to this bank satisfies bank+rank timing. */
     Tick earliestAct(BankId b, Tick now) const
     {

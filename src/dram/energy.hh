@@ -53,7 +53,6 @@ class EnergyMeter
     std::uint64_t writes() const { return writes_; }
     std::uint64_t refreshRows() const { return refRows_; }
     std::uint64_t preventiveRows() const { return prevRows_; }
-    std::uint64_t trackerOps() const { return trackerOps_; }
 
     /** Total dynamic energy in picojoules. */
     double totalPj() const;

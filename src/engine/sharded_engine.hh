@@ -191,12 +191,6 @@ class ShardedActStreamEngine
         return engineFor(bank).preventiveRefreshesAt(bank);
     }
 
-    /** The oracle that tracked this bank (its owning shard's). */
-    const dram::RhOracle &oracleFor(BankId bank) const
-    {
-        return engineFor(bank).oracle();
-    }
-
     /** A shard's tracker (nullptr when untracked). */
     trackers::RhProtection *tracker(std::uint32_t shard) const
     {
@@ -239,13 +233,6 @@ class ShardedActStreamEngine
     /** Union of the per-shard heatmaps (banks are disjoint, so this
      *  is exact). Callable only when the heatmap is enabled. */
     telemetry::ActHeatmap mergedHeatmap() const;
-
-    /** Wall seconds shard s spent inside its run loop (phase
-     *  profiling only; 0 otherwise). */
-    double shardWallSec(std::uint32_t shard) const
-    {
-        return slots_.at(shard).wallSec;
-    }
 
     /** True when every per-shard result slot starts on its own cache
      *  line (the padding guarantee runShards() relies on). */

@@ -103,7 +103,8 @@ checkParam(const std::string &owner, const ParamDesc &desc,
         break;
       }
     }
-    if (value < desc.min || value > desc.max) {
+    // Written so that NaN, which compares false with everything, fails.
+    if (!(value >= desc.min && value <= desc.max)) {
         throw SpecError(owner + " parameter " + desc.key + "=" + raw +
                         " is out of range " + paramRangeText(desc));
     }

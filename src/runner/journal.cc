@@ -1,9 +1,10 @@
 #include "runner/journal.hh"
 
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #include "common/failpoint.hh"
 #include "common/logging.hh"
@@ -44,127 +45,61 @@ fnv1a(std::uint64_t h, const std::string &s)
     return fnv1a(h, s.data(), s.size());
 }
 
-// --------------------------------------------------------- escaping
+// ------------------------------------------------------ record text
 
 /**
- * Journal fields live one record per line, tab-separated, so the
- * three structural bytes are escaped: backslash, tab, newline.
- * Telemetry metric names additionally escape space and '=' (they are
- * embedded in space-separated k=v tokens inside one field).
+ * Percent-encode every byte outside '!'..'~', plus '%' and '=': the
+ * result holds no space, so a record splits on ' ', and no '=', so a
+ * t:<name>=<value> token splits on its first '='.
  */
 std::string
-escapeField(const std::string &s, bool token = false)
+percentEncode(const std::string &s)
 {
+    static const char kHex[] = "0123456789ABCDEF";
     std::string out;
     out.reserve(s.size());
     for (char c : s) {
-        switch (c) {
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case ' ':
-            if (token) {
-                out += "\\s";
-                break;
-            }
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x21 || byte > 0x7e || c == '%' || c == '=') {
+            out += '%';
+            out += kHex[byte >> 4];
+            out += kHex[byte & 0xf];
+        } else {
             out += c;
-            break;
-        case '=':
-            if (token) {
-                out += "\\e";
-                break;
-            }
-            out += c;
-            break;
-        default:
-            out += c;
-            break;
         }
     }
     return out;
 }
 
-std::string
-unescapeField(const std::string &s)
+/** `text` whole as one number (`base` is an integer's radix);
+ *  from_chars takes no leading space, '+' or base prefix. */
+template <typename T, typename... Base>
+bool
+parseWhole(const std::string &text, T &out, Base... base)
 {
-    std::string out;
-    out.reserve(s.size());
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] =
+        std::from_chars(text.data(), end, out, base...);
+    return ec == std::errc() && stop == end;
+}
+
+bool
+percentDecode(const std::string &s, std::string &out)
+{
+    out.clear();
     for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 == s.size()) {
+        if (s[i] != '%') {
             out += s[i];
             continue;
         }
-        switch (s[++i]) {
-        case 't':
-            out += '\t';
-            break;
-        case 'n':
-            out += '\n';
-            break;
-        case 's':
-            out += ' ';
-            break;
-        case 'e':
-            out += '=';
-            break;
-        default:
-            out += s[i];
-            break;
-        }
+        unsigned byte = 0;
+        if (i + 2 >= s.size() ||
+            !parseWhole(s.substr(i + 1, 2), byte, 16))
+            return false;
+        out += static_cast<char>(byte);
+        i += 2;
     }
-    return out;
-}
-
-// ------------------------------------------------- number rendering
-
-/** %.17g: the shortest printf precision that round-trips every IEEE
- *  double exactly, so a restored metric re-formats (at the sinks'
- *  %.10g) byte-identically to the original run's. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return errno == 0 && end && *end == '\0';
-}
-
-bool
-parseU64Hex(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 16);
-    return errno == 0 && end && *end == '\0';
-}
-
-bool
-parseDouble(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return errno == 0 && end && *end == '\0';
+    return true;
 }
 
 std::vector<std::string>
@@ -172,183 +107,14 @@ split(const std::string &s, char sep)
 {
     std::vector<std::string> out;
     std::size_t start = 0;
-    while (true) {
-        // A split that honors escaping: a separator preceded by an
-        // odd run of backslashes is literal content.
-        std::size_t pos = start;
-        while (pos < s.size()) {
-            if (s[pos] == '\\') {
-                pos += 2;
-                continue;
-            }
-            if (s[pos] == sep)
-                break;
-            ++pos;
-        }
-        if (pos >= s.size()) {
-            out.push_back(s.substr(start));
-            return out;
-        }
+    std::size_t pos;
+    while ((pos = s.find(sep, start)) != std::string::npos) {
         out.push_back(s.substr(start, pos - start));
         start = pos + 1;
     }
-}
-
-// ------------------------------------------------ metric field codec
-
-/** Fixed-order scalar metrics; names are part of the journal format
- *  (a record with unknown or missing names fails its parse and ends
- *  the restorable prefix, exactly like a torn line). */
-struct ScalarField
-{
-    const char *name;
-    bool isDouble;
-};
-
-constexpr ScalarField kScalars[] = {
-    {"ipc", true},       {"energy", true},   {"ticks", false},
-    {"acts", false},     {"reads", false},   {"writes", false},
-    {"rfm", false},      {"rfmskip", false}, {"arr", false},
-    {"prev", false},     {"stalls", false},  {"maxdist", true},
-    {"flips", false},    {"avglat", true},   {"p95lat", true},
-    {"trkbytes", true},
-};
-
-double *
-doubleSlot(sim::RunMetrics &m, std::size_t i)
-{
-    switch (i) {
-    case 0:
-        return &m.aggIpc;
-    case 1:
-        return &m.energyPj;
-    case 11:
-        return &m.maxDisturbance;
-    case 13:
-        return &m.avgReadLatencyNs;
-    case 14:
-        return &m.p95ReadLatencyNs;
-    case 15:
-        return &m.trackerBytesPerBank;
-    default:
-        return nullptr;
-    }
-}
-
-/** simTicks is a (signed) Tick; it round-trips through uint64 via
- *  value casts here, so the slot helpers stay pointer-free for it. */
-std::uint64_t *
-u64Slot(sim::RunMetrics &m, std::size_t i)
-{
-    switch (i) {
-    case 3:
-        return &m.acts;
-    case 4:
-        return &m.reads;
-    case 5:
-        return &m.writes;
-    case 6:
-        return &m.rfmIssued;
-    case 7:
-        return &m.rfmSkippedMrr;
-    case 8:
-        return &m.arrExecuted;
-    case 9:
-        return &m.preventiveRefreshes;
-    case 10:
-        return &m.throttleStalls;
-    case 12:
-        return &m.bitFlips;
-    default:
-        return nullptr;
-    }
-}
-
-std::string
-encodeMetrics(const sim::RunMetrics &metrics)
-{
-    // const_cast only to reuse the slot tables; nothing is written.
-    auto &m = const_cast<sim::RunMetrics &>(metrics);
-    std::string out;
-    for (std::size_t i = 0; i < std::size(kScalars); ++i) {
-        if (i)
-            out += ' ';
-        out += kScalars[i].name;
-        out += '=';
-        if (kScalars[i].isDouble) {
-            out += fmtDouble(*doubleSlot(m, i));
-        } else {
-            const std::uint64_t v =
-                i == 2 ? static_cast<std::uint64_t>(m.simTicks)
-                       : *u64Slot(m, i);
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-            out += buf;
-        }
-    }
-    for (const auto &[name, value] : metrics.telemetry) {
-        out += " t:";
-        out += escapeField(name, /*token=*/true);
-        out += '=';
-        out += fmtDouble(value);
-    }
+    out.push_back(s.substr(start));
     return out;
 }
-
-bool
-decodeMetrics(const std::string &field, sim::RunMetrics &m)
-{
-    const std::vector<std::string> tokens = split(field, ' ');
-    if (tokens.size() < std::size(kScalars))
-        return false;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-        const std::string &tok = tokens[i];
-        const std::size_t eq = [&] {
-            // First unescaped '=' splits key from value.
-            std::size_t pos = 0;
-            while (pos < tok.size()) {
-                if (tok[pos] == '\\') {
-                    pos += 2;
-                    continue;
-                }
-                if (tok[pos] == '=')
-                    break;
-                ++pos;
-            }
-            return pos;
-        }();
-        if (eq >= tok.size())
-            return false;
-        const std::string key = tok.substr(0, eq);
-        const std::string value = tok.substr(eq + 1);
-        if (i < std::size(kScalars)) {
-            if (key != kScalars[i].name)
-                return false;
-            if (kScalars[i].isDouble) {
-                if (!parseDouble(value, *doubleSlot(m, i)))
-                    return false;
-            } else {
-                std::uint64_t u = 0;
-                if (!parseU64(value, u))
-                    return false;
-                if (i == 2)
-                    m.simTicks = static_cast<Tick>(u);
-                else
-                    *u64Slot(m, i) = u;
-            }
-        } else {
-            if (key.rfind("t:", 0) != 0)
-                return false;
-            double d = 0.0;
-            if (!parseDouble(value, d))
-                return false;
-            m.telemetry[unescapeField(key.substr(2))] = d;
-        }
-    }
-    return true;
-}
-
-// --------------------------------------------------- record codec
 
 std::string
 hex16(std::uint64_t v)
@@ -358,29 +124,89 @@ hex16(std::uint64_t v)
     return buf;
 }
 
+/** %.17g: the shortest printf precision that round-trips every IEEE
+ *  double exactly, so a restored metric re-formats (at the sinks'
+ *  %.10g) byte-identically to the original run's. */
+constexpr int kExactDigits = 17;
+
 std::string
 encodeRecord(const JobResult &result)
 {
-    char num[32];
-    std::string line = "job\t";
-    std::snprintf(num, sizeof(num), "%zu", result.job.index);
-    line += num;
-    line += '\t';
-    std::snprintf(num, sizeof(num), "%" PRIu64, result.job.spec.seed);
-    line += num;
-    line += '\t';
-    line += jobStatusName(result.status);
-    line += '\t';
-    line += escapeField(result.job.label);
-    line += '\t';
-    line += escapeField(result.error);
-    line += '\t';
-    line += encodeMetrics(result.metrics);
-    const std::uint64_t crc = fnv1a(kFnvOffset, line);
-    line += "\tcrc=";
-    line += hex16(crc);
-    line += '\n';
+    std::string line =
+        "job " + std::to_string(result.job.index) + ' ' +
+        std::to_string(result.job.spec.seed) + ' ' +
+        jobStatusName(result.status) + ' ' +
+        percentEncode(result.job.label) + ' ' +
+        percentEncode(result.error);
+    for (const sim::MetricField &field : sim::kMetricFields) {
+        line += ' ';
+        line += field.name;
+        line += '=';
+        line += field.format(result.metrics, kExactDigits);
+    }
+    for (const auto &[name, value] : result.metrics.telemetry) {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), "%.*g", kExactDigits, value);
+        line += " t:" + percentEncode(name) + '=' + buf;
+    }
+    line += " crc=" + hex16(fnv1a(kFnvOffset, line)) + '\n';
     return line;
+}
+
+/**
+ * Parse a record written by encodeRecord() for `jobs`: its index, and
+ * the result with its status, error and metrics. False on anything
+ * else, which ends the restorable prefix exactly like a torn line;
+ * that includes a label or seed that differs from the job at that
+ * index, a second line of defense (beyond the fingerprint) against
+ * resuming the wrong sweep.
+ */
+bool
+decodeRecord(const std::string &record, const std::vector<Job> &jobs,
+             std::size_t &index, JobResult &result)
+{
+    const std::vector<std::string> tokens = split(record, ' ');
+    constexpr std::size_t kHead = 6; // job index seed status label error
+    const std::size_t fields = std::size(sim::kMetricFields);
+    std::uint64_t seed = 0;
+    std::string label;
+    if (tokens.size() < kHead + fields || tokens[0] != "job" ||
+        !parseWhole(tokens[1], index) || index >= jobs.size() ||
+        !parseWhole(tokens[2], seed) ||
+        seed != jobs[index].spec.seed ||
+        !percentDecode(tokens[4], label) ||
+        label != jobs[index].label ||
+        !percentDecode(tokens[5], result.error))
+        return false;
+    try {
+        result.status = jobStatusFromName(tokens[3]);
+    } catch (const registry::SpecError &) {
+        return false;
+    }
+    for (std::size_t i = kHead; i < tokens.size(); ++i) {
+        const std::string &token = tokens[i];
+        const std::size_t eq = token.find('=');
+        if (eq == std::string::npos)
+            return false;
+        const std::string key = token.substr(0, eq);
+        const std::string value = token.substr(eq + 1);
+        if (i < kHead + fields) {
+            const sim::MetricField &field =
+                sim::kMetricFields[i - kHead];
+            if (key != field.name ||
+                !field.parse(value, result.metrics))
+                return false;
+            continue;
+        }
+        std::string name;
+        double real = 0.0;
+        if (key.rfind("t:", 0) != 0 ||
+            !percentDecode(key.substr(2), name) ||
+            !parseWhole(value, real))
+            return false;
+        result.metrics.telemetry[name] = real;
+    }
+    return true;
 }
 
 std::string
@@ -542,51 +368,27 @@ SweepJournal::load(const std::string &path, std::uint64_t fingerprint,
         // A record is valid only if its trailing crc= matches the
         // FNV of everything before it; a torn tail or flipped byte
         // fails here and ends the restorable prefix.
-        const std::size_t crcAt = line.rfind("\tcrc=");
-        bool ok = !torn && crcAt != std::string::npos &&
-                  line.size() == crcAt + 5 + 16;
-        if (ok) {
-            std::uint64_t want = 0;
-            ok = parseU64Hex(line.substr(crcAt + 5), want) &&
-                 fnv1a(kFnvOffset, line.substr(0, crcAt)) == want;
-        }
+        constexpr std::size_t kCrcSuffix = 5 + 16; // " crc=" + hex16
+        const bool sized = !torn && line.size() > kCrcSuffix;
+        const std::size_t body = sized ? line.size() - kCrcSuffix : 0;
+        const std::string record = line.substr(0, body);
+        std::uint64_t want = 0;
+        std::size_t index = 0;
         JobResult result;
-        if (ok) {
-            const std::vector<std::string> fields =
-                split(line.substr(0, crcAt), '\t');
-            ok = fields.size() == 7 && fields[0] == "job";
-            std::uint64_t index = 0, seed = 0;
-            ok = ok && parseU64(fields[1], index) &&
-                 parseU64(fields[2], seed) && index < jobs.size();
-            if (ok) {
-                try {
-                    result.status = jobStatusFromName(fields[3]);
-                } catch (const registry::SpecError &) {
-                    ok = false;
-                }
-            }
-            // The journaled label and seed must match the job at
-            // that index — a second line of defense (beyond the
-            // fingerprint) against resuming the wrong sweep.
-            ok = ok &&
-                 unescapeField(fields[4]) == jobs[index].label &&
-                 seed == jobs[index].spec.seed &&
-                 decodeMetrics(fields[6], result.metrics);
-            if (ok) {
-                result.job = jobs[index];
-                result.error = unescapeField(fields[5]);
-                result.restored = true;
-                restored[static_cast<std::size_t>(index)] =
-                    std::move(result);
-                continue;
-            }
+        if (sized && line.compare(body, 5, " crc=") == 0 &&
+            parseWhole(line.substr(body + 5), want, 16) &&
+            fnv1a(kFnvOffset, record) == want &&
+            decodeRecord(record, jobs, index, result)) {
+            result.job = jobs[index];
+            result.restored = true;
+            restored[index] = std::move(result);
+            continue;
         }
         warn("sweep journal '%s': %s at line %zu; "
-                     "restoring the %zu intact record(s) before it",
-                     path.c_str(),
-                     torn ? "torn record (interrupted write)"
-                          : "corrupt record",
-                     lineNo, restored.size());
+             "restoring the %zu intact record(s) before it",
+             path.c_str(),
+             torn ? "torn record (interrupted write)" : "corrupt record",
+             lineNo, restored.size());
         break;
     }
     return restored;

@@ -5,18 +5,21 @@
  * A journal is an append-only text file next to the sweep's output
  * artifacts. The header line ties it to one exact expanded sweep via
  * a fingerprint of every job's label and canonical spec line; each
- * record line stores one completed JobResult — index, seed, status,
- * error, and the full metric set (doubles as %.17g so the restored
- * value is bit-identical) — terminated by a per-record FNV-1a
- * checksum:
+ * record line stores one completed JobResult, terminated by a
+ * per-record FNV-1a checksum of everything before it:
  *
- *   mithril.sweep.journal.v1 fingerprint=<hex16> jobs=<N>
- *   job <TAB> index <TAB> seed <TAB> status <TAB> label <TAB>
- *       error <TAB> metrics <TAB> crc=<hex16>
+ *   mithril.sweep.journal.v2 fingerprint=<hex16> jobs=<N>
+ *   job <index> <seed> <status> <label> <error> <field>=<value>...
+ *       t:<name>=<value>... crc=<hex16>
  *
- * (one line per record; label/error/metric names are \\, \t, \n
- * escaped; records land in completion order, which is irrelevant —
- * they are keyed by job index.)
+ * (one space-separated line per record). The fields are
+ * sim::kMetricFields in table order: counts as exact integers, reals
+ * as %.17g so the restored value is bit-identical, as are the
+ * telemetry values. The label, the error and the telemetry names are
+ * percent-encoded (every byte outside '!'..'~', plus '%' and '='), so
+ * a record splits on ' ' and each token on its first '='. Records
+ * land in completion order, which is irrelevant: they are keyed by
+ * job index.
  *
  * Append discipline: a fresh journal publishes its header via the
  * same tmp+rename pattern the trace writer uses, then records are
@@ -44,9 +47,10 @@
 namespace mithril::runner
 {
 
-/** Version tag in the journal header line. */
+/** Version tag in the journal header line. A journal of any other
+ *  version is refused as bad magic. */
 inline constexpr const char *kJournalMagic =
-    "mithril.sweep.journal.v1";
+    "mithril.sweep.journal.v2";
 
 /**
  * Fingerprint tying a journal to one expanded sweep: FNV-1a over the

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <memory>
@@ -47,6 +48,33 @@ jobStatusFromName(const std::string &name)
     }
     throw registry::SpecError("unknown job status '" + name +
                               "' (want ok|failed|timeout|skipped)");
+}
+
+// ----------------------------------------------------- RunnerOptions
+
+RunnerOptions
+RunnerOptions::fromParams(const ParamSet &params)
+{
+    auto boundedUint = [&](const char *key, unsigned max) {
+        const std::uint64_t v = params.getUint(key, 0);
+        if (v > max)
+            fatal("parameter %s=%llu is out of range [0, %u]", key,
+                  static_cast<unsigned long long>(v), max);
+        return static_cast<unsigned>(v);
+    };
+    RunnerOptions options;
+    // The cap threads= has: a typo must not start thousands of
+    // threads.
+    options.jobs = boundedUint("jobs", 1024);
+    options.progress = params.getBool("progress", options.progress);
+    options.journal = params.getString("journal", "");
+    options.resume = params.getBool("resume", false);
+    options.strict = params.getBool("strict", false);
+    // Finite and bounded: the watchdog's deadline must fit
+    // steady_clock's nanoseconds, which overflow near 9.2e9 s.
+    options.jobTimeout = params.getDoubleIn("job-timeout", 0.0, 0.0, 1e6);
+    options.retries = boundedUint("retries", 16);
+    return options;
 }
 
 // ----------------------------------------------------- SweepResult
@@ -345,9 +373,9 @@ SweepRunner::run(const SweepSpec &spec, JobFn fn) const
             // Exponential backoff, then rerun with the identical
             // spec and seed — a success on any attempt is
             // byte-identical to an untroubled first run.
-            const double ms = options_.retryBackoffMs *
-                              static_cast<double>(1u
-                                                  << (attempts - 1));
+            const double ms =
+                std::ldexp(options_.retryBackoffMs,
+                           static_cast<int>(attempts - 1));
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(ms));
         }

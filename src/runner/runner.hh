@@ -1,7 +1,7 @@
 /**
  * @file
  * The sweep executor: expands a SweepSpec into jobs, runs them on the
- * work-stealing pool, and returns the results in expansion order. The
+ * thread pool, and returns the results in expansion order. The
  * result container is deterministic by construction — each job writes
  * only its own slot, so `--jobs 1` and `--jobs N` produce identical
  * contents for a fixed seed.
@@ -108,6 +108,15 @@ struct SweepResult
 /** Execution knobs, orthogonal to the sweep grid itself. */
 struct RunnerOptions
 {
+    /**
+     * The knobs from the command line (jobs= progress= journal=
+     * resume= strict= job-timeout= retries=), each absent one at its
+     * default. An out-of-range value is fatal at parse: jobs= above
+     * 1024 (each one is a thread), retries= above 16, and a
+     * job-timeout= that is negative, NaN or above 1e6 seconds.
+     */
+    static RunnerOptions fromParams(const ParamSet &params);
+
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     unsigned jobs = 0;
     /** Emit the stderr progress/ETA line. */
@@ -120,7 +129,9 @@ struct RunnerOptions
      *  when jobs can genuinely hang. */
     double jobTimeout = 0.0;
     /** Extra attempts after a failed or timed-out job, with
-     *  exponential backoff between attempts. The retried job reruns
+     *  exponential backoff between attempts (fromParams() admits at
+     *  most 16, whose last wait is already 5.5 minutes at the
+     *  default 10ms base). The retried job reruns
      *  with an identical spec and seed, so a success on any attempt
      *  yields the byte-identical result an untroubled run would
      *  have produced. */

@@ -35,13 +35,16 @@ upperStatus(JobStatus status)
     return name;
 }
 
+/** Significant digits of every real the JSON and CSV sinks write. */
+constexpr int kRealDigits = 10;
+
 /** Shortest round-trippable-enough formatting, deterministic for a
  *  given double value. */
 std::string
 formatDouble(double value)
 {
     char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.10g", value);
+    std::snprintf(buf, sizeof(buf), "%.*g", kRealDigits, value);
     return buf;
 }
 
@@ -66,96 +69,6 @@ std::string
 seedPolicyName(SeedPolicy policy)
 {
     return policy == SeedPolicy::Shared ? "shared" : "per-job";
-}
-
-/** The full metric set, in one place so every sink agrees. */
-struct MetricColumn
-{
-    const char *name;
-    double (*get)(const sim::RunMetrics &);
-    bool integral;
-};
-
-const MetricColumn kMetricColumns[] = {
-    {"aggIpc", [](const sim::RunMetrics &m) { return m.aggIpc; },
-     false},
-    {"energyPj", [](const sim::RunMetrics &m) { return m.energyPj; },
-     false},
-    {"simTicks",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.simTicks);
-     },
-     true},
-    {"acts",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.acts);
-     },
-     true},
-    {"reads",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.reads);
-     },
-     true},
-    {"writes",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.writes);
-     },
-     true},
-    {"rfmIssued",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.rfmIssued);
-     },
-     true},
-    {"rfmSkippedMrr",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.rfmSkippedMrr);
-     },
-     true},
-    {"arrExecuted",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.arrExecuted);
-     },
-     true},
-    {"preventiveRefreshes",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.preventiveRefreshes);
-     },
-     true},
-    {"throttleStalls",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.throttleStalls);
-     },
-     true},
-    {"maxDisturbance",
-     [](const sim::RunMetrics &m) { return m.maxDisturbance; },
-     false},
-    {"bitFlips",
-     [](const sim::RunMetrics &m) {
-         return static_cast<double>(m.bitFlips);
-     },
-     true},
-    {"avgReadLatencyNs",
-     [](const sim::RunMetrics &m) { return m.avgReadLatencyNs; },
-     false},
-    {"p95ReadLatencyNs",
-     [](const sim::RunMetrics &m) { return m.p95ReadLatencyNs; },
-     false},
-    {"trackerBytesPerBank",
-     [](const sim::RunMetrics &m) { return m.trackerBytesPerBank; },
-     false},
-};
-
-std::string
-formatMetric(const MetricColumn &col, const sim::RunMetrics &m)
-{
-    const double value = col.get(m);
-    if (col.integral) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(value));
-        return buf;
-    }
-    return formatDouble(value);
 }
 
 } // namespace
@@ -280,10 +193,10 @@ JsonSink::write(const SweepResult &result, std::ostream &os) const
         } else {
             os << "      \"metrics\": {";
             bool first = true;
-            for (const MetricColumn &col : kMetricColumns) {
+            for (const sim::MetricField &field : sim::kMetricFields) {
                 os << (first ? "\n" : ",\n");
-                os << "        \"" << col.name
-                   << "\": " << formatMetric(col, r.metrics);
+                os << "        \"" << field.name
+                   << "\": " << field.format(r.metrics, kRealDigits);
                 first = false;
             }
             os << "\n      }";
@@ -315,8 +228,8 @@ CsvSink::write(const SweepResult &result, std::ostream &os) const
 {
     os << "index,label,baseline,scheme,flipTh,rfmTh,workload,attack,"
           "source,shards,actBudget,cores,instrPerCore,seed";
-    for (const MetricColumn &col : kMetricColumns)
-        os << "," << col.name;
+    for (const sim::MetricField &field : sim::kMetricFields)
+        os << "," << field.name;
     os << ",telemetry,error\n";
     for (const JobResult &r : result.results) {
         os << r.job.index << "," << r.job.label << ","
@@ -329,10 +242,10 @@ CsvSink::write(const SweepResult &result, std::ostream &os) const
            << r.job.spec.instrPerCore << "," << r.job.spec.seed;
         // Failed jobs get blank metric cells, not fabricated zeros —
         // a consumer aggregating the columns must not average them.
-        for (const MetricColumn &col : kMetricColumns) {
+        for (const sim::MetricField &field : sim::kMetricFields) {
             os << ",";
             if (!r.failed())
-                os << formatMetric(col, r.metrics);
+                os << field.format(r.metrics, kRealDigits);
         }
         // Telemetry packs into one quoted "name=value;..." cell so
         // the column set stays fixed across jobs and sweeps.

@@ -1,7 +1,9 @@
 #include "runner/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 
 #include "common/logging.hh"
 
@@ -11,37 +13,8 @@ namespace mithril::runner
 namespace
 {
 
-/** The pool (and worker id) executing the current thread, if any. */
+/** The pool whose worker is the current thread, if any. */
 thread_local ThreadPool *t_currentPool = nullptr;
-thread_local unsigned t_currentWorker = 0;
-
-/** Marks the current thread as `pool`'s worker for the enclosing
- *  scope (restoring the previous marking on exit), so any thread
- *  executing pool work — a spawned worker, a helping parallelFor
- *  caller — reports the right ambient pool through current(). */
-class CurrentPoolScope
-{
-  public:
-    CurrentPoolScope(ThreadPool *pool, unsigned worker)
-        : prevPool_(t_currentPool), prevWorker_(t_currentWorker)
-    {
-        t_currentPool = pool;
-        t_currentWorker = worker;
-    }
-
-    ~CurrentPoolScope()
-    {
-        t_currentPool = prevPool_;
-        t_currentWorker = prevWorker_;
-    }
-
-    CurrentPoolScope(const CurrentPoolScope &) = delete;
-    CurrentPoolScope &operator=(const CurrentPoolScope &) = delete;
-
-  private:
-    ThreadPool *prevPool_;
-    unsigned prevWorker_;
-};
 
 } // namespace
 
@@ -62,18 +35,15 @@ ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0)
         threads = defaultThreadCount();
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        workers_.push_back(std::make_unique<Worker>());
     threads_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
     wakeCv_.notify_all();
@@ -85,77 +55,30 @@ void
 ThreadPool::submit(std::function<void()> task)
 {
     MITHRIL_ASSERT(task);
-    unsigned target;
     {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         MITHRIL_ASSERT_MSG(!stop_, "submit() on a stopping pool");
-        target = nextWorker_;
-        nextWorker_ = (nextWorker_ + 1) % size();
-        ++queued_;
-    }
-    {
-        std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-        workers_[target]->queue.push_back(std::move(task));
+        queue_.push_back(std::move(task));
     }
     wakeCv_.notify_one();
 }
 
-std::function<void()>
-ThreadPool::takeTask(unsigned id)
-{
-    // Own queue first (front: submission order), then steal from the
-    // back of each sibling, starting after ourselves to spread load.
-    {
-        Worker &own = *workers_[id];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.queue.empty()) {
-            auto task = std::move(own.queue.front());
-            own.queue.pop_front();
-            return task;
-        }
-    }
-    for (unsigned k = 1; k < size(); ++k) {
-        Worker &victim = *workers_[(id + k) % size()];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.queue.empty()) {
-            auto task = std::move(victim.queue.back());
-            victim.queue.pop_back();
-            return task;
-        }
-    }
-    return nullptr;
-}
-
-bool
-ThreadPool::runOneTask(unsigned hint)
-{
-    std::function<void()> task = takeTask(hint);
-    if (!task)
-        return false;
-    {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-        --queued_;
-    }
-    CurrentPoolScope scope(this, hint);
-    task();
-    return true;
-}
-
 void
-ThreadPool::workerLoop(unsigned id)
+ThreadPool::workerLoop()
 {
     t_currentPool = this;
-    t_currentWorker = id;
     for (;;) {
-        if (runOneTask(id))
-            continue;
-        std::unique_lock<std::mutex> lock(sleepMutex_);
-        if (queued_ > 0)
-            continue; // Raced with a submit; retry the queues.
-        if (stop_)
-            return;
-        wakeCv_.wait(lock,
-                     [this] { return queued_ > 0 || stop_; });
+        std::function<void()> task;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            wakeCv_.wait(lock,
+                         [this] { return stop_ || !queue_.empty(); });
+            if (queue_.empty())
+                return; // Stopping, and the queue is drained.
+            task = std::move(queue_.front());
+            queue_.pop_front();
+        }
+        task();
     }
 }
 
@@ -167,14 +90,12 @@ ThreadPool::parallelFor(std::size_t count,
         return;
 
     // Index-claiming participation: the indices live in a shared
-    // atomic counter, the pool receives one *participation* task per
-    // worker (not one task per index), and the caller participates
-    // too. The caller therefore always drives its own loop to
-    // completion — it never executes unrelated queued work while
-    // waiting (which could deadlock on an event sequenced after this
-    // call returns), nested calls from inside a pool task make
-    // progress even when every worker is busy, and an external
-    // caller's core joins the pool for the duration.
+    // atomic counter, and the pool receives one *participation* task
+    // per worker (not one task per index). A nested caller claims
+    // indices too, so it makes progress even when every worker is
+    // busy. No caller executes unrelated queued work while waiting
+    // (which could deadlock on an event sequenced after this call
+    // returns).
     struct State
     {
         std::atomic<std::size_t> next{0};
@@ -215,7 +136,7 @@ ThreadPool::parallelFor(std::size_t count,
     // jobs=1 sweep must run one simulation at a time).
     const bool nested = t_currentPool == this;
     const std::size_t participants = std::min<std::size_t>(
-        nested && count > 0 ? count - 1 : count, size());
+        nested ? count - 1 : count, size());
     for (std::size_t p = 0; p < participants; ++p)
         submit(run_indices);
     if (nested)

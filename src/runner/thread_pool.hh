@@ -1,13 +1,13 @@
 /**
  * @file
- * Work-stealing thread pool for the experiment runner.
+ * Thread pool for the experiment runner.
  *
- * Each worker owns a deque of tasks; submissions are distributed
- * round-robin, and an idle worker steals from the far end of its
- * siblings' queues. Tasks are coarse (whole simulations), so the
- * per-queue locks are never contended in practice — the stealing
- * matters because sweep jobs have wildly different runtimes (an
- * attacked run can take several times longer than a benign one).
+ * The workers share one FIFO task queue under one mutex. Balancing
+ * needs no more than that: parallelFor() queues one participation
+ * task per worker, and those tasks claim indices from one atomic
+ * counter, so a worker that finishes a short job simply claims the
+ * next index. Tasks are coarse (whole simulations), so the queue's
+ * lock is never contended in practice.
  */
 
 #ifndef MITHRIL_RUNNER_THREAD_POOL_HH
@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -29,10 +28,10 @@ namespace mithril::runner
 unsigned defaultThreadCount();
 
 /**
- * Fixed-size pool of worker threads with per-worker deques and work
- * stealing. The pool itself imposes no ordering: callers that need
- * deterministic output must index results by task id, never by
- * completion order (SweepRunner does exactly that).
+ * Fixed-size pool of worker threads over one FIFO task queue. The
+ * pool itself imposes no ordering: callers that need deterministic
+ * output must index results by task id, never by completion order
+ * (SweepRunner does exactly that).
  */
 class ThreadPool
 {
@@ -47,7 +46,7 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /** Number of worker threads. */
-    unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+    unsigned size() const { return static_cast<unsigned>(threads_.size()); }
 
     /** Enqueue one task; it may start immediately. */
     void submit(std::function<void()> task);
@@ -80,31 +79,14 @@ class ThreadPool
     static ThreadPool *current();
 
   private:
-    struct Worker
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> queue;
-    };
+    void workerLoop();
 
-    void workerLoop(unsigned id);
-
-    /** Pop from our own queue front, else steal from a sibling's back. */
-    std::function<void()> takeTask(unsigned id);
-
-    /** Take and run one queued task (fixing the queued_ bookkeeping);
-     *  false when every queue is empty. Used by workers and by
-     *  helping parallelFor() callers alike. */
-    bool runOneTask(unsigned hint);
-
-    std::vector<std::unique_ptr<Worker>> workers_;
-    std::vector<std::thread> threads_;
-
-    /** Guards queued_ / stop_ for the sleep-wakeup protocol. */
-    std::mutex sleepMutex_;
+    std::mutex mutex_;
     std::condition_variable wakeCv_;
-    std::size_t queued_ = 0;
-    bool stop_ = false;
-    unsigned nextWorker_ = 0;
+    std::deque<std::function<void()>> queue_; //!< Guarded by mutex_.
+    bool stop_ = false;                        //!< Guarded by mutex_.
+    /** Declared last: the workers use every member above. */
+    std::vector<std::thread> threads_;
 };
 
 } // namespace mithril::runner

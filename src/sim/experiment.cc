@@ -1,6 +1,9 @@
 #include "experiment.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
+#include <type_traits>
 
 #include "common/file_util.hh"
 #include "common/logging.hh"
@@ -394,6 +397,39 @@ energyOverheadPct(const RunMetrics &value, const RunMetrics &baseline)
     MITHRIL_ASSERT(baseline.energyPj > 0.0);
     return 100.0 * (value.energyPj - baseline.energyPj) /
            baseline.energyPj;
+}
+
+std::string
+MetricField::format(const RunMetrics &m, int real_digits) const
+{
+    return std::visit(
+        [&](auto field) {
+            if constexpr (std::is_same_v<decltype(field),
+                                         double RunMetrics::*>) {
+                char buf[48];
+                std::snprintf(buf, sizeof(buf), "%.*g", real_digits,
+                              m.*field);
+                return std::string(buf);
+            } else {
+                return std::to_string(m.*field);
+            }
+        },
+        member);
+}
+
+bool
+MetricField::parse(const std::string &text, RunMetrics &m) const
+{
+    // from_chars: no leading space or '+', no locale, and a real
+    // written at %.17g reads back to the same bits.
+    return std::visit(
+        [&](auto field) {
+            const char *end = text.data() + text.size();
+            const auto [stop, ec] =
+                std::from_chars(text.data(), end, m.*field);
+            return ec == std::errc() && stop == end;
+        },
+        member);
 }
 
 } // namespace mithril::sim

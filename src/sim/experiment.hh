@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/experiment_spec.hh"
@@ -47,6 +48,49 @@ struct RunMetrics
      *  trace-events= requested it). Deterministic: byte-identical at
      *  any shard/pool count. */
     std::map<std::string, double> telemetry;
+};
+
+/**
+ * One RunMetrics scalar, for code that writes or reads every field in
+ * turn: the sweep sinks and the checkpoint journal.
+ */
+struct MetricField
+{
+    /** The name as the sweep JSON artifact (sweep_v3.json) spells it. */
+    const char *name;
+    /** The member. An integer member is a count, a double a real. */
+    std::variant<double RunMetrics::*, std::uint64_t RunMetrics::*,
+                 Tick RunMetrics::*>
+        member;
+
+    /** The field's value in `m`: a count as an exact integer, a real
+     *  as printf `%.<real_digits>g`. */
+    std::string format(const RunMetrics &m, int real_digits) const;
+
+    /** Store `text`, one whole number as format() writes it, into the
+     *  field of `m`; false when the text is anything else. */
+    bool parse(const std::string &text, RunMetrics &m) const;
+};
+
+/** Every RunMetrics scalar, in the order the sinks and the journal
+ *  write them; a new metric is one row here. */
+inline constexpr MetricField kMetricFields[] = {
+    {"aggIpc", &RunMetrics::aggIpc},
+    {"energyPj", &RunMetrics::energyPj},
+    {"simTicks", &RunMetrics::simTicks},
+    {"acts", &RunMetrics::acts},
+    {"reads", &RunMetrics::reads},
+    {"writes", &RunMetrics::writes},
+    {"rfmIssued", &RunMetrics::rfmIssued},
+    {"rfmSkippedMrr", &RunMetrics::rfmSkippedMrr},
+    {"arrExecuted", &RunMetrics::arrExecuted},
+    {"preventiveRefreshes", &RunMetrics::preventiveRefreshes},
+    {"throttleStalls", &RunMetrics::throttleStalls},
+    {"maxDisturbance", &RunMetrics::maxDisturbance},
+    {"bitFlips", &RunMetrics::bitFlips},
+    {"avgReadLatencyNs", &RunMetrics::avgReadLatencyNs},
+    {"p95ReadLatencyNs", &RunMetrics::p95ReadLatencyNs},
+    {"trackerBytesPerBank", &RunMetrics::trackerBytesPerBank},
 };
 
 /** What a run observed beyond its RunMetrics, each part merged in

@@ -305,6 +305,12 @@ TEST(ParamSet, GetDoubleInEnforcesRange)
     p.set("p", "-0.1");
     EXPECT_THROW(p.getDoubleIn("p", 0.5, 0.0, 1.0),
                  std::runtime_error);
+    for (const char *nan : {"nan", "-nan", "NAN"}) {
+        p.set("p", nan);
+        EXPECT_THROW(p.getDoubleIn("p", 0.5, 0.0, 1.0),
+                     std::runtime_error)
+            << nan;
+    }
     setLogThrowOnFatal(false);
 }
 

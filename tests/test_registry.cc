@@ -264,6 +264,18 @@ TEST(ExperimentSpec, RangeErrorsNameTheLegalRange)
                   std::string::npos)
             << err.what();
     }
+    // NaN is out of every range.
+    for (const char *text :
+         {"workload=mix-high mean-gap=nan", "scheme=para para-p=nan"}) {
+        try {
+            sim::ExperimentSpec::parse(ParamSet::fromString(text));
+            ADD_FAILURE() << "expected SpecError for " << text;
+        } catch (const SpecError &err) {
+            EXPECT_NE(std::string(err.what()).find("is out of range"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(ExperimentSpec, RejectsUndeclaredParameters)

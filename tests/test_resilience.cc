@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <variant>
 
 #include "common/failpoint.hh"
 #include "common/logging.hh"
@@ -68,26 +69,49 @@ writeFile(const std::string &path, const std::string &content)
 
 /** Deterministic stand-in for sim::runExperiment with awkward
  *  doubles (never exactly representable) so the journal's exact
- *  round-trip is actually exercised. */
+ *  round-trip is actually exercised. Every field is non-zero and
+ *  distinct from the others, so a journal that drops or swaps a
+ *  field fails the round trip. */
 sim::RunMetrics
 stubMetrics(const Job &job)
 {
     sim::RunMetrics m;
-    const double salt = static_cast<double>(job.index + 1);
+    const std::uint64_t n = job.index + 1;
+    const double salt = static_cast<double>(n);
     m.aggIpc = 1.0 / (3.0 * salt);
     m.energyPj = 10000.0 / 7.0 + salt;
     m.avgReadLatencyNs = 0.1 * salt;
     m.p95ReadLatencyNs = 0.3 * salt;
     m.maxDisturbance = 1.0 / 81.0;
     m.trackerBytesPerBank = salt / 1024.0;
-    m.simTicks = static_cast<Tick>(1000 * (job.index + 1));
+    m.simTicks = static_cast<Tick>(1000 * n);
     m.acts = job.spec.flipTh + job.index;
-    m.reads = 17 * (job.index + 1);
-    m.rfmIssued = job.index;
-    m.bitFlips = job.index % 2;
+    m.reads = 17 * n;
+    m.writes = 19 * n;
+    m.rfmIssued = 23 * n;
+    m.rfmSkippedMrr = 29 * n;
+    m.arrExecuted = 31 * n;
+    m.preventiveRefreshes = 37 * n;
+    m.throttleStalls = 41 * n;
+    m.bitFlips = 43 * n;
     m.telemetry["engine.acts"] = static_cast<double>(m.acts);
     m.telemetry["odd name = tricky"] = 1.0 / 3.0;
     return m;
+}
+
+/** Every RunMetrics field of `got` equals `want`'s exactly. */
+void
+expectSameMetrics(const sim::RunMetrics &got,
+                  const sim::RunMetrics &want)
+{
+    for (const sim::MetricField &field : sim::kMetricFields) {
+        std::visit(
+            [&](auto member) {
+                EXPECT_EQ(got.*member, want.*member) << field.name;
+            },
+            field.member);
+    }
+    EXPECT_EQ(got.telemetry, want.telemetry);
 }
 
 /** The stub's failure hooks, keyed by job index. JobFn is a plain
@@ -300,20 +324,36 @@ TEST(Journal, RoundTripsEveryRecordExactly)
         journal.path, sweepFingerprint(jobs), jobs);
     ASSERT_EQ(restored.size(), jobs.size());
     for (const auto &[index, rec] : restored) {
-        const sim::RunMetrics &want = run.results[index].metrics;
         EXPECT_TRUE(rec.restored);
         EXPECT_EQ(rec.status, JobStatus::Ok);
         EXPECT_EQ(rec.job.label, jobs[index].label);
         // Doubles restore bit-exactly (%.17g round-trip).
-        EXPECT_EQ(rec.metrics.aggIpc, want.aggIpc);
-        EXPECT_EQ(rec.metrics.energyPj, want.energyPj);
-        EXPECT_EQ(rec.metrics.maxDisturbance, want.maxDisturbance);
-        EXPECT_EQ(rec.metrics.trackerBytesPerBank,
-                  want.trackerBytesPerBank);
-        EXPECT_EQ(rec.metrics.simTicks, want.simTicks);
-        EXPECT_EQ(rec.metrics.acts, want.acts);
-        EXPECT_EQ(rec.metrics.telemetry, want.telemetry);
+        expectSameMetrics(rec.metrics, run.results[index].metrics);
     }
+
+    // Text holding every byte the record format reserves (space,
+    // '=', '%') or that ends a line, plus a non-ASCII byte, comes
+    // back unchanged in the label, the error and a telemetry name.
+    const std::string hostile = "a b\tc\nd=e%25f\xc3\xa9";
+    std::vector<Job> odd = jobs;
+    odd[1].label += hostile;
+    JobResult failed;
+    failed.job = odd[1];
+    failed.status = JobStatus::Failed;
+    failed.error = "error: " + hostile;
+    failed.metrics = stubMetrics(odd[1]);
+    failed.metrics.telemetry[hostile] = 2.5;
+    const std::uint64_t fingerprint = sweepFingerprint(odd);
+    SweepJournal(journal.path, fingerprint, odd.size(), false)
+        .append(failed);
+    const auto hostileBack =
+        SweepJournal::load(journal.path, fingerprint, odd);
+    ASSERT_EQ(hostileBack.size(), 1u);
+    const JobResult &rec = hostileBack.at(1);
+    EXPECT_EQ(rec.job.label, odd[1].label);
+    EXPECT_EQ(rec.status, JobStatus::Failed);
+    EXPECT_EQ(rec.error, failed.error);
+    expectSameMetrics(rec.metrics, failed.metrics);
 }
 
 TEST(Journal, TornTailLineIsIgnored)
@@ -354,9 +394,9 @@ TEST(Journal, CorruptChecksumEndsTheRestorablePrefix)
     // and the scan refuses everything after it.
     std::size_t pos = content.find('\n');            // header
     pos = content.find('\n', pos + 1);               // record 0
-    pos = content.find("ipc=", pos);
+    pos = content.find("aggIpc=", pos);
     ASSERT_NE(pos, std::string::npos);
-    content[pos + 4] = content[pos + 4] == '9' ? '8' : '9';
+    content[pos + 7] = content[pos + 7] == '9' ? '8' : '9';
     writeFile(journal.path, content);
 
     const std::vector<Job> jobs = spec.expand();
@@ -387,11 +427,22 @@ TEST(Journal, FingerprintMismatchRefusesToResume)
                                     sweepFingerprint(jobs), jobs),
                  registry::SpecError);
 
-    // And a non-journal file is rejected by magic.
-    writeFile(journal.path, "not a journal\n");
-    EXPECT_THROW(SweepJournal::load(journal.path,
-                                    sweepFingerprint(jobs), jobs),
-                 registry::SpecError);
+    // And a non-journal file is rejected by magic, as is a v1
+    // journal of this very sweep: no reader for v1 records is kept.
+    const std::vector<Job> own = spec.expand();
+    std::string v1 = readFile(journal.path);
+    v1.replace(v1.find(".v2 "), 4, ".v1 ");
+    for (const std::string &content : {std::string("not a journal\n"), v1}) {
+        writeFile(journal.path, content);
+        try {
+            SweepJournal::load(journal.path, sweepFingerprint(own), own);
+            ADD_FAILURE() << "loaded " << content;
+        } catch (const registry::SpecError &err) {
+            EXPECT_NE(std::string(err.what()).find("bad magic"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(Journal, ResumeReemitsByteIdenticalArtifacts)

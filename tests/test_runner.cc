@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the parallel experiment runner: the work-stealing
- * pool, sweep-grid expansion and seeding, determinism of the result
+ * Unit tests for the parallel experiment runner: the thread pool,
+ * sweep-grid expansion and seeding, determinism of the result
  * sinks across thread counts, per-job failure surfacing, and the JSON
  * artifact schema (golden file).
  */
