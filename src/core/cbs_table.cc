@@ -287,30 +287,6 @@ CbsTable::touch(RowId row)
     return incrementEntry(lookupOrEvict(row));
 }
 
-std::uint64_t
-CbsTable::touchFast(RowId row)
-{
-    ++touches_;
-    std::uint32_t e;
-    if (cacheRow_[0] == row && rows_[cacheEntry_[0]] == row) {
-        e = cacheEntry_[0];
-    } else if (cacheRow_[1] == row && rows_[cacheEntry_[1]] == row) {
-        e = cacheEntry_[1];
-        // Promote to way 0 so an alternating pair always hits.
-        cacheRow_[1] = cacheRow_[0];
-        cacheEntry_[1] = cacheEntry_[0];
-        cacheRow_[0] = row;
-        cacheEntry_[0] = e;
-    } else {
-        e = lookupOrEvict(row);
-        cacheRow_[1] = cacheRow_[0];
-        cacheEntry_[1] = cacheEntry_[0];
-        cacheRow_[0] = row;
-        cacheEntry_[0] = e;
-    }
-    return incrementEntry(e);
-}
-
 std::size_t
 CbsTable::touchRun(const RowId *rows, std::size_t n,
                    std::uint64_t divisor, bool *hit)

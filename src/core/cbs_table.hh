@@ -85,19 +85,14 @@ class CbsTable
     std::uint64_t touch(RowId row);
 
     /**
-     * touch() with a 2-way row->entry cache in front of the hash
-     * index — the batched-dispatch hot path. Hammer patterns
-     * alternate between a handful of rows, so the cache converts the
-     * dominant hash lookup into two compares. Value-identical to
-     * touch() (the cache is validated against the entry array, so
-     * evictions/renames can never serve a stale hit).
-     */
-    std::uint64_t touchFast(RowId row);
-
-    /**
-     * Batched touch: process rows[0..n) with the cache ways held in
-     * registers. With `divisor` > 0, stop after (and including) the
-     * first touch whose new estimate is a multiple of `divisor` —
+     * Batched touch — the batched-dispatch hot path: process
+     * rows[0..n) with a 2-way row->entry cache in front of the hash
+     * index, its ways held in registers. Hammer patterns alternate
+     * between a handful of rows, so the cache converts the dominant
+     * hash lookup into two compares; it is validated against the
+     * entry array, so evictions/renames can never serve a stale hit.
+     * With `divisor` > 0, stop after (and including) the first touch
+     * whose new estimate is a multiple of `divisor` —
      * the Graphene-family ARR/buffer trigger, evaluated without a
      * per-touch division (Lemire divisibility) — and set *hit.
      * Runs of cache hits are classified in one sweep
@@ -210,7 +205,7 @@ class CbsTable
     void indexInsert(RowId row, std::uint32_t entry);
     void indexErase(RowId row);
 
-    /** Hit-or-evict lookup shared by touch()/touchFast(): the entry
+    /** Hit-or-evict lookup shared by touch()/touchRun(): the entry
      *  now holding `row` (index updated on eviction). */
     std::uint32_t lookupOrEvict(RowId row);
 
@@ -276,7 +271,7 @@ class CbsTable
     std::uint32_t minBucket_ = kNone;  //!< MinPtr.
     std::uint32_t maxBucket_ = kNone;  //!< MaxPtr.
 
-    /** touchFast() front cache: last two (row, entry) pairs, way 0
+    /** touchRun() front cache: last two (row, entry) pairs, way 0
      *  most recent. Validated against rows_ before use. */
     RowId cacheRow_[2] = {kInvalidRow, kInvalidRow};
     std::uint32_t cacheEntry_[2] = {0, 0};

@@ -245,40 +245,27 @@ sweepFingerprint(const std::vector<Job> &jobs)
 
 SweepJournal::SweepJournal(const std::string &path,
                            std::uint64_t fingerprint,
-                           std::size_t job_count, bool resume)
+                           std::size_t job_count,
+                           const std::string &intact_prefix)
     : path_(path)
 {
     MITHRIL_ASSERT(!path.empty());
-    bool append = false;
-    if (resume) {
-        // load() already vetted compatibility; append only when the
-        // file genuinely exists, else fall through to fresh create.
-        if (std::FILE *probe = std::fopen(path.c_str(), "rb")) {
-            std::fclose(probe);
-            append = true;
-        }
-    }
-    if (append) {
-        file_ = std::fopen(path.c_str(), "ab");
-        if (!file_)
-            throw registry::SpecError(
-                "cannot append to sweep journal '" + path +
-                "': " + std::strerror(errno));
-        return;
-    }
-    // Fresh journal: publish the header atomically (tmp + rename) so
-    // a kill during creation never leaves a half-written header, then
-    // reopen for appends.
+    // Publish the header, or a resume's intact prefix, atomically (tmp
+    // + rename): a kill at any point leaves the old file or the new
+    // one whole, and a resume drops the torn or corrupt tail load()
+    // stopped at instead of appending behind it.
+    const std::string content = intact_prefix.empty()
+                                    ? headerLine(fingerprint, job_count)
+                                    : intact_prefix;
     const std::string tmp = path + ".tmp";
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f)
         throw registry::SpecError("cannot create sweep journal '" +
                                   tmp +
                                   "': " + std::strerror(errno));
-    const std::string header = headerLine(fingerprint, job_count);
     const bool ok =
-        std::fwrite(header.data(), 1, header.size(), f) ==
-            header.size() &&
+        std::fwrite(content.data(), 1, content.size(), f) ==
+            content.size() &&
         std::fflush(f) == 0;
     std::fclose(f);
     if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -317,9 +304,12 @@ SweepJournal::append(const JobResult &result)
 
 std::map<std::size_t, JobResult>
 SweepJournal::load(const std::string &path, std::uint64_t fingerprint,
-                   const std::vector<Job> &jobs)
+                   const std::vector<Job> &jobs,
+                   std::string *intact_prefix)
 {
     std::map<std::size_t, JobResult> restored;
+    if (intact_prefix)
+        intact_prefix->clear();
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
         if (errno == ENOENT)
@@ -355,6 +345,7 @@ SweepJournal::load(const std::string &path, std::uint64_t fingerprint,
     }
 
     std::size_t pos = eol + 1;
+    std::size_t intact_end = pos;
     std::size_t lineNo = 1;
     while (pos < content.size()) {
         ++lineNo;
@@ -382,6 +373,7 @@ SweepJournal::load(const std::string &path, std::uint64_t fingerprint,
             result.job = jobs[index];
             result.restored = true;
             restored[index] = std::move(result);
+            intact_end = pos;
             continue;
         }
         warn("sweep journal '%s': %s at line %zu; "
@@ -391,6 +383,8 @@ SweepJournal::load(const std::string &path, std::uint64_t fingerprint,
              lineNo, restored.size());
         break;
     }
+    if (intact_prefix)
+        *intact_prefix = content.substr(0, intact_end);
     return restored;
 }
 

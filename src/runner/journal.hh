@@ -29,7 +29,9 @@
  * SpecError, never silently mixed in), checks every record's
  * checksum, label, and seed against the expanded jobs, and stops at
  * the first damaged line — everything before it is restorable,
- * everything after is rerun.
+ * everything after is rerun. Resume rewrites the journal to that
+ * intact prefix (tmp+rename again) before appending, so the records
+ * of the rerun jobs land where the next load() reads them.
  */
 
 #ifndef MITHRIL_RUNNER_JOURNAL_HH
@@ -61,17 +63,21 @@ inline constexpr const char *kJournalMagic =
 std::uint64_t sweepFingerprint(const std::vector<Job> &jobs);
 
 /**
- * The append side. Constructing with resume=false publishes a fresh
- * header (tmp+rename) and truncates any previous journal; with
- * resume=true an existing compatible journal is appended to (load()
- * validated it first) and a missing one is created fresh. All I/O
- * errors throw registry::SpecError.
+ * The append side. Construction publishes the journal's start via
+ * tmp+rename, replacing any previous file: a fresh header, or on
+ * resume the intact prefix load() returned (the header plus every
+ * record it restored), so a torn or corrupt tail is dropped before
+ * the first append instead of sitting in front of it. A kill during
+ * that rewrite leaves the old file or the prefix. All I/O errors
+ * throw registry::SpecError.
  */
 class SweepJournal
 {
   public:
+    /** An empty `intact_prefix` starts a fresh journal. */
     SweepJournal(const std::string &path, std::uint64_t fingerprint,
-                 std::size_t job_count, bool resume);
+                 std::size_t job_count,
+                 const std::string &intact_prefix = {});
     ~SweepJournal();
 
     SweepJournal(const SweepJournal &) = delete;
@@ -90,10 +96,14 @@ class SweepJournal
      * an absent file yields an empty map. Throws registry::SpecError
      * on a fingerprint/job-count mismatch or an unreadable file; a
      * torn or corrupt record ends the scan (with a warn()) instead.
+     * `intact_prefix`, when given, receives the file's bytes up to
+     * the end of the last restored record (empty when the file is
+     * absent) — what a resuming SweepJournal keeps.
      */
     static std::map<std::size_t, JobResult>
     load(const std::string &path, std::uint64_t fingerprint,
-         const std::vector<Job> &jobs);
+         const std::vector<Job> &jobs,
+         std::string *intact_prefix = nullptr);
 
   private:
     std::string path_;

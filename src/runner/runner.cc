@@ -319,14 +319,15 @@ SweepRunner::run(const SweepSpec &spec, JobFn fn) const
     std::unique_ptr<SweepJournal> journal;
     if (!options_.journal.empty()) {
         const std::uint64_t fp = sweepFingerprint(jobs);
+        std::string intact_prefix;
         if (options_.resume) {
-            auto restored =
-                SweepJournal::load(options_.journal, fp, jobs);
+            auto restored = SweepJournal::load(options_.journal, fp,
+                                               jobs, &intact_prefix);
             for (auto &[index, result] : restored)
                 out.results[index] = std::move(result);
         }
         journal = std::make_unique<SweepJournal>(
-            options_.journal, fp, jobs.size(), options_.resume);
+            options_.journal, fp, jobs.size(), intact_prefix);
     }
 
     ProgressReporter progress(jobs.size(), options_.progress);

@@ -29,24 +29,12 @@ narrowUintList(const ParamSet &params, const std::string &key)
     return out;
 }
 
-/** fatal() unless the job spec's own parameter table admits the
- *  value: a knob the jobs would reject must die at the CLI, not as
- *  one FAILED row per job. */
-void
-requireInRange(const char *key, std::uint64_t value)
-{
-    try {
-        sim::ExperimentSpec::checkRange(key, value);
-    } catch (const registry::SpecError &err) {
-        fatal("%s", err.what());
-    }
-}
-
+/** An axis's values; an empty axis takes the base's own value. */
 template <typename T>
-const std::vector<T> &
-orDefault(const std::vector<T> &values, const std::vector<T> &fallback)
+std::vector<T>
+axisOr(const std::vector<T> &values, const T &base)
 {
-    return values.empty() ? fallback : values;
+    return values.empty() ? std::vector<T>{base} : values;
 }
 
 /** Resolve an axis name through a registry, fatal with the full
@@ -61,39 +49,6 @@ resolveName(const Reg &registry, const std::string &name)
         fatal("%s", err.what());
     }
     return {};
-}
-
-/** The (desc, owner) of this key among the selected registry
- *  entries, or nullptr when none declares it. */
-template <typename Reg>
-const registry::ParamDesc *
-declaredBy(const Reg &registry, const std::vector<std::string> &names,
-           const std::string &key, std::string *owner)
-{
-    for (const std::string &name : names) {
-        const auto *entry = registry.find(name);
-        if (!entry)
-            continue;
-        for (const auto &desc : entry->params) {
-            if (desc.key == key) {
-                if (owner)
-                    *owner = std::string(Reg::kCategory) + " '" +
-                             name + "'";
-                return &desc;
-            }
-        }
-    }
-    return nullptr;
-}
-
-/** True when a selected registry entry declares this key. */
-template <typename Reg>
-bool
-entryDeclares(const Reg &registry,
-              const std::vector<std::string> &names,
-              const std::string &key)
-{
-    return declaredBy(registry, names, key, nullptr) != nullptr;
 }
 
 } // namespace
@@ -150,125 +105,14 @@ SweepSpec::fromParams(const ParamSet &params,
             resolveName(registry::attackRegistry(), name));
     if (!workloads.empty() || !attacks.empty()) {
         if (workloads.empty())
-            workloads.push_back("mix-high");
+            workloads.push_back(spec.workload);
         spec.cases = cartesianCases(workloads, attacks);
     }
 
-    // Key validation happens after the axes resolve so entry-declared
-    // tunables (e.g. victims= with a multi-sided attack) can ride
-    // along; every other unknown key is fatal.
-    static const std::vector<std::string> kSpecKeys = {
-        "schemes",      "flip",    "rfm",      "workloads",
-        "attacks",      "cores",   "instr",    "seed",
-        "channels",     "blast-radius", "ad",  "warmup",   "baseline",
-        "seed-policy",  "sources", "shards",   "acts",
-        "record",       "telemetry", "trace-events",
-        "heatmap-regions", "trace-capacity", "trace-pipeline",
-        "failpoints",
-    };
-    std::vector<std::string> case_workloads;
-    std::vector<std::string> case_attacks;
-    for (const SweepCase &c : spec.cases) {
-        case_workloads.push_back(c.workload);
-        case_attacks.push_back(c.attack);
-    }
-    if (case_workloads.empty())
-        case_workloads.push_back("mix-high");
-    const auto &grid_schemes = spec.schemes.empty()
-                                   ? std::vector<std::string>{"mithril"}
-                                   : spec.schemes;
-    for (const std::string &key : params.keys()) {
-        if (std::find(kSpecKeys.begin(), kSpecKeys.end(), key) !=
-                kSpecKeys.end() ||
-            std::find(extra_keys.begin(), extra_keys.end(), key) !=
-                extra_keys.end())
-            continue;
-        std::string owner;
-        const registry::ParamDesc *desc =
-            declaredBy(registry::schemeRegistry(), grid_schemes, key,
-                       &owner);
-        if (!desc)
-            desc = declaredBy(registry::workloadRegistry(),
-                              case_workloads, key, &owner);
-        if (!desc)
-            desc = declaredBy(registry::attackRegistry(),
-                              case_attacks, key, &owner);
-        if (!desc)
-            desc = declaredBy(registry::sourceRegistry(),
-                              spec.sources, key, &owner);
-        if (!desc)
-            fatal("unknown sweep parameter: %s", key.c_str());
-        // Check the value now: a typo'd tunable must die at the CLI,
-        // not as per-job FAILED cells after the sweep has run.
-        try {
-            registry::checkParam(owner, *desc, params);
-        } catch (const registry::SpecError &err) {
-            fatal("%s", err.what());
-        }
-        spec.tunables.set(key, params.getString(key));
-    }
-
-    spec.blastRadius =
-        params.getUint32("blast-radius", spec.blastRadius);
-    spec.adTh = params.getUint32("ad", spec.adTh);
-    spec.cores = params.getUint32("cores", spec.cores);
-    spec.instrPerCore = params.getUint("instr", spec.instrPerCore);
-    spec.channels = params.getUint32("channels", spec.channels);
-    spec.engineActs = params.getUint("acts", spec.engineActs);
-    spec.seed = params.getUint("seed", spec.seed);
-    spec.trackerWarmupActs =
-        params.getUint("warmup", spec.trackerWarmupActs);
+    spec.readKnobs(params, sim::KnobScope::SweepScalars);
     spec.includeBaseline =
         params.getBool("baseline", spec.includeBaseline);
-    spec.record = params.getString("record", spec.record);
-    if (!spec.record.empty() && spec.jobCount() > 1) {
-        // N jobs racing one trace file would interleave garbage;
-        // capture-once-replay-many is two sweeps (record, then a
-        // sources=act-trace grid).
-        fatal("record=%s captures one ACT stream, but this sweep "
-              "expands to %zu jobs; narrow the grid to a single job",
-              spec.record.c_str(), spec.jobCount());
-    }
-    spec.telemetry = params.getBool("telemetry", spec.telemetry);
-    spec.traceEvents =
-        params.getString("trace-events", spec.traceEvents);
-    spec.heatmapRegions =
-        params.getUint32("heatmap-regions", spec.heatmapRegions);
-    spec.traceCapacity =
-        params.getUint32("trace-capacity", spec.traceCapacity);
-    for (std::uint32_t flip : spec.flipThs)
-        requireInRange("flip", flip);
-    for (std::uint32_t rfm : spec.rfmThs)
-        requireInRange("rfm", rfm);
-    for (std::uint32_t shards : spec.shardsList)
-        requireInRange("shards", shards);
-    requireInRange("blast-radius", spec.blastRadius);
-    requireInRange("ad", spec.adTh);
-    requireInRange("cores", spec.cores);
-    requireInRange("instr", spec.instrPerCore);
-    requireInRange("channels", spec.channels);
-    requireInRange("acts", spec.engineActs);
-    requireInRange("warmup", spec.trackerWarmupActs);
-    requireInRange("heatmap-regions", spec.heatmapRegions);
-    requireInRange("trace-capacity", spec.traceCapacity);
-    if (!spec.traceEvents.empty() && spec.jobCount() > 1) {
-        // Same single-file rule as record=.
-        fatal("trace-events=%s writes one trace file, but this sweep "
-              "expands to %zu jobs; narrow the grid to a single job",
-              spec.traceEvents.c_str(), spec.jobCount());
-    }
-    spec.failpoints =
-        params.getString("failpoints", spec.failpoints);
-    spec.tracePipeline =
-        params.getString("trace-pipeline", spec.tracePipeline);
-    if (!spec.tracePipeline.empty() && !spec.tunables.has("trace")) {
-        // The pipeline materializes to the path the act-trace jobs
-        // replay; without trace= there is nowhere to put it.
-        fatal("trace-pipeline= needs trace=<path> (and "
-              "sources=act-trace) so the composed corpus has a "
-              "replay path");
-    }
-
+    spec.failpoints = params.getString("failpoints", spec.failpoints);
     const std::string policy =
         params.getString("seed-policy", "shared");
     if (policy == "shared")
@@ -278,6 +122,65 @@ SweepSpec::fromParams(const ParamSet &params,
     else
         fatal("unknown seed-policy: %s (want shared|per-job)",
               policy.c_str());
+
+    // Every other key is a tunable, and must be declared by the
+    // entries of at least one job (e.g. victims= with a multi-sided
+    // attack); expand() forwards it to exactly those jobs.
+    static const std::vector<std::string> kSweepKeys = {
+        "schemes", "flip", "rfm", "workloads", "attacks", "sources",
+        "shards", "baseline", "seed-policy", "failpoints"};
+    for (const std::string &key : params.keys()) {
+        if (std::find(kSweepKeys.begin(), kSweepKeys.end(), key) ==
+                kSweepKeys.end() &&
+            std::find(extra_keys.begin(), extra_keys.end(), key) ==
+                extra_keys.end() &&
+            !ownsKnob(key, sim::KnobScope::SweepScalars))
+            spec.tunables.set(key, params.getString(key));
+    }
+    const std::vector<Job> jobs = spec.expand();
+    for (const std::string &key : spec.tunables.keys()) {
+        if (std::none_of(jobs.begin(), jobs.end(), [&](const Job &job) {
+                return job.spec.declaredParam(key) != nullptr;
+            }))
+            fatal("unknown sweep parameter: %s", key.c_str());
+    }
+
+    if (!spec.record.empty() && jobs.size() > 1) {
+        // N jobs racing one trace file would interleave garbage;
+        // capture-once-replay-many is two sweeps (record, then a
+        // sources=act-trace grid).
+        fatal("record=%s captures one ACT stream, but this sweep "
+              "expands to %zu jobs; narrow the grid to a single job",
+              spec.record.c_str(), jobs.size());
+    }
+    if (!spec.traceEvents.empty() && jobs.size() > 1) {
+        // Same single-file rule as record=.
+        fatal("trace-events=%s writes one trace file, but this sweep "
+              "expands to %zu jobs; narrow the grid to a single job",
+              spec.traceEvents.c_str(), jobs.size());
+    }
+    if (!spec.tracePipeline.empty() && !spec.tunables.has("trace")) {
+        // The pipeline materializes to the path the act-trace jobs
+        // replay; without trace= there is nowhere to put it.
+        fatal("trace-pipeline= needs trace=<path> (and "
+              "sources=act-trace) so the composed corpus has a "
+              "replay path");
+    }
+
+    // A knob the jobs would reject must die here, not as one FAILED
+    // row per job. System jobs ignore the shards axis, so check its
+    // values on a copy of the first job as well.
+    try {
+        for (const Job &job : jobs)
+            job.spec.validate();
+        sim::ExperimentSpec probe = jobs.front().spec;
+        for (std::uint32_t shards : spec.shardsList) {
+            probe.shards = shards;
+            probe.validate();
+        }
+    } catch (const registry::SpecError &err) {
+        fatal("%s", err.what());
+    }
     return spec;
 }
 
@@ -294,10 +197,8 @@ SweepSpec::jobCount() const
     // sources: a System job has no shards to vary, so it expands
     // exactly once regardless of the shards list.
     std::size_t n_source_cells = 0;
-    for (const std::string &source :
-         sources.empty() ? std::vector<std::string>{"none"}
-                         : sources)
-        n_source_cells += source == "none" ? 1 : n_shards;
+    for (const std::string &s : axisOr(sources, source))
+        n_source_cells += s == "none" ? 1 : n_shards;
     return n_schemes * n_flips * n_rfms * n_source_cells * n_cases +
            (includeBaseline ? n_cases : 0);
 }
@@ -305,67 +206,34 @@ SweepSpec::jobCount() const
 std::vector<Job>
 SweepSpec::expand() const
 {
-    static const std::vector<std::string> kDefaultSchemes = {
-        "mithril"};
-    static const std::vector<std::uint32_t> kDefaultFlips = {6250};
-    static const std::vector<std::uint32_t> kDefaultRfms = {0};
-    static const std::vector<std::string> kDefaultSources = {"none"};
-    static const std::vector<std::uint32_t> kDefaultShards = {0};
-    static const std::vector<SweepCase> kDefaultCases = {
-        {"mix-high", "none"}};
-
-    const auto &grid_schemes = orDefault(schemes, kDefaultSchemes);
-    const auto &grid_flips = orDefault(flipThs, kDefaultFlips);
-    const auto &grid_rfms = orDefault(rfmThs, kDefaultRfms);
-    const auto &grid_sources = orDefault(sources, kDefaultSources);
-    const auto &grid_shards = orDefault(shardsList, kDefaultShards);
-    const auto &grid_cases = orDefault(cases, kDefaultCases);
+    const std::vector<SweepCase> grid_cases =
+        axisOr(cases, SweepCase{workload, attack});
 
     std::vector<Job> jobs;
     jobs.reserve(jobCount());
 
+    // Every job starts as a copy of the base, so each knob no axis
+    // names carries over as set.
+    auto make_job = [this](const std::string &scheme_name,
+                           const SweepCase &c) {
+        Job job;
+        job.spec = *this;
+        job.spec.scheme = scheme_name;
+        job.spec.workload = c.workload;
+        job.spec.attack = c.attack;
+        job.spec.warmupFromWorkload = (c.attack == "none");
+        // The sweep composes its corpus once, before any job runs.
+        job.spec.tracePipeline.clear();
+        return job;
+    };
     // Each job keeps only the tunables its own entries declare, so a
     // para-only knob does not fail validation on the mithril cells of
     // the same sweep.
-    auto apply_tunables = [this](sim::ExperimentSpec &spec) {
-        for (const std::string &key : tunables.keys()) {
-            if (entryDeclares(registry::schemeRegistry(),
-                              {spec.scheme}, key) ||
-                entryDeclares(registry::workloadRegistry(),
-                              {spec.workload}, key) ||
-                entryDeclares(registry::attackRegistry(),
-                              {spec.attack}, key) ||
-                entryDeclares(registry::sourceRegistry(),
-                              {spec.source}, key))
-                spec.extras.set(key, tunables.getString(key));
-        }
-    };
-
-    auto base_spec = [this](const SweepCase &c) {
-        sim::ExperimentSpec spec;
-        spec.workload = c.workload;
-        spec.attack = c.attack;
-        spec.cores = cores;
-        spec.instrPerCore = instrPerCore;
-        spec.engineActs = engineActs;
-        spec.seed = seed;
-        spec.trackerWarmupActs = trackerWarmupActs;
-        spec.warmupFromWorkload = (c.attack == "none");
-        spec.channels = channels;
-        spec.record = record;
-        spec.telemetry = telemetry;
-        spec.traceEvents = traceEvents;
-        spec.heatmapRegions = heatmapRegions;
-        spec.traceCapacity = traceCapacity;
-        return spec;
-    };
-    auto case_label = [](const SweepCase &c) {
-        std::string label = c.workload;
-        if (c.attack != "none")
-            label += "+" + c.attack;
-        return label;
-    };
     auto finish = [this, &jobs](Job job) {
+        for (const std::string &key : tunables.keys()) {
+            if (job.spec.declaredParam(key))
+                job.spec.extras.set(key, tunables.getString(key));
+        }
         job.index = jobs.size();
         if (seedPolicy == SeedPolicy::PerJob) {
             job.spec.seed = mixSeed(seed, job.index);
@@ -373,52 +241,47 @@ SweepSpec::expand() const
         }
         jobs.push_back(std::move(job));
     };
+    auto case_label = [](const SweepCase &c) {
+        std::string label = c.workload;
+        if (c.attack != "none")
+            label += "+" + c.attack;
+        return label;
+    };
 
     if (includeBaseline) {
         for (const SweepCase &c : grid_cases) {
-            Job job;
-            job.spec = base_spec(c);
-            job.spec.scheme = "none";
-            apply_tunables(job.spec);
+            Job job = make_job("none", c);
             job.isBaseline = true;
             job.label = "none/" + case_label(c);
             finish(std::move(job));
         }
     }
 
-    for (const std::string &scheme : grid_schemes) {
-        for (std::uint32_t flip : grid_flips) {
-            for (std::uint32_t rfm : grid_rfms) {
-                for (const std::string &source : grid_sources) {
+    for (const std::string &scheme_name : axisOr(schemes, scheme)) {
+        for (std::uint32_t flip : axisOr(flipThs, flipTh)) {
+            for (std::uint32_t rfm : axisOr(rfmThs, rfmTh)) {
+                for (const std::string &src : axisOr(sources, source)) {
                     // System jobs have no shards to vary: the shards
-                    // axis collapses to one cell for source=none.
-                    static const std::vector<std::uint32_t>
-                        kSystemShards = {0};
-                    const auto &source_shards =
-                        source == "none" ? kSystemShards
-                                         : grid_shards;
-                    for (std::uint32_t shards : source_shards) {
+                    // axis collapses to the base's for source=none.
+                    const std::vector<std::uint32_t> src_shards =
+                        src == "none" ? std::vector<std::uint32_t>{shards}
+                                      : axisOr(shardsList, shards);
+                    for (std::uint32_t n_shards : src_shards) {
                         for (const SweepCase &c : grid_cases) {
-                            Job job;
-                            job.spec = base_spec(c);
-                            job.spec.scheme = scheme;
+                            Job job = make_job(scheme_name, c);
                             job.spec.flipTh = flip;
                             job.spec.rfmTh = rfm;
-                            job.spec.adTh = adTh;
-                            job.spec.blastRadius = blastRadius;
-                            job.spec.source = source;
-                            job.spec.shards = shards;
-                            apply_tunables(job.spec);
+                            job.spec.source = src;
+                            job.spec.shards = n_shards;
                             job.label =
-                                registry::schemeDisplay(scheme) +
+                                registry::schemeDisplay(scheme_name) +
                                 "/" + std::to_string(flip) +
                                 (rfm != 0
                                      ? "/r" + std::to_string(rfm)
                                      : "") +
-                                (source != "none" ? "/" + source
-                                                  : "") +
-                                (shards != 0
-                                     ? "/s" + std::to_string(shards)
+                                (src != "none" ? "/" + src : "") +
+                                (n_shards != 0
+                                     ? "/s" + std::to_string(n_shards)
                                      : "") +
                                 "/" + case_label(c);
                             finish(std::move(job));

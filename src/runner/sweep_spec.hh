@@ -50,69 +50,38 @@ struct Job
 };
 
 /**
- * The sweep grid: schemes x flipThs x rfmThs x cases, plus shared run
- * knobs. Empty vectors mean "the single default value" so a spec can
- * name only the axes it actually sweeps.
+ * The sweep grid: a base job plus axes. The ExperimentSpec base holds
+ * every knob the jobs share; the axes list the values the grid varies
+ * (schemes x flipThs x rfmThs x sources x shards x cases). An empty
+ * axis takes the base's own value, so a spec names only the axes it
+ * actually sweeps.
  */
-struct SweepSpec
+struct SweepSpec : sim::ExperimentSpec
 {
-    std::vector<std::string> schemes;   //!< default {"mithril"}
-    std::vector<std::uint32_t> flipThs; //!< default {6250}
-    std::vector<std::uint32_t> rfmThs;  //!< default {0} (auto)
-    std::vector<SweepCase> cases;       //!< default {mix-high, none}
-    /** Engine-source axis; default {"none"} = full-System runs. Any
-     *  other name makes the matching jobs engine-only runs of that
-     *  ActSource (scheme x source grids at engine speed, no System
-     *  build). The case's attack still selects which pattern an
-     *  "attack" source replicates. */
+    /** A sweep's base job runs at the scale of README's bench table,
+     *  cores=8 instr=80000, smaller than a lone ExperimentSpec's. */
+    SweepSpec()
+    {
+        cores = 8;
+        instrPerCore = 80000;
+    }
+
+    std::vector<std::string> schemes;
+    std::vector<std::uint32_t> flipThs;
+    std::vector<std::uint32_t> rfmThs;
+    std::vector<SweepCase> cases;
+    /** Engine-source axis; "none" = full-System runs. Any other name
+     *  makes the matching jobs engine-only runs of that ActSource
+     *  (scheme x source grids at engine speed, no System build). The
+     *  case's attack still selects which pattern an "attack" source
+     *  replicates. */
     std::vector<std::string> sources;
-    /** Engine shard-count axis; default {0} = one shard per channel.
-     *  Ignored by System jobs. Sharding never changes results — this
+    /** Engine shard-count axis. System jobs ignore it: each runs once
+     *  at the base's shards. Sharding never changes results — this
      *  axis exists for scaling studies. */
     std::vector<std::uint32_t> shardsList;
 
-    std::uint32_t blastRadius = 1;
-    std::uint32_t adTh = 200;
-    std::uint32_t cores = 8;
-    std::uint64_t instrPerCore = 80000;
-    /** DRAM channel-count override for System jobs (power of two);
-     *  0 = the paper geometry. */
-    std::uint32_t channels = 0;
-    /** ACT budget per engine-only job (sources axis). */
-    std::uint64_t engineActs = 1000000;
-    std::uint64_t seed = 42;
     SeedPolicy seedPolicy = SeedPolicy::Shared;
-
-    /** Tracker warm-up budget per job; benign runs warm from the
-     *  workload, attacked runs from the attacker (as in Fig. 10). */
-    std::uint64_t trackerWarmupActs = 0;
-
-    /** Capture the job's ACT stream to this path
-     *  (mithril.acttrace.v1). One file — fromParams() rejects grids
-     *  that expand to more than one job. The capture-once-replay-many
-     *  pattern is two sweeps: one recording job, then a
-     *  sources=act-trace trace=<path> grid over every scheme. */
-    std::string record;
-
-    /** Compose the sweep's replay corpus once, before any job runs: a
-     *  trace-op pipeline (--list trace-ops) materialized to the
-     *  tunables' trace= path, which every sources=act-trace job then
-     *  replays. Jobs never carry this knob — one compose per sweep,
-     *  not one per grid point. */
-    std::string tracePipeline;
-
-    /** Collect the telemetry metric sheet + ACT heatmap on every job
-     *  (each job's flattened sheet lands in the sweep output's
-     *  per-job "telemetry" map). Observation only. */
-    bool telemetry = false;
-    /** Write a mitigation-event Chrome trace to this path. One file —
-     *  fromParams() rejects grids that expand to more than one job,
-     *  like record=. */
-    std::string traceEvents;
-    /** ACT heatmap region budget per bank (telemetry=1 jobs). */
-    std::uint32_t heatmapRegions = 64;
-    /** Mitigation-event ring capacity per bank (trace-events= jobs). */
-    std::uint32_t traceCapacity = 4096;
 
     /** Prepend one unprotected ("none") job per case, for
      *  normalizing relative performance and energy. */
@@ -126,7 +95,7 @@ struct SweepSpec
     std::string failpoints;
 
     /** Registry-entry tunables forwarded to every job (each job keeps
-     *  the keys its own scheme/workload/attack declares). */
+     *  the keys its own scheme/workload/attack/source declares). */
     ParamSet tunables;
 
     /** Cartesian product helper for the case list. */
@@ -135,21 +104,23 @@ struct SweepSpec
                    const std::vector<std::string> &attacks);
 
     /**
-     * Build a spec from CLI-style parameters: comma-separated lists
+     * Build a spec from CLI-style parameters: comma-separated axes
      * `schemes=`, `flip=`, `rfm=`, `workloads=`, `attacks=`,
-     * `sources=` (engine-only jobs), `shards=` (engine shard counts),
-     * scalars `cores=`, `instr=`, `acts=` (engine ACT budget),
-     * `channels=` (System frontend geometry), `seed=`, `ad=`,
-     * `warmup=`, `baseline=`, `seed-policy=shared|per-job`, the
-     * telemetry knobs `telemetry=`, `trace-events=` (single-job grids
-     * only), `heatmap-regions=`, `trace-capacity=`, and the
-     * fault-injection knob `failpoints=`. Axis names resolve through the
-     * registries — an unknown name is fatal and lists every
-     * registered candidate. Keys declared by a selected registry
-     * entry (e.g. `victims=` with a multi-sided attack) are forwarded
-     * to the matching jobs; any other unknown key is fatal — a typo'd
+     * `sources=` (engine-only jobs) and `shards=` (engine shard
+     * counts); the base's sweep scalars (ExperimentSpec's
+     * KnobScope::SweepScalars: `cores=`, `instr=`, `seed=`, `acts=`,
+     * `channels=`, `record=`, `telemetry=`, ...); and `baseline=`,
+     * `seed-policy=shared|per-job` and `failpoints=`. Axis names
+     * resolve through the registries — an unknown name is fatal and
+     * lists every registered candidate. Keys declared by a job's
+     * registry entries (e.g. `victims=` with a multi-sided attack)
+     * are forwarded to those jobs; any other key is fatal — a typo'd
      * axis must not silently run the default grid. Callers owning
-     * extra knobs (e.g. `jobs=`) list them in `extra_keys`.
+     * extra knobs (e.g. `jobs=`) list them in `extra_keys`. Every
+     * expanded job is validated here, so the first invalid one is one
+     * fatal line before any job runs; `record=` and `trace-events=`
+     * need a single-job grid, and `trace-pipeline=` needs `trace=`
+     * (the sweep composes that corpus once, before its jobs run).
      */
     static SweepSpec
     fromParams(const ParamSet &params,
@@ -160,7 +131,10 @@ struct SweepSpec
 
     /** Expand the grid into jobs, in deterministic order: baselines
      *  (one per case) first, then
-     *  schemes x flipThs x rfmThs x sources x shards x cases. */
+     *  schemes x flipThs x rfmThs x sources x shards x cases. Each job
+     *  is a copy of the base with its axis values, its case's warm-up
+     *  source, the tunables its entries declare and no trace
+     *  pipeline. */
     std::vector<Job> expand() const;
 };
 

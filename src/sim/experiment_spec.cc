@@ -1,7 +1,8 @@
 #include "sim/experiment_spec.hh"
 
 #include <algorithm>
-#include <map>
+#include <type_traits>
+#include <variant>
 
 #include "common/file_util.hh"
 #include "common/logging.hh"
@@ -19,109 +20,103 @@ namespace
 using registry::ParamDesc;
 using registry::SpecError;
 
-/** The spec-owned keys with their legal ranges. */
-const std::vector<ParamDesc> &
-coreParams()
+/** One spec-owned knob. Its default is the member initializer. */
+struct Knob
 {
-    static const std::vector<ParamDesc> descs = {
-        {"scheme", ParamDesc::Type::String, "mithril", 0, 0,
-         "protection scheme registry name"},
-        {"workload", ParamDesc::Type::String, "mix-high", 0, 0,
-         "workload registry name"},
-        {"attack", ParamDesc::Type::String, "none", 0, 0,
-         "attack registry name"},
-        {"flip", ParamDesc::Type::Uint, "6250", 1, 1e7,
-         "RH threshold (FlipTH)"},
-        {"rfm", ParamDesc::Type::Uint, "0", 0, 1e5,
-         "RFM threshold (0 = scheme default)"},
-        {"ad", ParamDesc::Type::Uint, "200", 0, 1e6,
-         "Mithril adaptive refresh threshold"},
-        {"blast-radius", ParamDesc::Type::Uint, "1", 1, 4,
-         "non-adjacent RH radius"},
-        {"scheme-seed", ParamDesc::Type::Uint, "7", 0, 1.8e19,
-         "scheme-internal RNG seed"},
-        {"cores", ParamDesc::Type::Uint, "16", 1, 1024,
-         "total cores (one becomes the attacker when attacking)"},
-        {"instr", ParamDesc::Type::Uint, "200000", 1, 1e12,
-         "instruction budget per benign core"},
-        {"seed", ParamDesc::Type::Uint, "42", 0, 1.8e19,
-         "workload RNG seed"},
-        {"warmup", ParamDesc::Type::Uint, "0", 0, 1e12,
-         "tracker warm-up activations before the measured run"},
-        {"warmup-from-workload", ParamDesc::Type::Bool, "0", 0, 0,
-         "warm the tracker from the benign streams"},
-        {"source", ParamDesc::Type::String, "none", 0, 0,
-         "engine ActSource registry name (none = full-System run)"},
-        {"record", ParamDesc::Type::String, "", 0, 0,
-         "capture the run's ACT stream to this path "
-         "(mithril.acttrace.v1; replay with source=act-trace)"},
-        {"trace-pipeline", ParamDesc::Type::String, "", 0, 0,
-         "compose the replay corpus first: trace-op pipeline "
-         "(--list trace-ops) materialized to the trace= path, then "
-         "replayed via source=act-trace"},
-        {"telemetry", ParamDesc::Type::Bool, "0", 0, 0,
-         "collect the telemetry metric sheet + ACT heatmap "
-         "(observation only; never affects outcomes)"},
-        {"trace-events", ParamDesc::Type::String, "", 0, 0,
-         "write the mitigation-event trace to this path as Chrome "
-         "trace-event JSON (Perfetto-loadable)"},
-        {"heatmap-regions", ParamDesc::Type::Uint, "64", 1, 65536,
-         "ACT heatmap region budget per bank (power-of-two "
-         "coarsening at budget)"},
-        {"trace-capacity", ParamDesc::Type::Uint, "4096", 1, 1e8,
-         "mitigation-event ring capacity per bank (newest retained)"},
-        {"acts", ParamDesc::Type::Uint, "1000000", 1, 1e12,
-         "ACT budget of an engine (source=) run"},
-        {"shards", ParamDesc::Type::Uint, "0", 0, 65536,
-         "engine bank shards (0 = one per channel); never affects "
-         "results, only parallelism"},
-        {"threads", ParamDesc::Type::Uint, "0", 0, 1024,
-         "worker threads for a standalone engine run (0 = ambient "
-         "pool / inline)"},
-        {"channels", ParamDesc::Type::Uint, "0", 0, 64,
-         "DRAM channels (0 = geometry preset; must be a power of "
-         "two); System runs build one frontend lane per channel"},
-    };
-    return descs;
+    const char *key;
+    std::variant<std::string ExperimentSpec::*,
+                 std::uint32_t ExperimentSpec::*,
+                 std::uint64_t ExperimentSpec::*,
+                 bool ExperimentSpec::*>
+        member;
+    /** Legal range of a numeric knob. */
+    std::uint64_t min;
+    std::uint64_t max;
+    /** kPrintDefault, kSweepScalar and kPowerOfTwo, or'ed. */
+    unsigned flags;
+};
+
+/** toParams() prints the knob at its default value too. The knobs
+ *  without it (the optional outputs, the telemetry knobs, channels)
+ *  print only when set, so describe() lines written before they
+ *  existed stay byte-identical. */
+constexpr unsigned kPrintDefault = 1;
+/** A sweep takes the knob as one scalar for every job. */
+constexpr unsigned kSweepScalar = 2;
+constexpr unsigned kBoth = kPrintDefault | kSweepScalar;
+/** The value must be 0 or a power of two: the address map
+ *  interleaves by channel bits. */
+constexpr unsigned kPowerOfTwo = 4;
+
+/** Seeds use all 64 bits: per-job seeds are splitmix64 outputs. */
+constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
+
+using S = ExperimentSpec;
+
+/** Every spec-owned knob, in the order validate() range-checks them; a
+ *  new knob is one row here plus its member. */
+const Knob kKnobs[] = {
+    {"scheme", &S::scheme, 0, 0, kPrintDefault},
+    {"workload", &S::workload, 0, 0, kPrintDefault},
+    {"attack", &S::attack, 0, 0, kPrintDefault},
+    {"source", &S::source, 0, 0, kPrintDefault},
+    {"flip", &S::flipTh, 1, 10000000, kPrintDefault},
+    {"rfm", &S::rfmTh, 0, 100000, kPrintDefault},
+    {"ad", &S::adTh, 0, 1000000, kBoth},
+    {"blast-radius", &S::blastRadius, 1, 4, kBoth},
+    {"scheme-seed", &S::schemeSeed, 0, kUnbounded, kPrintDefault},
+    {"cores", &S::cores, 1, 1024, kBoth},
+    {"instr", &S::instrPerCore, 1, 1000000000000, kBoth},
+    {"seed", &S::seed, 0, kUnbounded, kBoth},
+    {"warmup", &S::trackerWarmupActs, 0, 1000000000000, kBoth},
+    {"warmup-from-workload", &S::warmupFromWorkload, 0, 0,
+     kPrintDefault},
+    {"acts", &S::engineActs, 1, 1000000000000, kBoth},
+    {"shards", &S::shards, 0, 65536, kPrintDefault},
+    {"threads", &S::threads, 0, 1024, kPrintDefault},
+    {"record", &S::record, 0, 0, kSweepScalar},
+    {"trace-pipeline", &S::tracePipeline, 0, 0, kSweepScalar},
+    {"telemetry", &S::telemetry, 0, 0, kSweepScalar},
+    {"trace-events", &S::traceEvents, 0, 0, kSweepScalar},
+    {"heatmap-regions", &S::heatmapRegions, 1, 65536, kSweepScalar},
+    {"trace-capacity", &S::traceCapacity, 1, 100000000, kSweepScalar},
+    {"channels", &S::channels, 0, 64, kSweepScalar | kPowerOfTwo},
+};
+
+bool
+inScope(const Knob &knob, KnobScope scope)
+{
+    return scope == KnobScope::All || (knob.flags & kSweepScalar) != 0;
 }
 
-const ParamDesc *
-findDesc(const std::vector<ParamDesc> &descs, const std::string &key)
+/** A knob value as it appears in a ParamSet. */
+template <typename T>
+std::string
+knobText(const T &value)
 {
-    for (const ParamDesc &desc : descs) {
-        if (desc.key == key)
+    if constexpr (std::is_same_v<T, std::string>)
+        return value;
+    else if constexpr (std::is_same_v<T, bool>)
+        return value ? "1" : "0";
+    else
+        return std::to_string(value);
+}
+
+/** The declaration of `key` by the registered entry `name`. */
+template <typename Reg>
+const ParamDesc *
+declaredIn(const Reg &registry, const std::string &name,
+           const std::string &key, std::string *owner)
+{
+    const auto *entry = registry.find(name);
+    if (!entry)
+        return nullptr;
+    for (const ParamDesc &desc : entry->params) {
+        if (desc.key == key) {
+            if (owner)
+                *owner = std::string(Reg::kCategory) + " '" +
+                         entry->name + "'";
             return &desc;
-    }
-    return nullptr;
-}
-
-/** The desc of an entry-declared key across the spec's selected
- *  entries (source_entry null when source=none), with a printable
- *  owner; nullptr when none declares it. */
-const ParamDesc *
-findEntryParam(const registry::SchemeRegistry::Entry &scheme_entry,
-               const registry::WorkloadRegistry::Entry &workload_entry,
-               const registry::AttackRegistry::Entry &attack_entry,
-               const registry::SourceRegistry::Entry *source_entry,
-               const std::string &key, std::string *owner)
-{
-    if (const ParamDesc *d = findDesc(scheme_entry.params, key)) {
-        *owner = "scheme '" + scheme_entry.name + "'";
-        return d;
-    }
-    if (const ParamDesc *d = findDesc(workload_entry.params, key)) {
-        *owner = "workload '" + workload_entry.name + "'";
-        return d;
-    }
-    if (const ParamDesc *d = findDesc(attack_entry.params, key)) {
-        *owner = "attack '" + attack_entry.name + "'";
-        return d;
-    }
-    if (source_entry) {
-        if (const ParamDesc *d =
-                findDesc(source_entry->params, key)) {
-            *owner = "source '" + source_entry->name + "'";
-            return d;
         }
     }
     return nullptr;
@@ -129,23 +124,53 @@ findEntryParam(const registry::SchemeRegistry::Entry &scheme_entry,
 
 } // namespace
 
-void
-ExperimentSpec::checkRange(const std::string &key, std::uint64_t value)
+bool
+ExperimentSpec::ownsKnob(const std::string &key, KnobScope scope)
 {
-    const ParamDesc *desc = findDesc(coreParams(), key);
-    MITHRIL_ASSERT(desc != nullptr);
-    const auto min = static_cast<std::uint64_t>(desc->min);
-    const auto max = static_cast<std::uint64_t>(desc->max);
-    if (value < min || value > max) {
-        throw SpecError(key + "=" + std::to_string(value) +
-                        " is out of range [" + std::to_string(min) +
-                        ", " + std::to_string(max) + "]");
+    for (const Knob &knob : kKnobs) {
+        if (key == knob.key)
+            return inScope(knob, scope);
     }
-    if (key == "channels" && (value & (value - 1)) != 0) {
-        throw SpecError("channels=" + std::to_string(value) +
-                        " must be a power of two (the address map "
-                        "interleaves by channel bits)");
+    return false;
+}
+
+void
+ExperimentSpec::readKnobs(const ParamSet &params, KnobScope scope)
+{
+    for (const Knob &knob : kKnobs) {
+        if (!inScope(knob, scope) || !params.has(knob.key))
+            continue;
+        std::visit(
+            [&](auto member) {
+                auto &value = this->*member;
+                using T = std::decay_t<decltype(value)>;
+                if constexpr (std::is_same_v<T, std::string>)
+                    value = params.getString(knob.key);
+                else if constexpr (std::is_same_v<T, bool>)
+                    value = params.getBool(knob.key);
+                else if constexpr (std::is_same_v<T, std::uint32_t>)
+                    value = params.getUint32(knob.key);
+                else
+                    value = params.getUint(knob.key);
+            },
+            knob.member);
     }
+}
+
+const ParamDesc *
+ExperimentSpec::declaredParam(const std::string &key,
+                              std::string *owner) const
+{
+    const ParamDesc *desc =
+        declaredIn(registry::schemeRegistry(), scheme, key, owner);
+    if (!desc)
+        desc = declaredIn(registry::workloadRegistry(), workload, key,
+                          owner);
+    if (!desc)
+        desc = declaredIn(registry::attackRegistry(), attack, key, owner);
+    if (!desc && engineRun())
+        desc = declaredIn(registry::sourceRegistry(), source, key, owner);
+    return desc;
 }
 
 ExperimentSpec
@@ -153,52 +178,41 @@ ExperimentSpec::parse(const ParamSet &params,
                       const std::vector<std::string> &ignore_keys)
 {
     ExperimentSpec spec;
-    spec.scheme = params.getString("scheme", spec.scheme);
-    spec.workload = params.getString("workload", spec.workload);
-    spec.attack = params.getString("attack", spec.attack);
-    spec.source = params.getString("source", spec.source);
+    spec.readKnobs(params, KnobScope::All);
 
-    // Resolve the selected entries first so every later error can cite
-    // them — and so aliases canonicalize before anything is stored.
+    // Resolve the selected entries before the unknown-key scan so its
+    // error can list what they declare, and canonicalize aliases.
     const auto &scheme_entry =
         registry::schemeRegistry().at(spec.scheme);
     const auto &workload_entry =
         registry::workloadRegistry().at(spec.workload);
     const auto &attack_entry =
         registry::attackRegistry().at(spec.attack);
-    const registry::SourceRegistry::Entry *source_entry = nullptr;
-    if (spec.source != "none") {
-        source_entry = &registry::sourceRegistry().at(spec.source);
-        spec.source = source_entry->name;
+    std::vector<const std::vector<ParamDesc> *> entry_params = {
+        &scheme_entry.params, &workload_entry.params,
+        &attack_entry.params};
+    if (spec.engineRun()) {
+        const auto &source_entry =
+            registry::sourceRegistry().at(spec.source);
+        spec.source = source_entry.name;
+        entry_params.push_back(&source_entry.params);
     }
     spec.scheme = scheme_entry.name;
     spec.workload = workload_entry.name;
     spec.attack = attack_entry.name;
 
-    // Reject unknown keys before reading anything: a typo'd knob must
-    // not silently run the default configuration. Value range checks
-    // happen in the validate() call below.
+    // A typo'd knob must not silently run the default configuration.
     for (const std::string &key : params.keys()) {
-        if (findDesc(coreParams(), key))
+        if (ownsKnob(key) ||
+            std::find(ignore_keys.begin(), ignore_keys.end(), key) !=
+                ignore_keys.end())
             continue;
-        if (std::find(ignore_keys.begin(), ignore_keys.end(), key) !=
-            ignore_keys.end())
-            continue;
-        std::string owner;
-        if (!findEntryParam(scheme_entry, workload_entry,
-                            attack_entry, source_entry, key,
-                            &owner)) {
+        if (!spec.declaredParam(key)) {
             std::vector<std::string> known;
-            for (const ParamDesc &d : coreParams())
-                known.push_back(d.key);
-            for (const auto *entry_params :
-                 {&scheme_entry.params, &workload_entry.params,
-                  &attack_entry.params}) {
-                for (const ParamDesc &d : *entry_params)
-                    known.push_back(d.key);
-            }
-            if (source_entry) {
-                for (const ParamDesc &d : source_entry->params)
+            for (const Knob &knob : kKnobs)
+                known.push_back(knob.key);
+            for (const auto *declared : entry_params) {
+                for (const ParamDesc &d : *declared)
                     known.push_back(d.key);
             }
             throw SpecError("unknown experiment parameter '" + key +
@@ -207,37 +221,6 @@ ExperimentSpec::parse(const ParamSet &params,
         }
         spec.extras.set(key, params.getString(key));
     }
-
-    // strtoull-level format errors in the numeric knobs below stay
-    // fatal() (ParamSet semantics); range errors throw SpecError via
-    // validate().
-    spec.flipTh = params.getUint32("flip", spec.flipTh);
-    spec.rfmTh = params.getUint32("rfm", spec.rfmTh);
-    spec.adTh = params.getUint32("ad", spec.adTh);
-    spec.blastRadius =
-        params.getUint32("blast-radius", spec.blastRadius);
-    spec.schemeSeed = params.getUint("scheme-seed", spec.schemeSeed);
-    spec.cores = params.getUint32("cores", spec.cores);
-    spec.instrPerCore = params.getUint("instr", spec.instrPerCore);
-    spec.seed = params.getUint("seed", spec.seed);
-    spec.trackerWarmupActs =
-        params.getUint("warmup", spec.trackerWarmupActs);
-    spec.warmupFromWorkload = params.getBool(
-        "warmup-from-workload", spec.warmupFromWorkload);
-    spec.record = params.getString("record", spec.record);
-    spec.tracePipeline =
-        params.getString("trace-pipeline", spec.tracePipeline);
-    spec.telemetry = params.getBool("telemetry", spec.telemetry);
-    spec.traceEvents =
-        params.getString("trace-events", spec.traceEvents);
-    spec.heatmapRegions =
-        params.getUint32("heatmap-regions", spec.heatmapRegions);
-    spec.traceCapacity =
-        params.getUint32("trace-capacity", spec.traceCapacity);
-    spec.engineActs = params.getUint("acts", spec.engineActs);
-    spec.shards = params.getUint32("shards", spec.shards);
-    spec.threads = params.getUint32("threads", spec.threads);
-    spec.channels = params.getUint32("channels", spec.channels);
     spec.validate();
     return spec;
 }
@@ -262,27 +245,39 @@ ExperimentSpec::fromParams(const ParamSet &params,
 void
 ExperimentSpec::validate() const
 {
-    const auto &scheme_entry = registry::schemeRegistry().at(scheme);
-    const auto &workload_entry =
-        registry::workloadRegistry().at(workload);
-    const auto &attack_entry = registry::attackRegistry().at(attack);
-    const registry::SourceRegistry::Entry *source_entry =
-        source != "none" ? &registry::sourceRegistry().at(source)
-                         : nullptr;
+    registry::schemeRegistry().at(scheme);
+    registry::workloadRegistry().at(workload);
+    registry::attackRegistry().at(attack);
+    if (engineRun())
+        registry::sourceRegistry().at(source);
 
-    checkRange("flip", flipTh);
-    checkRange("rfm", rfmTh);
-    checkRange("ad", adTh);
-    checkRange("blast-radius", blastRadius);
-    checkRange("cores", cores);
-    checkRange("instr", instrPerCore);
-    checkRange("warmup", trackerWarmupActs);
-    checkRange("acts", engineActs);
-    checkRange("shards", shards);
-    checkRange("threads", threads);
-    checkRange("heatmap-regions", heatmapRegions);
-    checkRange("trace-capacity", traceCapacity);
-    checkRange("channels", channels);
+    for (const Knob &knob : kKnobs) {
+        std::visit(
+            [&](auto member) {
+                using T = std::decay_t<decltype(this->*member)>;
+                if constexpr (std::is_same_v<T, std::uint32_t> ||
+                              std::is_same_v<T, std::uint64_t>) {
+                    const std::uint64_t value = this->*member;
+                    if (value < knob.min || value > knob.max) {
+                        throw SpecError(
+                            std::string(knob.key) + "=" +
+                            std::to_string(value) +
+                            " is out of range [" +
+                            std::to_string(knob.min) + ", " +
+                            std::to_string(knob.max) + "]");
+                    }
+                    if ((knob.flags & kPowerOfTwo) != 0 &&
+                        (value & (value - 1)) != 0) {
+                        throw SpecError(
+                            std::string(knob.key) + "=" +
+                            std::to_string(value) +
+                            " must be a power of two (the address map "
+                            "interleaves by channel bits)");
+                    }
+                }
+            },
+            knob.member);
+    }
     if (!record.empty() && !traceEvents.empty() &&
         sameFile(record, traceEvents)) {
         // The event trace is written last and would replace the
@@ -297,9 +292,9 @@ ExperimentSpec::validate() const
     }
     if (!tracePipeline.empty()) {
         // The pipeline writes the corpus the replay source reads, so
-        // both ends must be declared. (source_entry->name resolves
-        // aliases.)
-        if (!source_entry || source_entry->name != "act-trace" ||
+        // both ends must be declared (the lookup resolves aliases).
+        if (!engineRun() ||
+            registry::sourceRegistry().at(source).name != "act-trace" ||
             !extras.has("trace")) {
             throw SpecError(
                 "trace-pipeline= needs source=act-trace and "
@@ -310,9 +305,7 @@ ExperimentSpec::validate() const
 
     for (const std::string &key : extras.keys()) {
         std::string owner;
-        const ParamDesc *desc =
-            findEntryParam(scheme_entry, workload_entry,
-                           attack_entry, source_entry, key, &owner);
+        const ParamDesc *desc = declaredParam(key, &owner);
         if (!desc) {
             throw SpecError(
                 "parameter '" + key + "' is not declared by scheme '" +
@@ -326,42 +319,17 @@ ExperimentSpec::validate() const
 ParamSet
 ExperimentSpec::toParams() const
 {
+    static const ExperimentSpec kDefaults;
     ParamSet params;
-    params.set("scheme", scheme);
-    params.set("workload", workload);
-    params.set("attack", attack);
-    params.set("flip", std::to_string(flipTh));
-    params.set("rfm", std::to_string(rfmTh));
-    params.set("ad", std::to_string(adTh));
-    params.set("blast-radius", std::to_string(blastRadius));
-    params.set("scheme-seed", std::to_string(schemeSeed));
-    params.set("cores", std::to_string(cores));
-    params.set("instr", std::to_string(instrPerCore));
-    params.set("seed", std::to_string(seed));
-    params.set("warmup", std::to_string(trackerWarmupActs));
-    params.set("warmup-from-workload",
-               warmupFromWorkload ? "1" : "0");
-    // The capture path is off by default; like the extras it only
-    // appears when set, so existing describe() goldens are stable.
-    if (!record.empty())
-        params.set("record", record);
-    if (!tracePipeline.empty())
-        params.set("trace-pipeline", tracePipeline);
-    // Telemetry knobs follow the same non-default-only discipline.
-    if (telemetry)
-        params.set("telemetry", "1");
-    if (!traceEvents.empty())
-        params.set("trace-events", traceEvents);
-    if (heatmapRegions != 64)
-        params.set("heatmap-regions", std::to_string(heatmapRegions));
-    if (traceCapacity != 4096)
-        params.set("trace-capacity", std::to_string(traceCapacity));
-    if (channels != 0)
-        params.set("channels", std::to_string(channels));
-    params.set("source", source);
-    params.set("acts", std::to_string(engineActs));
-    params.set("shards", std::to_string(shards));
-    params.set("threads", std::to_string(threads));
+    for (const Knob &knob : kKnobs) {
+        std::visit(
+            [&](auto member) {
+                if ((knob.flags & kPrintDefault) != 0 ||
+                    this->*member != kDefaults.*member)
+                    params.set(knob.key, knobText(this->*member));
+            },
+            knob.member);
+    }
     for (const std::string &key : extras.keys())
         params.set(key, extras.getString(key));
     return params;

@@ -29,8 +29,22 @@
 #include "common/config.hh"
 #include "sim/system.hh"
 
+namespace mithril::registry
+{
+struct ParamDesc;
+} // namespace mithril::registry
+
 namespace mithril::sim
 {
+
+/** Which spec-owned knobs a call covers. */
+enum class KnobScope
+{
+    All,
+    /** The knobs a sweep takes as one scalar for every job; the rest
+     *  are its axes, set per case, or not sweep knobs at all. */
+    SweepScalars,
+};
 
 /** Full experiment description over registry names. */
 struct ExperimentSpec
@@ -144,13 +158,25 @@ struct ExperimentSpec
     fromParams(const ParamSet &params,
                const std::vector<std::string> &ignore_keys = {});
 
+    /** True when `key` names a spec-owned knob within `scope`. */
+    static bool ownsKnob(const std::string &key,
+                         KnobScope scope = KnobScope::All);
+
+    /** Set every knob within `scope` that `params` names; the others
+     *  keep their values. A malformed value is fatal (ParamSet
+     *  semantics); ranges are validate()'s job. */
+    void readKnobs(const ParamSet &params, KnobScope scope);
+
     /**
-     * Range-check one spec-owned numeric knob, named by its key
-     * (e.g. "cores"), against the spec's parameter table — the one
-     * place legal ranges live; `channels` must also be a power of
-     * two. Throws registry::SpecError.
+     * The declaration of `key` by one of this spec's selected
+     * registry entries (scheme, workload, attack, and the source of
+     * an engine run), or nullptr when none declares it. `owner`, when
+     * given, receives the declaring entry, e.g. "scheme 'para'". An
+     * unregistered name declares nothing.
      */
-    static void checkRange(const std::string &key, std::uint64_t value);
+    const registry::ParamDesc *
+    declaredParam(const std::string &key,
+                  std::string *owner = nullptr) const;
 
     /**
      * Re-validate a (possibly hand-built) spec: registry names exist,

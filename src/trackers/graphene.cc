@@ -62,44 +62,22 @@ std::size_t
 Graphene::onActivateBatch(const ActSpan &span,
                           std::vector<RowId> &arr_aggressors)
 {
-    // While tracing, take the base scalar loop so per-record table
-    // events carry exact ticks; byte-identical in effect by the
-    // onActivateBatch() contract (pinned by the equivalence tests).
-    if (eventRecorder_)
-        return RhProtection::onActivateBatch(span, arr_aggressors);
-    core::CbsTable &table = tables_.at(span.bank);
-    Tick &last_reset = lastReset_.at(span.bank);
     if (span.size == 0)
         return 0;
-
-    // A table reset can only fall inside this span when its last tick
-    // crosses the reset interval (once per tREFW); take the scalar
-    // loop for that rare span, the tight run otherwise.
-    if (span.tickAt(span.size - 1) - last_reset >=
-        params_.resetInterval) {
-        std::size_t consumed = 0;
-        while (consumed < span.size) {
-            const Tick now = span.tickAt(consumed);
-            if (now - last_reset >= params_.resetInterval) {
-                table.clear();
-                last_reset = now;
-            }
-            const std::uint64_t est =
-                table.touchFast(span.rows[consumed]);
-            ++consumed;
-            if (est % params_.threshold == 0) {
-                arr_aggressors.push_back(span.rows[consumed - 1]);
-                ++arrCount_;
-                break;
-            }
-        }
-        countOp(consumed);
-        return consumed;
-    }
+    // The base scalar loop takes two kinds of span, byte-identical in
+    // effect by the onActivateBatch() contract (pinned by the
+    // equivalence tests): every span while tracing, so per-record
+    // table events carry exact ticks, and the rare span whose last
+    // tick crosses the reset interval (once per tREFW), inside which
+    // the table resets. The tight run takes the rest.
+    if (eventRecorder_ ||
+        span.tickAt(span.size - 1) - lastReset_.at(span.bank) >=
+            params_.resetInterval)
+        return RhProtection::onActivateBatch(span, arr_aggressors);
 
     bool hit = false;
-    const std::size_t consumed =
-        table.touchRun(span.rows, span.size, params_.threshold, &hit);
+    const std::size_t consumed = tables_.at(span.bank).touchRun(
+        span.rows, span.size, params_.threshold, &hit);
     if (hit) {
         arr_aggressors.push_back(span.rows[consumed - 1]);
         ++arrCount_;

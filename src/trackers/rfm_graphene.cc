@@ -50,36 +50,19 @@ std::size_t
 RfmGraphene::onActivateBatch(const ActSpan &span,
                              std::vector<RowId> &arr_aggressors)
 {
-    (void)arr_aggressors;  // Buffered, never immediate.
-    core::CbsTable &table = tables_.at(span.bank);
-    Tick &last_reset = lastReset_.at(span.bank);
-    auto &queue = pending_.at(span.bank);
     if (span.size == 0)
         return 0;
 
-    // Rare reset-crossing span: scalar loop (see Graphene).
-    if (span.tickAt(span.size - 1) - last_reset >=
-        params_.resetInterval) {
-        for (std::size_t i = 0; i < span.size; ++i) {
-            const Tick now = span.tickAt(i);
-            if (now - last_reset >= params_.resetInterval) {
-                table.clear();
-                queue.clear();
-                last_reset = now;
-            }
-            const std::uint64_t est = table.touchFast(span.rows[i]);
-            if (est % params_.threshold == 0) {
-                queue.push_back(span.rows[i]);
-                maxQueueDepth_ =
-                    std::max(maxQueueDepth_, queue.size());
-            }
-        }
-        countOp(span.size);
-        return span.size;
-    }
+    // Rare reset-crossing span: scalar loop (see Graphene). It never
+    // stops early, as onActivate() requests no immediate ARR.
+    if (span.tickAt(span.size - 1) - lastReset_.at(span.bank) >=
+        params_.resetInterval)
+        return RhProtection::onActivateBatch(span, arr_aggressors);
 
-    // Buffering never stops the span: resume the run after each
-    // threshold crossing.
+    // Buffered, never immediate: resume the run after each threshold
+    // crossing.
+    core::CbsTable &table = tables_.at(span.bank);
+    auto &queue = pending_.at(span.bank);
     std::size_t done = 0;
     while (done < span.size) {
         bool hit = false;

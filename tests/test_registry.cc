@@ -213,6 +213,88 @@ TEST(ExperimentSpec, DescribeRoundTripsThroughParamSet)
               defaults.describe());
 }
 
+TEST(ExperimentSpec, EveryKnobRoundTripsThroughDescribe)
+{
+    // Every spec-owned knob off its default and in range, the seeds at
+    // the top of their 64 bits: parse(describe()) restores each field.
+    sim::ExperimentSpec spec;
+    spec.scheme = "para";
+    spec.workload = "mt-fft";
+    spec.attack = "multi-sided";
+    spec.source = "act-trace";
+    spec.engineActs = 12345;
+    spec.shards = 3;
+    spec.threads = 2;
+    spec.flipTh = 3125;
+    spec.rfmTh = 32;
+    spec.adTh = 150;
+    spec.blastRadius = 2;
+    spec.schemeSeed = 18446744073709551614ull;
+    spec.cores = 4;
+    spec.instrPerCore = 5000;
+    spec.seed = 18446744073709551615ull;
+    spec.trackerWarmupActs = 77;
+    spec.warmupFromWorkload = true;
+    spec.record = "knobs.acttrace";
+    spec.tracePipeline = "merge:a.acttrace,b.acttrace";
+    spec.telemetry = true;
+    spec.traceEvents = "knobs.json";
+    spec.heatmapRegions = 16;
+    spec.traceCapacity = 128;
+    spec.channels = 4;
+    spec.extras.set("trace", "replay.acttrace");
+    ASSERT_NO_THROW(spec.validate());
+
+    const std::string described = spec.describe();
+    const sim::ExperimentSpec back =
+        sim::ExperimentSpec::parse(ParamSet::fromString(described));
+    EXPECT_EQ(back.scheme, spec.scheme);
+    EXPECT_EQ(back.workload, spec.workload);
+    EXPECT_EQ(back.attack, spec.attack);
+    EXPECT_EQ(back.source, spec.source);
+    EXPECT_EQ(back.engineActs, spec.engineActs);
+    EXPECT_EQ(back.shards, spec.shards);
+    EXPECT_EQ(back.threads, spec.threads);
+    EXPECT_EQ(back.flipTh, spec.flipTh);
+    EXPECT_EQ(back.rfmTh, spec.rfmTh);
+    EXPECT_EQ(back.adTh, spec.adTh);
+    EXPECT_EQ(back.blastRadius, spec.blastRadius);
+    EXPECT_EQ(back.schemeSeed, spec.schemeSeed);
+    EXPECT_EQ(back.cores, spec.cores);
+    EXPECT_EQ(back.instrPerCore, spec.instrPerCore);
+    EXPECT_EQ(back.seed, spec.seed);
+    EXPECT_EQ(back.trackerWarmupActs, spec.trackerWarmupActs);
+    EXPECT_EQ(back.warmupFromWorkload, spec.warmupFromWorkload);
+    EXPECT_EQ(back.record, spec.record);
+    EXPECT_EQ(back.tracePipeline, spec.tracePipeline);
+    EXPECT_EQ(back.telemetry, spec.telemetry);
+    EXPECT_EQ(back.traceEvents, spec.traceEvents);
+    EXPECT_EQ(back.heatmapRegions, spec.heatmapRegions);
+    EXPECT_EQ(back.traceCapacity, spec.traceCapacity);
+    EXPECT_EQ(back.channels, spec.channels);
+    EXPECT_EQ(back.extras.getString("trace"), "replay.acttrace");
+    EXPECT_EQ(back.describe(), described);
+}
+
+TEST(ExperimentSpec, CommittedDescribeLineRoundTrips)
+{
+    // The meta= string of the committed trace golden is a describe()
+    // line from when that file was made: it must parse and describe
+    // back to the same bytes.
+    std::ifstream in(std::string(MITHRIL_SOURCE_DIR) +
+                     "/tests/golden/acttrace_v1.describe.txt");
+    std::string header;
+    ASSERT_TRUE(std::getline(in, header));
+    const std::size_t begin = header.find("meta=\"");
+    ASSERT_NE(begin, std::string::npos) << header;
+    const std::size_t end = header.find('"', begin + 6);
+    ASSERT_NE(end, std::string::npos) << header;
+    const std::string line = header.substr(begin + 6, end - begin - 6);
+    EXPECT_EQ(
+        sim::ExperimentSpec::parse(ParamSet::fromString(line)).describe(),
+        line);
+}
+
 TEST(ExperimentSpec, CanonicalizesAliases)
 {
     const sim::ExperimentSpec spec = sim::ExperimentSpec::parse(

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -344,8 +345,7 @@ TEST(Journal, RoundTripsEveryRecordExactly)
     failed.metrics = stubMetrics(odd[1]);
     failed.metrics.telemetry[hostile] = 2.5;
     const std::uint64_t fingerprint = sweepFingerprint(odd);
-    SweepJournal(journal.path, fingerprint, odd.size(), false)
-        .append(failed);
+    SweepJournal(journal.path, fingerprint, odd.size()).append(failed);
     const auto hostileBack =
         SweepJournal::load(journal.path, fingerprint, odd);
     ASSERT_EQ(hostileBack.size(), 1u);
@@ -484,6 +484,60 @@ TEST(Journal, ResumeReemitsByteIdenticalArtifacts)
         SweepRunner(options).run(spec, &stubMetrics);
     EXPECT_EQ(again.restoredCount(), spec.jobCount());
     EXPECT_EQ(JsonSink().render(again), want_json);
+}
+
+TEST(Journal, ResumeDropsADamagedTailBeforeAppending)
+{
+    // A torn last record (a SIGKILL mid-append) and a corrupt middle
+    // record each end the restorable prefix. Resume must cut the file
+    // back to that prefix before appending, or every record it writes
+    // lands behind a line no later load() gets past.
+    const SweepSpec spec = smallSpec();
+    const std::size_t n = spec.jobCount();
+    const std::string want_json =
+        JsonSink().render(SweepRunner(quietOptions()).run(spec,
+                                                          &stubMetrics));
+    auto tear = [](std::string &content) {
+        content.resize(content.size() - 25);
+    };
+    auto corrupt = [](std::string &content) {
+        std::size_t pos = content.find('\n');  // header
+        pos = content.find('\n', pos + 1);     // record 0
+        pos = content.find("aggIpc=", pos);
+        content[pos + 7] = content[pos + 7] == '9' ? '8' : '9';
+    };
+    for (const auto &damage : {std::function<void(std::string &)>(tear),
+                               std::function<void(std::string &)>(corrupt)}) {
+        TempPath journal("resilience_damaged.journal");
+        RunnerOptions options = quietOptions();
+        options.journal = journal.path;
+        SweepRunner(options).run(spec, &stubMetrics);
+        std::string content = readFile(journal.path);
+        damage(content);
+        writeFile(journal.path, content);
+
+        options.resume = true;
+        std::string log;
+        setLogCapture(&log);
+        const SweepResult first =
+            SweepRunner(options).run(spec, &stubMetrics);
+        EXPECT_LT(first.restoredCount(), n);
+        EXPECT_FALSE(log.empty());
+        log.clear();
+        const SweepResult second =
+            SweepRunner(options).run(spec, &stubMetrics);
+        setLogCapture(nullptr);
+
+        EXPECT_EQ(second.restoredCount(), n);
+        EXPECT_EQ(log, "");
+        EXPECT_EQ(JsonSink().render(first), want_json);
+        EXPECT_EQ(JsonSink().render(second), want_json);
+        // Exactly the header plus one whole record line per job.
+        content = readFile(journal.path);
+        EXPECT_EQ(std::count(content.begin(), content.end(), '\n'),
+                  static_cast<long>(n + 1));
+        EXPECT_EQ(content.back(), '\n');
+    }
 }
 
 TEST(Journal, ResumeWithoutJournalKnobIsAnError)
