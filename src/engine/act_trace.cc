@@ -169,25 +169,41 @@ unzigzag(std::uint64_t v)
 }
 
 std::string
-geometryText(std::uint32_t channels, std::uint32_t ranks,
-             std::uint32_t banks, std::uint32_t rows)
+geometryText(const dram::Geometry &g)
 {
-    return std::to_string(channels) + "x" + std::to_string(ranks) +
-           "x" + std::to_string(banks) + " banks, " +
-           std::to_string(rows) + " rows";
+    return std::to_string(g.channels) + "x" +
+           std::to_string(g.ranksPerChannel) + "x" +
+           std::to_string(g.banksPerRank) + " banks, " +
+           std::to_string(g.rowsPerBank) + " rows";
 }
 
 } // namespace
 
 // ----------------------------------------------------- ActTraceInfo
 
-bool
-ActTraceInfo::matches(const dram::Geometry &geometry) const
+dram::Geometry
+ActTraceInfo::geometry() const
 {
-    return channels == geometry.channels &&
-           ranksPerChannel == geometry.ranksPerChannel &&
-           banksPerRank == geometry.banksPerRank &&
-           rowsPerBank == geometry.rowsPerBank;
+    dram::Geometry geometry = dram::paperGeometry();
+    geometry.channels = channels;
+    geometry.ranksPerChannel = ranksPerChannel;
+    geometry.banksPerRank = banksPerRank;
+    geometry.rowsPerBank = rowsPerBank;
+    return geometry;
+}
+
+void
+requireSameGeometry(const std::string &what, const dram::Geometry &a,
+                    const dram::Geometry &b)
+{
+    if (a.channels == b.channels &&
+        a.ranksPerChannel == b.ranksPerChannel &&
+        a.banksPerRank == b.banksPerRank &&
+        a.rowsPerBank == b.rowsPerBank)
+        return;
+    throw registry::SpecError(what + ": geometry mismatch — " +
+                              geometryText(a) + " vs " +
+                              geometryText(b));
 }
 
 std::string
@@ -921,19 +937,9 @@ const registry::Registrar<registry::SourceTraits> kRegisterActTrace{{
                 "trace_cli)");
         }
         auto source = std::make_unique<ActTraceSource>(path);
-        const ActTraceInfo &info = source->info();
-        if (!info.matches(ctx.geometry)) {
-            throw registry::SpecError(
-                "act-trace '" + path + "': geometry mismatch — "
-                "trace was captured on " +
-                geometryText(info.channels, info.ranksPerChannel,
-                             info.banksPerRank, info.rowsPerBank) +
-                ", this run has " +
-                geometryText(ctx.geometry.channels,
-                             ctx.geometry.ranksPerChannel,
-                             ctx.geometry.banksPerRank,
-                             ctx.geometry.rowsPerBank));
-        }
+        requireSameGeometry("act-trace '" + path +
+                                "' (captured vs this run)",
+                            source->info().geometry(), ctx.geometry);
         return source;
     },
 }};

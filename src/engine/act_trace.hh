@@ -75,8 +75,9 @@ struct ActTraceInfo
         return channels * ranksPerChannel * banksPerRank;
     }
 
-    /** True when the trace aims at exactly this run geometry. */
-    bool matches(const dram::Geometry &geometry) const;
+    /** The run geometry the trace aims at. Row and line bytes are
+     *  not part of the format; the paper preset supplies them. */
+    dram::Geometry geometry() const;
 
     /**
      * Deterministic multi-line dump (header line, then one
@@ -85,6 +86,12 @@ struct ActTraceInfo
      */
     std::string describe() const;
 };
+
+/** Throw registry::SpecError, naming both geometries, unless `a`
+ *  and `b` agree on every field the trace format records. */
+void requireSameGeometry(const std::string &what,
+                         const dram::Geometry &a,
+                         const dram::Geometry &b);
 
 /** One bank's tick extent, computed from the block index alone. */
 struct ActTraceBankSpan

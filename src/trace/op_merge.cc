@@ -48,13 +48,13 @@ class MergeStream : public RecordStream
         for (const std::string &path : inputs)
             sources.push_back(
                 std::make_unique<engine::ActTraceSource>(path));
-        geometry_ = traceGeometry(sources.front()->info());
+        geometry_ = sources.front()->info().geometry();
         std::size_t cursors = 0;
         for (std::size_t i = 0; i < sources.size(); ++i) {
             if (i > 0) {
-                requireSameGeometry(
+                engine::requireSameGeometry(
                     "trace-op 'merge' input '" + inputs[i] + "'",
-                    geometry_, traceGeometry(sources[i]->info()));
+                    geometry_, sources[i]->info().geometry());
             }
             for (std::uint64_t count : sources[i]->info().perBank)
                 cursors += count != 0;

@@ -141,9 +141,9 @@ class SpliceStream : public RecordStream
     openWith(const std::string &path, Tick at)
     {
         engine::ActTraceSource with(path);
-        requireSameGeometry("trace-op 'splice' with '" + path + "'",
-                            upstream_->geometry(),
-                            traceGeometry(with.info()));
+        engine::requireSameGeometry(
+            "trace-op 'splice' with '" + path + "'",
+            upstream_->geometry(), with.info().geometry());
         const engine::ActTraceInfo &info = with.info();
         for (BankId b = 0; b < info.totalBanks(); ++b) {
             if (info.perBank[b] == 0)

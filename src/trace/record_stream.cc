@@ -4,52 +4,9 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "registry/registry.hh"
 
 namespace mithril::trace
 {
-
-dram::Geometry
-traceGeometry(const engine::ActTraceInfo &info)
-{
-    // The trace header records the bank-space shape; rowBytes /
-    // lineBytes never enter ACT-level replay, so the paper preset's
-    // values complete the struct.
-    dram::Geometry geometry = dram::paperGeometry();
-    geometry.channels = info.channels;
-    geometry.ranksPerChannel = info.ranksPerChannel;
-    geometry.banksPerRank = info.banksPerRank;
-    geometry.rowsPerBank = info.rowsPerBank;
-    return geometry;
-}
-
-namespace
-{
-
-std::string
-geometryLine(const dram::Geometry &g)
-{
-    return std::to_string(g.channels) + "x" +
-           std::to_string(g.ranksPerChannel) + "x" +
-           std::to_string(g.banksPerRank) + " banks, " +
-           std::to_string(g.rowsPerBank) + " rows";
-}
-
-} // namespace
-
-void
-requireSameGeometry(const std::string &what, const dram::Geometry &a,
-                    const dram::Geometry &b)
-{
-    if (a.channels == b.channels &&
-        a.ranksPerChannel == b.ranksPerChannel &&
-        a.banksPerRank == b.banksPerRank &&
-        a.rowsPerBank == b.rowsPerBank)
-        return;
-    throw registry::SpecError(what + ": geometry mismatch — " +
-                              geometryLine(a) + " vs " +
-                              geometryLine(b));
-}
 
 // ------------------------------------------------------ SourceCursor
 
@@ -93,7 +50,7 @@ TraceFileStream::TraceFileStream(const std::string &path)
 
 TraceFileStream::TraceFileStream(
     std::unique_ptr<engine::ActTraceSource> source)
-    : geometry_(traceGeometry(source->info())),
+    : geometry_(source->info().geometry()),
       cursor_(std::move(source))
 {
 }

@@ -123,16 +123,6 @@ class TraceFileStream : public RecordStream
     SourceCursor cursor_;
 };
 
-/** Geometry an ActTraceInfo header implies (row/line bytes are not
- *  part of the trace format; the paper preset supplies them). */
-dram::Geometry traceGeometry(const engine::ActTraceInfo &info);
-
-/** Throw registry::SpecError unless the two geometries agree on
- *  every field the trace format records. */
-void requireSameGeometry(const std::string &what,
-                         const dram::Geometry &a,
-                         const dram::Geometry &b);
-
 } // namespace mithril::trace
 
 #endif // MITHRIL_TRACE_RECORD_STREAM_HH

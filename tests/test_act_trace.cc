@@ -231,7 +231,8 @@ TEST(ActTraceRoundTrip, RandomStreamsSurviveWriteRead)
         EXPECT_EQ(info.records, size);
         EXPECT_EQ(info.seed, 99u);
         EXPECT_EQ(info.meta, "round-trip");
-        EXPECT_TRUE(info.matches(geom));
+        EXPECT_NO_THROW(
+            engine::requireSameGeometry("trace", info.geometry(), geom));
 
         const std::vector<Rec> replayed = drain(source);
         ASSERT_EQ(replayed.size(), recs.size()) << "size " << size;
@@ -564,7 +565,8 @@ TEST(SystemCaptureReplay, EverySchemeReplaysShardInvariant)
     const engine::ActTraceInfo info = engine::actTraceInfo(path);
     // The capture is exactly the tracker-observed ACT stream.
     EXPECT_EQ(info.records, live.acts);
-    EXPECT_TRUE(info.matches(dram::paperGeometry()));
+    EXPECT_NO_THROW(engine::requireSameGeometry(
+        "capture", info.geometry(), dram::paperGeometry()));
 
     for (const std::string &scheme :
          registry::schemeRegistry().names()) {
