@@ -131,18 +131,18 @@ const registry::Registrar<registry::SourceTraits> kRegisterAttack{{
     "a registered attack pattern replicated on N banks, every bank "
     "hammering at full rate",
     /*aliases=*/{},
-    /*uses=*/"flip (attack sizing), plus the chosen attack's params",
+    /*uses=*/"attack (the pattern to replicate), flip (attack sizing), "
+             "plus the chosen attack's params",
     /*params=*/
-    {{"attack", registry::ParamDesc::Type::String, "double-sided", 0,
-      0, "attack registry entry to replicate"},
-     {"source-banks", registry::ParamDesc::Type::Uint, "0", 0, 65536,
+    {{"source-banks", registry::ParamDesc::Type::Uint, "0", 0, 65536,
       "banks to attack concurrently (0 = every bank of channel 0, "
       "rank 0)"}},
     /*make=*/
     [](const ParamSet &params, const registry::SourceContext &ctx)
         -> std::unique_ptr<ActSource> {
-        const std::string attack =
-            params.getString("attack", "double-sided");
+        // ExperimentSpec::validate() rejects attack=none first; this
+        // check covers callers that build the source directly.
+        const std::string attack = params.getString("attack", "none");
         if (attack == "none") {
             throw registry::SpecError(
                 "source 'attack' needs a real attack entry "

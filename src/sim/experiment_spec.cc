@@ -290,6 +290,11 @@ ExperimentSpec::validate() const
                         "' needs cores >= 2 (one core becomes the "
                         "attacker)");
     }
+    if (!attacking() && engineRun() &&
+        registry::sourceRegistry().at(source).name == "attack") {
+        throw SpecError("source 'attack' needs a real attack entry "
+                        "(attack=none produces no stream)");
+    }
     if (!tracePipeline.empty()) {
         // The pipeline writes the corpus the replay source reads, so
         // both ends must be declared (the lookup resolves aliases).

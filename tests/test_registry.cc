@@ -19,6 +19,7 @@
 #include "registry/listing.hh"
 #include "registry/registry.hh"
 #include "registry/scheme_registry.hh"
+#include "registry/source_registry.hh"
 #include "registry/workload_registry.hh"
 #include "sim/experiment.hh"
 
@@ -172,6 +173,25 @@ TEST(BuiltinRegistries, SchemeFactoriesHonourTheirKnobs)
         else
             ASSERT_NE(tracker, nullptr) << name;
     }
+}
+
+TEST(BuiltinRegistries, NoEntryDeclaresASpecOwnedKey)
+{
+    // A key with two owners misreports runs: toParams() prints the
+    // spec's value, then the entry's extra of the same name replaces
+    // it in what the factories read.
+    auto check = [](const auto &reg) {
+        for (const std::string &name : reg.names()) {
+            for (const registry::ParamDesc &desc : reg.at(name).params)
+                EXPECT_FALSE(sim::ExperimentSpec::ownsKnob(desc.key))
+                    << name << " declares the spec's " << desc.key
+                    << "=";
+        }
+    };
+    check(registry::schemeRegistry());
+    check(registry::workloadRegistry());
+    check(registry::attackRegistry());
+    check(registry::sourceRegistry());
 }
 
 TEST(BuiltinRegistries, InfeasibleConfigurationThrowsSpecError)
@@ -382,6 +402,15 @@ TEST(ExperimentSpec, AttackNeedsTwoCores)
     EXPECT_THROW(sim::ExperimentSpec::parse(ParamSet::fromString(
                      "attack=double-sided cores=1")),
                  SpecError);
+}
+
+TEST(ExperimentSpec, AttackSourceNeedsAnAttack)
+{
+    EXPECT_THROW(
+        sim::ExperimentSpec::parse(ParamSet::fromString("source=attack")),
+        SpecError);
+    EXPECT_NO_THROW(sim::ExperimentSpec::parse(
+        ParamSet::fromString("source=attack attack=multi-sided")));
 }
 
 // ------------------------------------------------------ golden list
