@@ -17,39 +17,11 @@
 #include "bench_util.hh"
 #include "core/bounds.hh"
 #include "core/config_solver.hh"
-#include "sim/act_harness.hh"
 #include "core/mithril.hh"
 #include "trackers/graphene.hh"
 #include "trackers/rfm_graphene.hh"
 
 using namespace mithril;
-
-namespace
-{
-
-double
-concentrationDisturbance(trackers::RhProtection *tracker,
-                         const dram::Timing &timing,
-                         std::uint32_t threshold)
-{
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 1u << 30;
-    sim::ActHarness harness(cfg, tracker);
-    const std::uint64_t q = 150;
-    const std::uint64_t phase1 = q * threshold;
-    harness.run(dram::maxActsPerWindow(timing),
-                [&](std::uint64_t i) {
-                    if (i < phase1)
-                        return static_cast<RowId>(2000 + 2 * (i % q));
-                    const RowId last =
-                        static_cast<RowId>(2000 + 2 * (q - 1));
-                    return (i % 2) ? last : last - 2;
-                });
-    return harness.oracle().maxDisturbanceEver();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -107,7 +79,7 @@ main(int argc, char **argv)
         auto mithril =
             registry::makeScheme("mithril", params, {timing, geom});
         const double d =
-            concentrationDisturbance(mithril.get(), timing, 2000);
+            bench::concentrationPeak(mithril.get(), timing, 2000, 150);
         greedy.beginRow()
             .cell("greedy (Mithril)")
             .num(d, 0)
@@ -122,7 +94,7 @@ main(int argc, char **argv)
         params.resetInterval = timing.tREFW;
         trackers::RfmGraphene buffered(1, params);
         const double d =
-            concentrationDisturbance(&buffered, timing, 2000);
+            bench::concentrationPeak(&buffered, timing, 2000, 150);
         greedy.beginRow()
             .cell("buffered (RFM-Graphene)")
             .num(d, 0)

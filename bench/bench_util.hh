@@ -17,9 +17,11 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/arr_vs_rfm.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "common/table_printer.hh"
+#include "engine/act_stream_engine.hh"
 #include "registry/registry.hh"
 #include "registry/scheme_registry.hh"
 #include "runner/runner.hh"
@@ -147,6 +149,24 @@ runOrDie(const sim::ExperimentSpec &spec)
         fatal("%s", err.what());
     }
     return {};
+}
+
+/** Peak ground-truth disturbance, with no flip cap, of one tREFW of
+ *  Figure 2's concentration attack (analysis::concentrationRow) at the
+ *  maximum ACT rate on one bank. */
+inline double
+concentrationPeak(trackers::RhProtection *tracker,
+                  const dram::Timing &timing, std::uint32_t threshold,
+                  std::uint64_t rows)
+{
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 1u << 30), tracker);
+    engine::CallbackSource source(
+        dram::maxActsPerWindow(timing), [&](std::uint64_t i) {
+            return analysis::concentrationRow(i, rows, threshold);
+        });
+    eng.run(source);
+    return eng.oracle().maxDisturbanceEver();
 }
 
 /** For benches with no machine-readable sink: reject `json=`/`csv=`

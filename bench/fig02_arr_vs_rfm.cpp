@@ -7,7 +7,7 @@
  * threshold for ARR-Graphene (linear) and RFM-Graphene at RFM_TH in
  * {256, 128, 64, 32} (floored by the queue-drain term).
  *
- * Part 2 (measured): the command-level harness runs the concentration
+ * Part 2 (measured): a one-bank ActStream engine runs the concentration
  * attack against both schemes and reports the highest ground-truth
  * victim disturbance — the empirical "unsafe FlipTH". The paper's
  * worked example (threshold 2K, RFM_TH 64 -> ~20K) is reproduced.
@@ -18,7 +18,6 @@
 
 #include "analysis/arr_vs_rfm.hh"
 #include "bench_util.hh"
-#include "sim/act_harness.hh"
 #include "trackers/graphene.hh"
 #include "trackers/rfm_graphene.hh"
 
@@ -40,25 +39,11 @@ measureRfmGraphene(const dram::Timing &timing, std::uint32_t threshold,
     params.resetInterval = timing.tREFW;
     trackers::RfmGraphene tracker(1, params);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 1u << 30;  // Observe disturbance, no flip cap.
-    sim::ActHarness harness(cfg, &tracker);
-
     // Concentration inside half a window, then hammer the last pair.
     const std::uint64_t q = std::min<std::uint64_t>(
         300000 / threshold,
         dram::maxActsPerWindow(timing) / (2ull * threshold));
-    const std::uint64_t phase1 = q * threshold;
-    harness.run(dram::maxActsPerWindow(timing),
-                [&](std::uint64_t i) {
-                    if (i < phase1)
-                        return static_cast<RowId>(2000 + 2 * (i % q));
-                    const RowId last =
-                        static_cast<RowId>(2000 + 2 * (q - 1));
-                    return (i % 2) ? last : last - 2;
-                });
-    return harness.oracle().maxDisturbanceEver();
+    return bench::concentrationPeak(&tracker, timing, threshold, q);
 }
 
 /** Measured max disturbance for ARR-Graphene under the same attack. */
@@ -71,23 +56,8 @@ measureArrGraphene(const dram::Timing &timing, std::uint32_t threshold)
         dram::maxActsPerWindow(timing), threshold);
     params.resetInterval = timing.tREFW;
     trackers::Graphene tracker(1, params);
-
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 1u << 30;
-    sim::ActHarness harness(cfg, &tracker);
-    const std::uint64_t q = 300000 / threshold;
-    const std::uint64_t phase1 =
-        q * static_cast<std::uint64_t>(threshold);
-    harness.run(dram::maxActsPerWindow(timing),
-                [&](std::uint64_t i) {
-                    if (i < phase1)
-                        return static_cast<RowId>(2000 + 2 * (i % q));
-                    const RowId last =
-                        static_cast<RowId>(2000 + 2 * (q - 1));
-                    return (i % 2) ? last : last - 2;
-                });
-    return harness.oracle().maxDisturbanceEver();
+    return bench::concentrationPeak(&tracker, timing, threshold,
+                                    300000 / threshold);
 }
 
 } // namespace

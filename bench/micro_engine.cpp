@@ -25,6 +25,7 @@
  * oracle_acts_per_sec).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -57,6 +58,10 @@ class HammerSource : public engine::ActSource
     }
 
     std::string name() const override { return "hammer-16"; }
+
+    /** The sharded runs' slices: a ShardHammerSource per shard. */
+    std::unique_ptr<engine::ActSource>
+    shardSlice(BankId lo, BankId hi, std::uint64_t budget) override;
 
     std::size_t
     fill(engine::ActBatch &batch, std::size_t limit) override
@@ -143,6 +148,13 @@ class ShardHammerSource : public engine::ActSource
     RowId row_ = 2000;
 };
 
+std::unique_ptr<engine::ActSource>
+HammerSource::shardSlice(BankId lo, BankId hi, std::uint64_t budget)
+{
+    return std::make_unique<ShardHammerSource>(
+        banks_, std::min(count_, budget), lo, hi);
+}
+
 engine::EngineConfig
 makeEngineConfig(std::uint32_t banks,
                  engine::EngineConfig::Dispatch dispatch,
@@ -225,14 +237,13 @@ measureShardedActsPerSec(const std::string &scheme,
         return makeTracker(scheme, cfg.engine);
     });
 
-    auto slices = [&](std::uint64_t count) {
-        return [count, banks](std::uint32_t, BankId lo, BankId hi) {
-            return std::make_unique<ShardHammerSource>(banks, count,
-                                                       lo, hi);
+    auto stream = [&](std::uint64_t count) {
+        return [count, banks] {
+            return std::make_unique<HammerSource>(banks, count);
         };
     };
 
-    eng.runSliced(slices(acts / 8 + 1));  // Warm-up, untimed.
+    eng.run(stream(acts / 8 + 1));  // Warm-up, untimed.
 
     // The phase profile accumulates across runs; snapshot after the
     // warm-up so the reported breakdown covers the timed run only.
@@ -249,7 +260,7 @@ measureShardedActsPerSec(const std::string &scheme,
     const double join0 = eng.joinSec();
 
     const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t done = eng.runSliced(slices(acts));
+    const std::uint64_t done = eng.run(stream(acts));
     const auto t1 = std::chrono::steady_clock::now();
     const double seconds =
         std::chrono::duration<double>(t1 - t0).count();

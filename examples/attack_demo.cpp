@@ -1,7 +1,7 @@
 /**
  * @file
  * Attack demo: fire the full Row Hammer attack battery at a chosen
- * protection scheme on the command-level harness and report the
+ * protection scheme on a one-bank ActStream engine and report the
  * ground-truth oracle's verdict for each pattern.
  *
  * Usage: attack_demo [scheme=mithril] [flip_th=6250] [rfm_th=0]
@@ -16,8 +16,8 @@
 #include "common/config.hh"
 #include "common/random.hh"
 #include "common/table_printer.hh"
+#include "engine/act_stream_engine.hh"
 #include "registry/scheme_registry.hh"
-#include "sim/act_harness.hh"
 
 using namespace mithril;
 
@@ -102,25 +102,24 @@ main(int argc, char **argv)
         } catch (const registry::SpecError &err) {
             fatal("%s", err.what());
         }
-        sim::ActHarnessConfig cfg;
-        cfg.timing = timing;
-        cfg.flipTh = flip_th;
-        sim::ActHarness harness(cfg, tracker.get());
+        engine::ActStreamEngine eng(
+            engine::EngineConfig::singleBank(timing, flip_th),
+            tracker.get());
         Rng rng(99);
-        harness.run(acts, [&](std::uint64_t i) {
+        engine::CallbackSource source(acts, [&](std::uint64_t i) {
             return pattern.row(i, rng);
         });
+        eng.run(source);
 
-        const auto &oracle = harness.oracle();
+        const auto &oracle = eng.oracle();
         const bool safe = oracle.bitFlips() == 0;
         all_safe = all_safe && safe;
         table.beginRow()
             .cell(pattern.name)
             .num(oracle.maxDisturbanceEver(), 0)
             .intCell(static_cast<long long>(oracle.bitFlips()))
-            .intCell(static_cast<long long>(
-                harness.preventiveRefreshes()))
-            .intCell(static_cast<long long>(harness.rfms()))
+            .intCell(static_cast<long long>(eng.preventiveRefreshes()))
+            .intCell(static_cast<long long>(eng.rfms()))
             .cell(safe ? "SAFE" : "FLIPPED");
     }
     std::printf("%s\n", table.str().c_str());

@@ -22,6 +22,17 @@ concurrentThresholdRows(const dram::Timing &timing,
     return dram::maxActsPerWindow(timing) / threshold;
 }
 
+RowId
+concentrationRow(std::uint64_t i, std::uint64_t rows,
+                 std::uint32_t threshold)
+{
+    MITHRIL_ASSERT(rows >= 2);
+    if (i < rows * threshold)
+        return static_cast<RowId>(2000 + 2 * (i % rows));
+    const auto last = static_cast<RowId>(2000 + 2 * (rows - 1));
+    return (i % 2) ? last : last - 2;
+}
+
 std::uint64_t
 rfmGrapheneSafeFlipTh(const dram::Timing &timing,
                       std::uint32_t threshold, std::uint32_t rfm_th)

@@ -46,6 +46,17 @@ std::uint64_t rfmGrapheneSafeFlipTh(const dram::Timing &timing,
 std::uint64_t concurrentThresholdRows(const dram::Timing &timing,
                                       std::uint32_t threshold);
 
+/**
+ * Row of the i-th ACT of Figure 2's concentration attack on one bank.
+ * Phase 1 hammers `rows` aggressors (>= 2), spaced 2 apart from row
+ * 2000, round-robin until each has taken `threshold` ACTs, so all of
+ * them cross the predefined threshold nearly together. Phase 2 then
+ * alternates the last two, whose shared victim keeps absorbing
+ * disturbance while a buffered-RFM queue drains.
+ */
+RowId concentrationRow(std::uint64_t i, std::uint64_t rows,
+                       std::uint32_t threshold);
+
 } // namespace mithril::analysis
 
 #endif // MITHRIL_ANALYSIS_ARR_VS_RFM_HH

@@ -140,8 +140,9 @@ forEachRecord(ActSource &source, std::uint64_t budget, Fn &&fn)
 }
 
 /**
- * Single-bank index-addressed callback source — the adapter behind
- * the classic ActHarness::run(count, row_source) surface.
+ * Index-addressed callback source on one bank: record i is
+ * row_source(i) — how the one-bank max-rate safety runs feed an
+ * EngineConfig::singleBank() engine.
  */
 class CallbackSource : public ActSource
 {

@@ -10,8 +10,8 @@ namespace mithril::engine
 
 EngineConfig
 EngineConfig::singleBank(const dram::Timing &timing,
-                         std::uint32_t rows_per_bank,
                          std::uint32_t flip_th,
+                         std::uint32_t rows_per_bank,
                          std::uint32_t blast_radius)
 {
     EngineConfig cfg;

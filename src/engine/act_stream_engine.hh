@@ -3,7 +3,7 @@
  * The ActStream engine: the one command-level simulation core every
  * maximum-rate frontend drives.
  *
- * It generalizes the historical single-bank ActHarness to the full
+ * It generalizes the historical single-bank harness to the full
  * dram::Geometry (channels x ranks x banks, each bank an independent
  * clock at one ACT per tRC), consumes SoA batches of activations from
  * an ActSource, and keeps each bank's REF cadence (every tREFI, per
@@ -15,8 +15,8 @@
  *
  * Two dispatch modes share all bookkeeping:
  *
- *  - Scalar: the faithful per-ACT port of ActHarness::activate() —
- *    one virtual tracker call per activation.
+ *  - Scalar: the faithful per-ACT port of the historical harness's
+ *    activate() — one virtual tracker call per activation.
  *  - Batched (default): activations are partitioned per bank and cut
  *    into maximal runs that cross no REF or RFM boundary; each run is
  *    handed to dram::Protection::activateRun() with precomputed ticks
@@ -89,12 +89,13 @@ struct EngineConfig
      */
     telemetry::EngineTelemetry *telemetry = nullptr;
 
-    /** The historical ActHarness shape: one bank, default geometry
-     *  elsewhere. */
+    /** One bank of `rows_per_bank` rows: the shape of the max-rate
+     *  safety runs (Figure 2, Theorems 1/2), which drive bank 0 with
+     *  activate(0, row) or a CallbackSource. */
     static EngineConfig singleBank(const dram::Timing &timing,
-                                   std::uint32_t rows_per_bank,
                                    std::uint32_t flip_th,
-                                   std::uint32_t blast_radius);
+                                   std::uint32_t rows_per_bank = 65536,
+                                   std::uint32_t blast_radius = 1);
 };
 
 /** Multi-bank maximum-rate command stream engine. */

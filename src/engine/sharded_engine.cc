@@ -125,9 +125,9 @@ ShardedActStreamEngine::shardFor(BankId bank) const
     return 0;
 }
 
-std::uint64_t
-ShardedActStreamEngine::run(const StreamFactory &make_stream,
-                            std::uint64_t max_acts)
+std::vector<std::unique_ptr<ActSource>>
+ShardedActStreamEngine::shardSources(const StreamFactory &make_stream,
+                                     std::uint64_t budget) const
 {
     std::vector<std::unique_ptr<ActSource>> sources;
     sources.reserve(shards_.size());
@@ -135,37 +135,51 @@ ShardedActStreamEngine::run(const StreamFactory &make_stream,
     // seeking through its bank index) skips the filter-and-discard
     // scan — and every shard slices off the SAME parsed instance, so
     // the trace header/index are parsed once per run, not per shard.
-    // Both paths deliver the identical bounded per-bank
-    // subsequences.
     auto probe = make_stream();
     if (auto native = probe->shardSlice(shards_[0].lo, shards_[0].hi,
-                                        max_acts)) {
+                                        budget)) {
         sources.push_back(std::move(native));
         for (std::size_t s = 1; s < shards_.size(); ++s) {
             sources.push_back(probe->shardSlice(
-                shards_[s].lo, shards_[s].hi, max_acts));
+                shards_[s].lo, shards_[s].hi, budget));
             MITHRIL_ASSERT(sources.back() != nullptr);
         }
-    } else {
-        for (const Shard &shard : shards_) {
-            if (!probe)
-                probe = make_stream();
-            sources.push_back(std::make_unique<BankFilterSource>(
-                std::move(probe), shard.lo, shard.hi, max_acts));
-        }
+        return sources;
     }
-    return runShards(sources);
+    for (const Shard &shard : shards_) {
+        if (!probe)
+            probe = make_stream();
+        sources.push_back(std::make_unique<BankFilterSource>(
+            std::move(probe), shard.lo, shard.hi, budget));
+    }
+    return sources;
 }
 
 std::uint64_t
-ShardedActStreamEngine::runSliced(const SliceFactory &make_slice)
+ShardedActStreamEngine::run(const StreamFactory &make_stream,
+                            std::uint64_t max_acts)
 {
-    std::vector<std::unique_ptr<ActSource>> sources;
-    sources.reserve(shards_.size());
-    for (std::uint32_t s = 0; s < shards_.size(); ++s)
-        sources.push_back(
-            make_slice(s, shards_[s].lo, shards_[s].hi));
+    std::vector<std::unique_ptr<ActSource>> sources =
+        shardSources(make_stream, max_acts);
     return runShards(sources);
+}
+
+void
+ShardedActStreamEngine::warmTrackers(const StreamFactory &make_stream,
+                                     std::uint64_t acts)
+{
+    if (acts == 0 || !shards_.front().tracker)
+        return;
+    std::vector<std::unique_ptr<ActSource>> sources =
+        shardSources(make_stream, acts);
+    std::vector<RowId> discard;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        trackers::RhProtection &tracker = *shards_[s].tracker;
+        forEachRecord(*sources[s], ~0ull, [&](const ActRecord &rec) {
+            discard.clear();
+            tracker.onActivate(rec.bank, rec.row, 0, discard);
+        });
+    }
 }
 
 std::uint64_t

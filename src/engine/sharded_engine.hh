@@ -18,8 +18,8 @@
  *    bank's draw sequence depends only on (seed, bank).
  *  - Each shard therefore only needs the *per-bank subsequences* of
  *    the global activation stream for its banks, which is exactly
- *    what a `BankFilterSource` slice (or a caller-provided native
- *    slice) delivers. Cross-bank interleaving is irrelevant.
+ *    what a `BankFilterSource` slice (or the stream's own native
+ *    `shardSlice()`) delivers. Cross-bank interleaving is irrelevant.
  *  - Each shard runs its own tracker instance (built by the same
  *    factory, observing a disjoint bank set) and its own oracle; the
  *    join reduces counters by sum, high-water marks by max, and the
@@ -117,15 +117,11 @@ class ShardedActStreamEngine
     using TrackerFactory =
         std::function<std::unique_ptr<trackers::RhProtection>()>;
 
-    /** Builds one full-stream instance (wrapped in BankFilterSource
-     *  per shard). Called once per shard, serially, in shard order. */
+    /** Builds one full-stream instance. A stream that answers
+     *  shardSlice() is built once and sliced per shard; any other is
+     *  built once per shard, serially, in shard order, and wrapped in
+     *  a BankFilterSource. */
     using StreamFactory = std::function<std::unique_ptr<ActSource>()>;
-
-    /** Builds one shard's native slice of the stream: only records of
-     *  banks in [lo, hi), preserving per-bank subsequences of the
-     *  global stream. */
-    using SliceFactory = std::function<std::unique_ptr<ActSource>(
-        std::uint32_t shard, BankId lo, BankId hi)>;
 
     ShardedActStreamEngine(const ShardedEngineConfig &config,
                            const TrackerFactory &make_tracker);
@@ -142,11 +138,15 @@ class ShardedActStreamEngine
                       std::uint64_t max_acts = ~0ull);
 
     /**
-     * As run(), but with caller-provided native slices (no filtering
-     * overhead). The slices bound themselves; the caller guarantees
-     * each equals the global stream restricted to the shard's banks.
+     * Tracker warm-up before run(): each shard's tracker observes its
+     * own banks' records among the first `acts` of the stream, all at
+     * tick 0. The oracle, the bank clocks and the collectors see none
+     * of it (collectors attach when run() starts), so warm-up — like
+     * the run — is byte-identical at any shard count. A no-op when
+     * untracked.
      */
-    std::uint64_t runSliced(const SliceFactory &make_slice);
+    void warmTrackers(const StreamFactory &make_stream,
+                      std::uint64_t acts);
 
     // ------------------------------------------------ shard topology
     std::uint32_t shardCount() const
@@ -270,6 +270,14 @@ class ShardedActStreamEngine
     {
         return *shards_.at(shardFor(bank)).engine;
     }
+
+    /** One source per shard over the first `budget` records of the
+     *  stream: native slices of one instance when the stream slices
+     *  itself, else a BankFilterSource over a fresh copy per shard.
+     *  Both deliver the identical per-bank subsequences. */
+    std::vector<std::unique_ptr<ActSource>>
+    shardSources(const StreamFactory &make_stream,
+                 std::uint64_t budget) const;
 
     /** Run `sources[s]` through shard s, on the pool when one is
      *  available (explicit, else ambient), inline otherwise. */

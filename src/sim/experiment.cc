@@ -165,44 +165,9 @@ runEngineExperiment(const ExperimentSpec &spec,
         writer.finalize();
     }
 
-    // Tracker warm-up, mirroring the System path: the tracker
-    // observes `warmup=` ACTs at tick 0 before the measured run, the
-    // oracle none, and no collector (they attach when the run
-    // starts). Each shard's tracker warms from its own banks' slice
-    // of the stream prefix, so warm-up — like the run itself — is
-    // byte-identical at any shard count.
-    if (spec.trackerWarmupActs > 0) {
-        std::vector<RowId> discard;
-        // One stream instance feeds every shard's warm-up slice when
-        // the source slices natively (the same probe-and-fall-back
-        // the sharded run itself uses), so an act-trace warm-up
-        // parses the index once and seeks instead of filter-scanning
-        // per shard.
-        std::unique_ptr<engine::ActSource> probe = make_stream();
-        for (std::uint32_t s = 0; s < eng.shardCount(); ++s) {
-            trackers::RhProtection *tracker = eng.tracker(s);
-            if (!tracker)
-                break;
-            const auto [lo, hi] = eng.shardRange(s);
-            std::unique_ptr<engine::ActSource> warm;
-            if (probe)
-                warm = probe->shardSlice(lo, hi,
-                                         spec.trackerWarmupActs);
-            if (!warm) {
-                if (!probe)
-                    probe = make_stream();
-                warm = std::make_unique<engine::BankFilterSource>(
-                    std::move(probe), lo, hi,
-                    spec.trackerWarmupActs);
-            }
-            engine::forEachRecord(
-                *warm, ~0ull, [&](const engine::ActRecord &rec) {
-                    discard.clear();
-                    tracker->onActivate(rec.bank, rec.row, 0, discard);
-                });
-        }
-    }
-
+    // Tracker warm-up, mirroring the System path: the trackers
+    // observe `warmup=` ACTs before the measured run.
+    eng.warmTrackers(make_stream, spec.trackerWarmupActs);
     eng.run(make_stream, spec.engineActs);
 
     // The engine's historical mapping, which perfbench/manifest.json

@@ -81,42 +81,6 @@ RfmOptimalAttack::next()
     return hammerRecord(target_, target_.baseRow + 2 * idx);
 }
 
-ConcentrationAttack::ConcentrationAttack(const AttackTarget &target,
-                                         std::uint32_t threshold,
-                                         std::uint32_t rows)
-    : target_(target), threshold_(threshold), rows_(rows)
-{
-    MITHRIL_ASSERT(threshold >= 1);
-    MITHRIL_ASSERT(rows >= 2);
-    phase1Records_ = static_cast<std::uint64_t>(threshold_) * rows_;
-}
-
-RowId
-ConcentrationAttack::finalVictim() const
-{
-    // The last two phase-1 rows are 2 apart; their shared neighbour.
-    return target_.baseRow + 2 * (rows_ - 1) - 1;
-}
-
-std::optional<TraceRecord>
-ConcentrationAttack::next()
-{
-    if (produced_ >= target_.limit)
-        return std::nullopt;
-    RowId row;
-    if (produced_ < phase1Records_) {
-        // Round-robin so all Q rows cross the threshold back to back.
-        row = target_.baseRow +
-              2 * static_cast<RowId>(produced_ % rows_);
-    } else {
-        // Keep hammering the last pair while the queue drains.
-        const bool even = (produced_ % 2) == 0;
-        row = target_.baseRow + 2 * (rows_ - 1) - (even ? 2 : 0);
-    }
-    ++produced_;
-    return hammerRecord(target_, row);
-}
-
 ProfiledAliasAttack::ProfiledAliasAttack(std::vector<Addr> targets,
                                          std::uint64_t limit)
     : targets_(std::move(targets)), limit_(limit)

@@ -14,10 +14,6 @@
  *  - RfmOptimalAttack: one ACT per row over a rotating set of distinct
  *    rows — the cost-effectiveness-optimal pattern against sampling
  *    (Appendix C) and the concentration driver against RFM schemes.
- *  - ConcentrationAttack: Figure 2's worst case for RFM-Graphene —
- *    drive Q rows across the predefined threshold nearly
- *    simultaneously, then keep hammering the last-buffered pair while
- *    the refresh queue drains.
  *  - CbfPollutionAttack: BlockHammer's performance adversary — spread
  *    just-below-blacklist activation counts over many rows so the CBF
  *    count floor rises and benign rows get throttled.
@@ -97,32 +93,6 @@ class RfmOptimalAttack : public TraceGenerator
     AttackTarget target_;
     std::uint32_t distinctRows_;
     std::uint64_t produced_ = 0;
-};
-
-/** Figure 2 concentration attack against buffered-RFM schemes. */
-class ConcentrationAttack : public TraceGenerator
-{
-  public:
-    /**
-     * @param threshold The scheme's predefined threshold T.
-     * @param rows      Q rows to drive across T (spaced 2 apart so each
-     *                  pair of neighbours shares a victim).
-     */
-    ConcentrationAttack(const AttackTarget &target,
-                        std::uint32_t threshold, std::uint32_t rows);
-
-    std::optional<TraceRecord> next() override;
-    std::string name() const override { return "concentration"; }
-
-    /** Victim of the final hammered pair. */
-    RowId finalVictim() const;
-
-  private:
-    AttackTarget target_;
-    std::uint32_t threshold_;
-    std::uint32_t rows_;
-    std::uint64_t produced_ = 0;
-    std::uint64_t phase1Records_;
 };
 
 /**

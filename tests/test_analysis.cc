@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "analysis/area_model.hh"
 #include "analysis/arr_vs_rfm.hh"
@@ -226,6 +227,26 @@ TEST_F(AnalysisTest, PaperWorkedExample)
     EXPECT_GT(safe, 20000u);
     EXPECT_LT(safe, 35000u);
     EXPECT_GT(safe, arrGrapheneSafeFlipTh(2000) * 2);
+}
+
+TEST_F(AnalysisTest, ConcentrationDrivesAllRowsThenFocusesPair)
+{
+    const std::uint32_t threshold = 10, rows = 5;
+    const std::uint64_t phase1_acts = threshold * rows;
+    std::map<RowId, std::uint32_t> phase1;
+    for (std::uint64_t i = 0; i < phase1_acts; ++i)
+        ++phase1[concentrationRow(i, rows, threshold)];
+    ASSERT_EQ(phase1.size(), rows);
+    EXPECT_EQ(phase1.begin()->first, 2000u);
+    for (const auto &[row, count] : phase1)
+        EXPECT_EQ(count, threshold) << row;
+
+    // Phase 2: only the last pair, alternating.
+    const RowId last = 2000 + 2 * (rows - 1);
+    for (std::uint64_t i = phase1_acts; i < phase1_acts + 20; ++i)
+        EXPECT_EQ(concentrationRow(i, rows, threshold),
+                  i % 2 ? last : last - 2)
+            << i;
 }
 
 TEST_F(AnalysisTest, RfmGrapheneHasAFloorRegardlessOfThreshold)

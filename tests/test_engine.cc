@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/random.hh"
+#include "core/mithril.hh"
 #include "dram/rh_oracle.hh"
 #include "dram/timing.hh"
 #include "engine/act_stream_engine.hh"
@@ -263,7 +264,7 @@ runEngine(const std::string &scheme, const dram::Timing &timing,
     geom.rowsPerBank = kRows;
     auto tracker = makeTracker(scheme, geom, timing);
     engine::EngineConfig cfg =
-        engine::EngineConfig::singleBank(timing, kRows, kFlipTh, 1);
+        engine::EngineConfig::singleBank(timing, kFlipTh, kRows);
     cfg.dispatch = dispatch;
     engine::ActStreamEngine eng(cfg, tracker.get());
     Rng rng(1234);
@@ -340,6 +341,56 @@ INSTANTIATE_TEST_SUITE_P(AllRegisteredSchemes, EngineEquivalence,
                          ::testing::ValuesIn(allSchemes()),
                          schemeCaseName);
 
+// ------------------------------------------------ one-bank engine
+
+TEST(SingleBankEngine, RefreshCadenceMatchesTrefi)
+{
+    const dram::Timing timing = dram::ddr5_4800();
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 1u << 30), nullptr);
+    // Enough ACTs to span ~10 tREFI.
+    const auto acts = static_cast<std::uint64_t>(
+        10.0 * static_cast<double>(timing.tREFI) /
+        static_cast<double>(timing.tRC));
+    engine::CallbackSource source(acts, [](std::uint64_t i) {
+        return static_cast<RowId>(i % 100);
+    });
+    eng.run(source);
+    EXPECT_NEAR(static_cast<double>(eng.refs()), 10.0, 2.0);
+    EXPECT_EQ(eng.acts(), acts);
+}
+
+TEST(SingleBankEngine, RfmCadenceMatchesTracker)
+{
+    core::MithrilParams mp;
+    mp.nEntry = 32;
+    mp.rfmTh = 64;
+    core::Mithril tracker(1, mp);
+
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(dram::ddr5_4800(), 1u << 30),
+        &tracker);
+    engine::CallbackSource source(6400, [](std::uint64_t i) {
+        return static_cast<RowId>(i % 7);
+    });
+    eng.run(source);
+    EXPECT_EQ(eng.rfms(), 100u);
+    EXPECT_EQ(eng.preventiveRefreshes(), 100u);
+}
+
+TEST(SingleBankEngine, UnprotectedHammerFlipsBits)
+{
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(dram::ddr5_4800(), 5000),
+        nullptr);
+    engine::CallbackSource source(20000, [](std::uint64_t i) {
+        return 1000 + 2 * static_cast<RowId>(i % 2);
+    });
+    eng.run(source);
+    EXPECT_GT(eng.oracle().bitFlips(), 0u);
+    EXPECT_GE(eng.oracle().maxDisturbanceEver(), 5000.0);
+}
+
 // ----------------------------------------------- multi-bank engine
 
 TEST(EngineMultiBank, BatchedMatchesScalarAt16Banks)
@@ -413,7 +464,7 @@ TEST(EngineRun, IncrementalMaxActsLosesNoRecords)
         geom.rowsPerBank = kRows;
         auto tracker = makeTracker("mithril", geom);
         engine::EngineConfig cfg = engine::EngineConfig::singleBank(
-            dram::ddr5_4800(), kRows, kFlipTh, 1);
+            dram::ddr5_4800(), kFlipTh, kRows);
         engine::ActStreamEngine eng(cfg, tracker.get());
         Rng rng(77);
         // Chunk 4096: every fill() over-pulls far past a 100-act cap.

@@ -13,8 +13,8 @@
 
 #include "core/bounds.hh"
 #include "core/config_solver.hh"
+#include "engine/act_stream_engine.hh"
 #include "registry/scheme_registry.hh"
-#include "sim/act_harness.hh"
 
 namespace mithril
 {
@@ -104,13 +104,13 @@ halfDoubleRow(std::uint64_t i)
 
 TEST(NonAdjacent, UnprotectedHalfDoubleFlips)
 {
-    sim::ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 5000;
-    cfg.blastRadius = 2;
-    sim::ActHarness harness(cfg, nullptr);
-    harness.run(30000, halfDoubleRow);
-    EXPECT_GT(harness.oracle().bitFlips(), 0u);
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(dram::ddr5_4800(), 5000, 65536,
+                                         2),
+        nullptr);
+    engine::CallbackSource source(30000, halfDoubleRow);
+    eng.run(source);
+    EXPECT_GT(eng.oracle().bitFlips(), 0u);
 }
 
 class NonAdjacentSafety
@@ -131,16 +131,15 @@ TEST_P(NonAdjacentSafety, MithrilConfiguredForRadiusSurvives)
     auto tracker = registry::makeScheme("mithril", knobs.toParams(),
                                         {timing, geom});
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 6250;
-    cfg.blastRadius = radius;
-    sim::ActHarness harness(cfg, tracker.get());
-    harness.run(dram::maxActsPerWindow(timing) * 3 / 2,
-                halfDoubleRow);
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u)
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 6250, 65536, radius),
+        tracker.get());
+    engine::CallbackSource source(dram::maxActsPerWindow(timing) * 3 / 2,
+                                  halfDoubleRow);
+    eng.run(source);
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u)
         << "radius " << radius << " max disturbance "
-        << harness.oracle().maxDisturbanceEver();
+        << eng.oracle().maxDisturbanceEver();
 }
 
 INSTANTIATE_TEST_SUITE_P(Radii, NonAdjacentSafety,
@@ -162,13 +161,14 @@ TEST(NonAdjacent, SafetyMarginShrinksWithoutRadiusAwareness)
         auto tracker = registry::makeScheme(
             "mithril", knobs.toParams(), {timing, geom});
 
-        sim::ActHarnessConfig cfg;
-        cfg.timing = timing;
-        cfg.flipTh = 6250;
-        cfg.blastRadius = 3;  // Ground truth: wide coupling.
-        sim::ActHarness harness(cfg, tracker.get());
-        harness.run(dram::maxActsPerWindow(timing), halfDoubleRow);
-        return harness.oracle().maxDisturbanceEver();
+        // Ground truth: radius-3 coupling.
+        engine::ActStreamEngine eng(
+            engine::EngineConfig::singleBank(timing, 6250, 65536, 3),
+            tracker.get());
+        engine::CallbackSource source(dram::maxActsPerWindow(timing),
+                                      halfDoubleRow);
+        eng.run(source);
+        return eng.oracle().maxDisturbanceEver();
     };
 
     const double with_awareness = run_with(3);

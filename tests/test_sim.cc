@@ -1,14 +1,12 @@
 /**
  * @file
- * Tests for the simulation layer: the ACT-level harness and
- * full-system integration runs for every scheme.
+ * Tests for the simulation layer: full-system integration runs for
+ * every scheme.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/mithril.hh"
 #include "registry/workload_registry.hh"
-#include "sim/act_harness.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "workload/attacks.hh"
@@ -18,54 +16,6 @@ namespace mithril::sim
 {
 namespace
 {
-
-TEST(ActHarness, RefreshCadenceMatchesTrefi)
-{
-    ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 1u << 30;
-    ActHarness harness(cfg, nullptr);
-    // Enough ACTs to span ~10 tREFI.
-    const auto acts = static_cast<std::uint64_t>(
-        10.0 * static_cast<double>(cfg.timing.tREFI) /
-        static_cast<double>(cfg.timing.tRC));
-    harness.run(acts, [](std::uint64_t i) {
-        return static_cast<RowId>(i % 100);
-    });
-    EXPECT_NEAR(static_cast<double>(harness.refs()), 10.0, 2.0);
-    EXPECT_EQ(harness.acts(), acts);
-}
-
-TEST(ActHarness, RfmCadenceMatchesTracker)
-{
-    core::MithrilParams mp;
-    mp.nEntry = 32;
-    mp.rfmTh = 64;
-    core::Mithril tracker(1, mp);
-
-    ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 1u << 30;
-    ActHarness harness(cfg, &tracker);
-    harness.run(6400, [](std::uint64_t i) {
-        return static_cast<RowId>(i % 7);
-    });
-    EXPECT_EQ(harness.rfms(), 100u);
-    EXPECT_EQ(harness.preventiveRefreshes(), 100u);
-}
-
-TEST(ActHarness, UnprotectedHammerFlipsBits)
-{
-    ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 5000;
-    ActHarness harness(cfg, nullptr);
-    harness.run(20000, [](std::uint64_t i) {
-        return 1000 + 2 * static_cast<RowId>(i % 2);
-    });
-    EXPECT_GT(harness.oracle().bitFlips(), 0u);
-    EXPECT_GE(harness.oracle().maxDisturbanceEver(), 5000.0);
-}
 
 // ----------------------------------------------------- System runs
 

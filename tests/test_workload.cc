@@ -336,25 +336,6 @@ TEST_F(AttackTest, RfmOptimalOneActPerRowPerPass)
         EXPECT_EQ(c, 3);
 }
 
-TEST_F(AttackTest, ConcentrationDrivesAllRowsThenFocusesPair)
-{
-    const std::uint32_t threshold = 10, rows = 5;
-    ConcentrationAttack gen(target(), threshold, rows);
-    std::map<RowId, int> phase1;
-    for (std::uint32_t i = 0; i < threshold * rows; ++i)
-        ++phase1[decode(gen.next()->addr).row];
-    EXPECT_EQ(phase1.size(), rows);
-    for (const auto &[row, c] : phase1)
-        EXPECT_EQ(c, static_cast<int>(threshold));
-
-    // Phase 2: only the last pair.
-    std::set<RowId> phase2;
-    for (int i = 0; i < 20; ++i)
-        phase2.insert(decode(gen.next()->addr).row);
-    EXPECT_EQ(phase2.size(), 2u);
-    EXPECT_EQ(gen.finalVictim(), 5000u + 2 * (rows - 1) - 1);
-}
-
 TEST_F(AttackTest, CbfPollutionAlternatesWithinBurst)
 {
     CbfPollutionAttack gen(target(), 64, 4);
