@@ -7,8 +7,11 @@
  * Usage: attack_demo [scheme=mithril] [flip_th=6250] [rfm_th=0]
  *                    [ad_th=200] [windows=2]
  *
- * Try scheme=none to watch the bit flips happen, or
- * scheme=rfm-graphene to reproduce the Figure 2 failure.
+ * Try scheme=none to watch the bit flips happen. The battery has no
+ * concentration pattern, so scheme=rfm-graphene (threshold FlipTH/4)
+ * reads SAFE on every row; Figure 2's RFM-Graphene failure is the
+ * measured table of fig02_arr_vs_rfm, which peaks at 13,100 (RFM_TH
+ * 64) and 22,568 (RFM_TH 128) at threshold 2K.
  */
 
 #include <cstdio>

@@ -60,6 +60,7 @@ class Mithril : public trackers::RhProtection
 
     bool usesRfm() const override { return true; }
     std::uint32_t rfmTh() const override { return params_.rfmTh; }
+    bool throttles() const override { return false; }
 
     void onActivate(BankId bank, RowId row, Tick now,
                     std::vector<RowId> &arr_aggressors) override;

@@ -83,11 +83,18 @@ class Device
         return b / (geometry_.banksPerRank * geometry_.ranksPerChannel);
     }
 
+    /** Earliest tick an ACT anywhere in a flat rank satisfies its
+     *  tRRD/tFAW pacing. */
+    Tick rankEarliestAct(std::uint32_t flat_rank, Tick now) const
+    {
+        return ranks_.at(flat_rank).earliestAct(now);
+    }
+
     /** Earliest tick an ACT to this bank satisfies bank+rank timing. */
     Tick earliestAct(BankId b, Tick now) const
     {
         return std::max(banks_.at(b).earliestAct(now),
-                        ranks_.at(rankOf(b)).earliestAct(now));
+                        rankEarliestAct(rankOf(b), now));
     }
 
     /** Commit an ACT. ARR or RFM work it makes the bank owe is

@@ -24,6 +24,7 @@ Protection::setTracker(trackers::RhProtection *tracker)
     tracker_ = tracker;
     usesRfm_ = tracker_ && tracker_->usesRfm();
     rfmTh_ = usesRfm_ ? tracker_->rfmTh() : 0;
+    throttles_ = tracker_ && tracker_->throttles();
 }
 
 void

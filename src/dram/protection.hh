@@ -72,10 +72,15 @@ class Protection
                std::uint32_t flip_th, std::uint32_t blast_radius,
                bool oracle = true);
 
-    /** Attach the scheme (null = unprotected). Its usesRfm()/rfmTh()
-     *  are read here, once: RhProtection pins both constant. */
+    /** Attach the scheme (null = unprotected). Its usesRfm()/rfmTh()/
+     *  throttles() are read here, once: RhProtection pins them
+     *  constant. */
     void setTracker(trackers::RhProtection *tracker);
     trackers::RhProtection *tracker() const { return tracker_; }
+
+    /** True when an attached tracker may delay an ACT, so the MC must
+     *  probe its throttleAct(). */
+    bool throttles() const { return throttles_; }
 
     /** DDR5 RAA decrement each REF applies to a bank that owes no RFM
      *  (mc::ControllerParams::raaRefDecrement; 0 = reset-only). */
@@ -188,6 +193,7 @@ class Protection
     trackers::RhProtection *tracker_ = nullptr;
     bool usesRfm_ = false;
     std::uint32_t rfmTh_ = 0;
+    bool throttles_ = false;
     std::uint32_t raaRefDecrement_ = 0;
     std::vector<BankState> banks_;
     /** Aggressors of the current tracker call, reused across calls. */

@@ -124,6 +124,10 @@ Controller::enqueue(const Request &req, Tick now)
     slot.next = kNoSlot;
     (ctl.tail == kNoSlot ? ctl.head : slots_[ctl.tail].next) = id;
     ctl.tail = id;
+    ++ctl.queued;
+    if (ctl.open && req.row == device_.bank(req.bank).openRow())
+        ++ctl.openHits;
+    refreshFence(req.bank);
     const auto [word, bit] = nonEmptyBit(req.bank);
     nonEmpty_[word] |= bit;
     ++queued_;
@@ -140,6 +144,9 @@ Controller::release(std::uint32_t id)
         slot.next;
     (slot.next == kNoSlot ? ctl.tail : slots_[slot.next].prev) =
         slot.prev;
+    --ctl.queued;
+    if (ctl.open && slot.req.row == device_.bank(slot.req.bank).openRow())
+        --ctl.openHits;
     if (ctl.head == kNoSlot) {
         const auto [word, bit] = nonEmptyBit(slot.req.bank);
         nonEmpty_[word] &= ~bit;
@@ -156,6 +163,23 @@ Controller::nonEmptyBit(BankId bank) const
     const std::uint32_t k = bank % bpr;
     return {static_cast<std::size_t>(rank) * wordsPerRank_ + k / 64,
             1ull << (k % 64)};
+}
+
+void
+Controller::refreshFence(BankId b)
+{
+    BankCtl &ctl = bankCtl(b);
+    const dram::Bank &bank = device_.bank(b);
+    if (!ctl.open) {
+        ctl.fence = bank.earliestAct(0);
+        return;
+    }
+    // Minimalist-open: past the cap every request is a miss.
+    const std::uint32_t hits =
+        ctl.rowHitStreak < params_.maxRowHits ? ctl.openHits : 0;
+    ctl.fence =
+        std::min(hits > 0 ? bank.earliestCol(0) : kTickMax,
+                 ctl.queued > hits ? bank.earliestPre(0) : kTickMax);
 }
 
 bool
@@ -320,6 +344,9 @@ Controller::chooseDemand(Pass &pass)
     constexpr std::uint32_t kNoBank = ~0u;
     const std::uint32_t bpr = device_.geometry().banksPerRank;
     const Tick drain_lead = 2 * device_.timing().tRC;
+    // A throttle probe can hold a closed bank's ACTs past its fence, so
+    // under a throttling tracker every closed bank is scanned.
+    const bool throttles = device_.protection().throttles();
     for (std::uint32_t r = 0; r < refreshDue_.size(); ++r) {
         // Banks draining for an imminent REF: an all-bank REF fences
         // the whole rank, a REFsb only the rotation's target.
@@ -329,6 +356,8 @@ Controller::chooseDemand(Pass &pass)
                 continue;
             fenced = refreshBankPtr_[r];
         }
+        const Tick rank_act =
+            device_.rankEarliestAct(firstRank_ + r, pass.t0);
         for (std::uint32_t w = 0; w < wordsPerRank_; ++w) {
             std::uint64_t bits = nonEmpty_[r * wordsPerRank_ + w];
             for (; bits; bits &= bits - 1) {
@@ -339,10 +368,35 @@ Controller::chooseDemand(Pass &pass)
                 const BankId b = firstBank_ + r * bpr + k;
                 if (k == fenced || device_.protection().owes(b))
                     continue;  // Draining for REF or owing RFM/ARR.
-                if (device_.bank(b).isOpen())
+                const Tick fence =
+                    ctl.open ? ctl.fence : std::max(ctl.fence, rank_act);
+                const bool skip =
+                    fence > pass.t0 && (ctl.open || !throttles);
+#ifndef NDEBUG
+                // The cache agrees with the device, and a full scan of
+                // a skipped bank takes nothing and wakes at its fence.
+                MITHRIL_ASSERT(ctl.open == device_.bank(b).isOpen());
+                MITHRIL_ASSERT(ctl.open ||
+                               std::max(fence, pass.t0) ==
+                                   device_.earliestAct(b, pass.t0));
+                if (skip) {
+                    Pass full;
+                    full.t0 = pass.t0;
+                    if (ctl.open)
+                        scanOpenBank(full, b, ctl);
+                    else
+                        scanClosedBank(full, b, ctl, fence);
+                    MITHRIL_ASSERT(full.best.kind == Decision::Kind::None);
+                    MITHRIL_ASSERT(full.future == fence);
+                }
+#endif
+                if (skip)
+                    pass.future = std::min(pass.future, fence);
+                else if (ctl.open)
                     scanOpenBank(pass, b, ctl);
                 else
-                    scanClosedBank(pass, b, ctl);
+                    scanClosedBank(pass, b, ctl,
+                                   std::max(fence, pass.t0));
             }
         }
     }
@@ -381,14 +435,14 @@ Controller::scanOpenBank(Pass &pass, BankId b, const BankCtl &ctl)
 }
 
 void
-Controller::scanClosedBank(Pass &pass, BankId b, const BankCtl &ctl)
+Controller::scanClosedBank(Pass &pass, BankId b, const BankCtl &ctl,
+                           Tick act)
 {
     // Every request is an ACT behind one timing fence, probed in seq
-    // order. A probe's only side effect is BlockHammer's epoch
-    // rotation, monotone per bank, so skipping the probes of requests
-    // that cannot win never changes tracker state.
-    const bool probe = device_.tracker() != nullptr;
-    const Tick act = device_.earliestAct(b, pass.t0);
+    // order when the tracker throttles. A probe's only side effect is
+    // BlockHammer's epoch rotation, monotone per bank, so skipping the
+    // probes of requests that cannot win never changes tracker state.
+    const bool probe = device_.protection().throttles();
     for (std::uint32_t id = ctl.head; id != kNoSlot;
          id = slots_[id].next) {
         const Request &req = slots_[id].req;
@@ -442,7 +496,10 @@ Controller::execute(const Decision &d)
     switch (d.kind) {
       case Decision::Kind::Pre: {
         device_.precharge(d.bank, d.issue);
-        bankCtl(d.bank).rowHitStreak = 0;
+        BankCtl &ctl = bankCtl(d.bank);
+        ctl.rowHitStreak = 0;
+        ctl.open = false;
+        ctl.openHits = 0;
         ++stats_.precharges;
         break;
       }
@@ -457,7 +514,13 @@ Controller::execute(const Decision &d)
         }
         device_.activate(d.bank, req.row, d.issue);
         noteProtection(d.bank, false);  // Demand skips owing banks.
-        bankCtl(d.bank).rowHitStreak = 0;
+        BankCtl &ctl = bankCtl(d.bank);
+        ctl.rowHitStreak = 0;
+        ctl.open = true;
+        ctl.openHits = 0;
+        for (std::uint32_t id = ctl.head; id != kNoSlot;
+             id = slots_[id].next)
+            ctl.openHits += slots_[id].req.row == req.row;
         ++stats_.activates;
         ++stats_.rowMisses;
         break;
@@ -488,6 +551,10 @@ Controller::execute(const Decision &d)
         device_.autoRefreshRank(d.rank, d.issue);
         refreshDue_[d.rank - firstRank_] += timing.tREFI;
         ++stats_.refreshes;
+        // Every bank of the rank is busy for tRFC.
+        const std::uint32_t bpr = device_.geometry().banksPerRank;
+        for (std::uint32_t i = 0; i < bpr; ++i)
+            refreshFence(d.rank * bpr + i);
         break;
       }
       case Decision::Kind::RefSb: {
@@ -528,6 +595,8 @@ Controller::execute(const Decision &d)
       case Decision::Kind::None:
         panic("executing a None decision");
     }
+    if (d.kind != Decision::Kind::Ref)
+        refreshFence(d.bank);
     return bus_done;
 }
 

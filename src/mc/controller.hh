@@ -26,9 +26,13 @@
  * The controller is event-driven: service(now) issues every command
  * legal at `now` and returns the next tick it needs servicing.
  *
- * A scheduling pass costs O(banks), not O(queue): each bank links its
- * requests in arrival order, so the demand phase visits only the
- * non-empty, unfenced banks and reads each bank's timing once. A pass
+ * A scheduling pass costs O(banks), not O(queue), and walks only the
+ * requests of banks that can issue. Each bank links its requests in
+ * arrival order and caches its fence, the least tick any of them can
+ * issue, which changes only when a request or command changes the
+ * bank. The demand phase visits the non-empty, unfenced banks; a bank
+ * whose fence is past the pass tick only offers that fence as a
+ * wake-up candidate, which is all its requests would offer. A pass
  * that finds nothing ready leaves a wake-up hint that later passes
  * reuse until anything could change it (see service()).
  */
@@ -149,10 +153,12 @@ class Controller
      * without rescanning while nothing was enqueued or executed since,
      * its bus-free tick is not before the hinting pass's and is below
      * the hint and below every rank's next refresh threshold, and no
-     * throttle probe of the hinting pass returned a delay. Every candidate's issue tick is then a fixed
-     * timing fence above the pass tick, so a rescan would return the
-     * same hint; a throttle delay is excluded because a later probe
-     * tick may rotate a BlockHammer epoch and lift it.
+     * throttle probe of the hinting pass returned a delay. Every
+     * candidate's issue tick is then a fixed timing fence above the
+     * pass tick, so a rescan would return the same hint; a throttle
+     * delay is excluded because a later probe tick may rotate a
+     * BlockHammer epoch and lift it. A bank the pass skipped at its
+     * cached fence offered exactly that fence.
      */
     Tick service(Tick now);
 
@@ -205,11 +211,21 @@ class Controller
         std::uint32_t next = kNoSlot;
     };
 
+    /** One owned bank's request list and its cached issue fence. */
     struct BankCtl
     {
         std::uint32_t rowHitStreak = 0;
         std::uint32_t head = kNoSlot;  //!< Oldest queued request.
         std::uint32_t tail = kNoSlot;  //!< Youngest queued request.
+        std::uint32_t queued = 0;      //!< Requests in the list.
+        std::uint32_t openHits = 0;    //!< Of those, to the open row.
+        bool open = false;             //!< The bank has a row open.
+        /** Open: the column fence if a row hit under the
+         *  minimalist-open cap is queued, else the precharge fence if a
+         *  miss is (the smaller when both are). Closed: the bank's own
+         *  ACT fence, which a pass maxes with its rank's tRRD/tFAW
+         *  fence. */
+        Tick fence = 0;
     };
 
     struct BlissState
@@ -261,16 +277,19 @@ class Controller
     Decision choose(Tick t0);
 
     /** The demand phase of choose(): BLISS + FR-FCFS +
-     *  minimalist-open over the non-empty, unfenced banks. */
+     *  minimalist-open over the non-empty, unfenced banks, scanning
+     *  only those whose fence is at or below the pass tick. */
     void chooseDemand(Pass &pass);
 
     /** Offer an open bank's requests: row hits behind its column
      *  fence, misses behind its precharge fence. */
     void scanOpenBank(Pass &pass, BankId b, const BankCtl &ctl);
 
-    /** Offer a closed bank's requests: ACTs behind its timing fence
-     *  and, per row, the tracker's throttle. */
-    void scanClosedBank(Pass &pass, BankId b, const BankCtl &ctl);
+    /** Offer a closed bank's requests: ACTs at `act`, its bank and
+     *  rank timing fence at or past the pass tick, or later where the
+     *  tracker throttles the row. */
+    void scanClosedBank(Pass &pass, BankId b, const BankCtl &ctl,
+                        Tick act);
 
     /** A closed bank's ACT tick for `req` given the bank's timing
      *  fence `act`: the tracker's throttle probe, counting each held
@@ -293,8 +312,13 @@ class Controller
      *  falls due, then the REF itself. */
     Tick nextRefreshThreshold(Tick t0) const;
 
-    /** Unlink a served request and free its slot. */
+    /** Unlink a served request and free its slot; the caller
+     *  refreshes the bank's fence. */
     void release(std::uint32_t slot);
+
+    /** Recompute a bank's cached fence after its requests, row
+     *  buffer, hit streak or timing changed. */
+    void refreshFence(BankId bank);
 
     /** The nonEmpty_ word and bit of an owned bank. */
     std::pair<std::size_t, std::uint64_t> nonEmptyBit(BankId bank) const;

@@ -45,6 +45,7 @@ class Cbt : public RhProtection
 
     std::string name() const override { return "CBT"; }
     Location location() const override { return Location::Mc; }
+    bool throttles() const override { return false; }
 
     void onActivate(BankId bank, RowId row, Tick now,
                     std::vector<RowId> &arr_aggressors) override;

@@ -40,6 +40,7 @@ class Graphene : public RhProtection
 
     std::string name() const override { return "Graphene"; }
     Location location() const override { return Location::Mc; }
+    bool throttles() const override { return false; }
 
     void onActivate(BankId bank, RowId row, Tick now,
                     std::vector<RowId> &arr_aggressors) override;

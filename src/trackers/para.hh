@@ -35,6 +35,7 @@ class Para : public RhProtection
 
     std::string name() const override { return "PARA"; }
     Location location() const override { return Location::Mc; }
+    bool throttles() const override { return false; }
 
     void onActivate(BankId bank, RowId row, Tick now,
                     std::vector<RowId> &arr_aggressors) override;

@@ -41,6 +41,7 @@ class Parfm : public RhProtection
 
     bool usesRfm() const override { return true; }
     std::uint32_t rfmTh() const override { return rfmTh_; }
+    bool throttles() const override { return false; }
 
     void onActivate(BankId bank, RowId row, Tick now,
                     std::vector<RowId> &arr_aggressors) override;

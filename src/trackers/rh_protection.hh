@@ -154,6 +154,16 @@ class alignas(64) RhProtection
         return now;
     }
 
+    /**
+     * False promises that throttleAct() always returns its `now`, so
+     * the MC never probes it. Must be constant over the tracker's
+     * lifetime (cached like usesRfm()). The default is true, which is
+     * always safe: a tracker, or a decorator forwarding to one, that
+     * does not answer keeps being probed. A tracker that never delays
+     * an ACT should return false.
+     */
+    virtual bool throttles() const { return true; }
+
     /** Auto-refresh (REF) notification for schemes with time epochs. */
     virtual void onRefresh(BankId bank, Tick now)
     {

@@ -46,6 +46,7 @@ class Twice : public RhProtection
 
     std::string name() const override { return "TWiCe"; }
     Location location() const override { return Location::BufferChip; }
+    bool throttles() const override { return false; }
 
     void onActivate(BankId bank, RowId row, Tick now,
                     std::vector<RowId> &arr_aggressors) override;

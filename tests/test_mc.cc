@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/mithril.hh"
@@ -417,6 +418,66 @@ TEST_F(ControllerTest, ArrExecutedForReactiveTracker)
     }
     EXPECT_EQ(ctrl_->stats().arrExecuted, 4u);
     EXPECT_EQ(device_->protection().total().preventive, 4u);
+}
+
+TEST_F(ControllerTest, ThrottleProbesOnlyTrackersThatThrottle)
+{
+    // Counts throttleAct() probes and holds row 100's ACTs to 1 us.
+    class CountingThrottle : public trackers::RhProtection
+    {
+      public:
+        std::string name() const override { return "test"; }
+        trackers::Location location() const override
+        {
+            return trackers::Location::Mc;
+        }
+        void
+        onActivate(BankId, RowId, Tick, std::vector<RowId> &) override
+        {
+        }
+        Tick
+        throttleAct(BankId, RowId row, Tick now) override
+        {
+            ++probes;
+            return row == 100 ? std::max(now, usToTick(1.0)) : now;
+        }
+        double tableBytesPerBank() const override { return 0.0; }
+
+        std::uint64_t probes = 0;
+    };
+    class NeverThrottles : public CountingThrottle
+    {
+      public:
+        bool throttles() const override { return false; }
+    };
+
+    // Requests wait on closed banks 3 and 5 until their ACTs issue;
+    // only (bank 3, row 100) can be held.
+    auto serve = [&] {
+        ASSERT_TRUE(ctrl_->enqueue(makeReq(3, 100, 0), 0));
+        ASSERT_TRUE(ctrl_->enqueue(makeReq(3, 200, 0), 0));
+        ASSERT_TRUE(ctrl_->enqueue(makeReq(5, 300, 0), 0));
+        ASSERT_TRUE(ctrl_->enqueue(makeReq(5, 400, 0), 0));
+        drain();
+        ASSERT_EQ(completions_.size(), 4u);
+        completions_.clear();
+    };
+
+    auto quiet = std::make_unique<NeverThrottles>();
+    const CountingThrottle &quiet_probes = *quiet;
+    build(std::move(quiet));
+    serve();
+    EXPECT_EQ(quiet_probes.probes, 0u);
+    EXPECT_EQ(ctrl_->stats().throttleStalls, 0u);
+
+    // The default throttles() keeps the probes, and the held ACT
+    // counts once however many passes re-probe it.
+    auto counting = std::make_unique<CountingThrottle>();
+    const CountingThrottle &probes = *counting;
+    build(std::move(counting));
+    serve();
+    EXPECT_GT(probes.probes, 1u);
+    EXPECT_EQ(ctrl_->stats().throttleStalls, 1u);
 }
 
 TEST_F(ControllerTest, ThrottledActIsDelayed)

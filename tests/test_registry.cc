@@ -175,6 +175,37 @@ TEST(BuiltinRegistries, SchemeFactoriesHonourTheirKnobs)
     }
 }
 
+TEST(BuiltinRegistries, OnlyBlockHammerThrottles)
+{
+    // The MC probes throttleAct() only where throttles() is true, so
+    // a false answer must mean no ACT is ever delayed, even after a
+    // burst that makes BlockHammer throttle.
+    const dram::Timing timing = dram::ddr5_4800();
+    const dram::Geometry geom = dram::paperGeometry();
+    ParamSet params;
+    params.set("flip", "6250");
+    for (const std::string &name :
+         registry::schemeRegistry().names()) {
+        auto tracker =
+            registry::makeScheme(name, params, {timing, geom});
+        if (!tracker)
+            continue;  // "none" attaches no tracker.
+        EXPECT_EQ(tracker->throttles(), name == "blockhammer") << name;
+        std::vector<RowId> arr;
+        Tick t = 0;
+        for (int i = 0; i < 20000; ++i, t += timing.tRC) {
+            tracker->onActivate(0, 1000 + 2 * (i % 2), t, arr);
+            arr.clear();
+        }
+        if (tracker->throttles()) {
+            EXPECT_GT(tracker->throttleAct(0, 1000, t), t) << name;
+            continue;
+        }
+        for (const RowId row : {1000u, 1001u, 1002u})
+            EXPECT_EQ(tracker->throttleAct(0, row, t), t) << name;
+    }
+}
+
 TEST(BuiltinRegistries, NoEntryDeclaresASpecOwnedKey)
 {
     // A key with two owners misreports runs: toParams() prints the
