@@ -1,9 +1,10 @@
 /**
  * @file
  * ActStream engine throughput bench: acts/sec per scheme at 16 banks —
- * batched vs scalar tracker dispatch, plus the sharded multi-threaded
- * engine across a `threads=` axis. The headline numbers of the engine
- * refactor (batching) and the shard refactor (scaling).
+ * the batched run() vs the per-ACT activate() step (the "scalar"
+ * column), plus the sharded multi-threaded engine across a `threads=`
+ * axis. The headline numbers of the engine refactor (batching) and
+ * the shard refactor (scaling).
  *
  * The stream is a synthetic per-bank double-sided hammer generated
  * straight into the SoA batches (no generator/address-map cost); the
@@ -156,9 +157,7 @@ HammerSource::shardSlice(BankId lo, BankId hi, std::uint64_t budget)
 }
 
 engine::EngineConfig
-makeEngineConfig(std::uint32_t banks,
-                 engine::EngineConfig::Dispatch dispatch,
-                 bool oracle = false)
+makeEngineConfig(std::uint32_t banks, bool oracle = false)
 {
     engine::EngineConfig cfg;
     cfg.timing = dram::ddr5_4800();
@@ -167,7 +166,6 @@ makeEngineConfig(std::uint32_t banks,
     cfg.geometry.ranksPerChannel = 1;
     cfg.geometry.banksPerRank = banks;
     cfg.flipTh = 6250;
-    cfg.dispatch = dispatch;
     cfg.enableOracle = oracle;
     return cfg;
 }
@@ -182,24 +180,35 @@ makeTracker(const std::string &scheme,
                                 {cfg.timing, cfg.geometry});
 }
 
+/** acts/sec through run(), or through activate() one record at a
+ *  time when `per_act`. */
 double
 measureActsPerSec(const std::string &scheme, std::uint32_t banks,
-                  std::uint64_t acts,
-                  engine::EngineConfig::Dispatch dispatch,
+                  std::uint64_t acts, bool per_act,
                   bool oracle = false)
 {
-    const engine::EngineConfig cfg =
-        makeEngineConfig(banks, dispatch, oracle);
+    const engine::EngineConfig cfg = makeEngineConfig(banks, oracle);
     auto tracker = makeTracker(scheme, cfg);
     engine::ActStreamEngine eng(cfg, tracker.get());
+    auto drive = [&](engine::ActSource &source) {
+        if (!per_act)
+            return eng.run(source);
+        std::uint64_t n = 0;
+        engine::forEachRecord(source, ~0ull,
+                              [&](const engine::ActRecord &rec) {
+                                  eng.activate(rec.bank, rec.row);
+                                  ++n;
+                              });
+        return n;
+    };
 
     // Warm up tables and branch predictors, untimed.
     HammerSource warmup(banks, acts / 8 + 1);
-    eng.run(warmup);
+    drive(warmup);
 
     HammerSource source(banks, acts);
     const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t done = eng.run(source);
+    const std::uint64_t done = drive(source);
     const auto t1 = std::chrono::steady_clock::now();
     const double seconds =
         std::chrono::duration<double>(t1 - t0).count();
@@ -228,8 +237,7 @@ measureShardedActsPerSec(const std::string &scheme,
                          runner::ThreadPool *pool)
 {
     engine::ShardedEngineConfig cfg;
-    cfg.engine = makeEngineConfig(
-        banks, engine::EngineConfig::Dispatch::Batched);
+    cfg.engine = makeEngineConfig(banks);
     cfg.shards = shards;
     cfg.pool = pool;
     cfg.telemetry.phases = true;
@@ -411,15 +419,9 @@ main(int argc, char **argv)
         SchemeResult r;
         r.name = scheme;
         r.display = registry::schemeDisplay(scheme);
-        r.batched = measureActsPerSec(
-            scheme, banks, acts,
-            engine::EngineConfig::Dispatch::Batched);
-        r.scalar = measureActsPerSec(
-            scheme, banks, acts,
-            engine::EngineConfig::Dispatch::Scalar);
-        r.oracle = measureActsPerSec(
-            scheme, banks, acts,
-            engine::EngineConfig::Dispatch::Batched, true);
+        r.batched = measureActsPerSec(scheme, banks, acts, false);
+        r.scalar = measureActsPerSec(scheme, banks, acts, true);
+        r.oracle = measureActsPerSec(scheme, banks, acts, false, true);
         for (std::size_t i = 0; i < thread_counts.size(); ++i) {
             ShardedPoint p;
             p.threads = thread_counts[i];

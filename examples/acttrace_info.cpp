@@ -1,22 +1,23 @@
 /**
  * @file
  * Inspect a captured mithril.acttrace.v1 file: validate header,
- * index, and footer, print the deterministic describe() dump
- * (geometry, seed, record totals, per-bank counts, meta line), then
- * the per-bank tick spans — decoded from the block index alone (two
- * block decodes per touched bank), never a full-stream scan. For
- * traces materialized by a trace-op pipeline the meta line is parsed
- * back into a stage/input summary.
+ * index, and footer, decode every record once (the replay decoder,
+ * which checks each row and tick), then print the deterministic
+ * describe() dump (geometry, seed, record totals, per-bank counts,
+ * meta line) and each touched bank's first and last tick. For traces
+ * materialized by a trace-op pipeline the meta line is parsed back
+ * into a stage/input summary.
  *
  *   acttrace_info trace.acttrace
  *
- * Exits non-zero (with the SpecError message) on anything that is
- * not a structurally valid v1 trace — which makes it a cheap CI
- * check for freshly captured artifacts.
+ * Exits non-zero (with the SpecError message), before printing
+ * anything, on any file a replay would reject — which makes it a
+ * cheap CI check for freshly captured artifacts.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "common/logging.hh"
 #include "engine/act_trace.hh"
@@ -28,11 +29,32 @@ using namespace mithril;
 namespace
 {
 
-void
-printBankSpans(engine::ActTraceSource &source)
+/** One bank's record count and first and last tick. */
+struct BankSpan
 {
-    const std::vector<engine::ActTraceBankSpan> spans =
-        source.bankSpans();
+    std::uint64_t count = 0;
+    Tick first = 0;
+    Tick last = 0;
+};
+
+/** Every bank's span, from one pass over every record. */
+std::vector<BankSpan>
+scanBankSpans(engine::ActTraceSource &source)
+{
+    std::vector<BankSpan> spans(source.info().totalBanks());
+    engine::forEachRecord(source, ~0ull,
+                          [&](const engine::ActRecord &rec) {
+                              BankSpan &span = spans[rec.bank];
+                              if (span.count++ == 0)
+                                  span.first = rec.tick;
+                              span.last = rec.tick;
+                          });
+    return spans;
+}
+
+void
+printBankSpans(const std::vector<BankSpan> &spans)
+{
     Tick lo = 0, hi = 0;
     bool any = false;
     for (std::size_t b = 0; b < spans.size(); ++b) {
@@ -92,9 +114,10 @@ main(int argc, char **argv)
         fatal("usage: acttrace_info <trace file>");
     try {
         engine::ActTraceSource source(argv[1]);
+        const std::vector<BankSpan> spans = scanBankSpans(source);
         const engine::ActTraceInfo &info = source.info();
         std::printf("%s", info.describe().c_str());
-        printBankSpans(source);
+        printBankSpans(spans);
         printPipelineSummary(info.meta);
     } catch (const registry::SpecError &err) {
         fatal("%s", err.what());

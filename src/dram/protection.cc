@@ -176,16 +176,8 @@ Protection::total(BankId lo, BankId hi) const
 {
     Counts sum;
     hi = std::min<BankId>(hi, static_cast<BankId>(banks_.size()));
-    for (BankId b = lo; b < hi; ++b) {
-        const Counts &c = banks_[b].counts;
-        sum.acts += c.acts;
-        sum.refs += c.refs;
-        sum.rfms += c.rfms;
-        sum.idleRfms += c.idleRfms;
-        sum.mrrSkips += c.mrrSkips;
-        sum.arrs += c.arrs;
-        sum.preventive += c.preventive;
-    }
+    for (BankId b = lo; b < hi; ++b)
+        sum += banks_[b].counts;
     return sum;
 }
 

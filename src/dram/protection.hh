@@ -65,6 +65,19 @@ class Protection
         std::uint64_t arrs = 0;       //!< ARR refreshes executed.
         std::uint64_t preventive = 0; //!< Aggressors treated by RFM
                                       //!< or ARR.
+
+        Counts &
+        operator+=(const Counts &o)
+        {
+            acts += o.acts;
+            refs += o.refs;
+            rfms += o.rfms;
+            idleRfms += o.idleRfms;
+            mrrSkips += o.mrrSkips;
+            arrs += o.arrs;
+            preventive += o.preventive;
+            return *this;
+        }
     };
 
     /** `oracle` off skips every oracle call (throughput benches). */

@@ -131,30 +131,21 @@ ActStreamEngine::dispatchBatch(const ActBatch &batch, std::size_t n)
     const BankId *bank_col = batch.banks();
     const RowId *row_col = batch.rows();
     const auto num_banks = static_cast<std::uint32_t>(banks_.size());
-    const bool scalar =
-        config_.dispatch == EngineConfig::Dispatch::Scalar;
 
     // Uniform-bank fast path: sharded runs and single-bank workloads
     // deliver whole batches on one bank; one sweep detects that
-    // and skips the partition entirely. Dispatch order is trivially
-    // identical (one bank, stream order).
+    // and skips the partition entirely.
     if (simd::uniformPrefix(bank_col, n, bank_col[0]) == n) {
         const BankId bank = bank_col[0];
         MITHRIL_ASSERT(bank < num_banks);
-        if (scalar) {
-            for (std::size_t i = 0; i < n; ++i)
-                activate(bank, row_col[i]);
-        } else {
-            processRun(banks_[bank], bank, row_col, n);
-        }
+        processRun(banks_[bank], bank, row_col, n);
         return;
     }
 
     // Counting-sort partition into one flat reused buffer (stable, so
-    // each bank's slice keeps stream order). Both dispatch modes
-    // traverse the partition in ascending bank order so they agree on
-    // the interleaving seen by process-wide tracker state (shared
-    // RNGs, logic-op counters).
+    // each bank's slice keeps stream order), traversed in ascending
+    // bank order. Banks are independent clocks with per-bank tracker
+    // state, so only each bank's own subsequence matters.
     std::fill(partCount_.begin(), partCount_.end(), 0u);
     for (std::size_t i = 0; i < n; ++i) {
         MITHRIL_ASSERT(bank_col[i] < num_banks);
@@ -173,13 +164,8 @@ ActStreamEngine::dispatchBatch(const ActBatch &batch, std::size_t n)
         const std::uint32_t count = partCount_[bank];
         if (count == 0)
             continue;
-        const RowId *rows = partRows_.data() + partOffset_[bank];
-        if (scalar) {
-            for (std::uint32_t i = 0; i < count; ++i)
-                activate(bank, rows[i]);
-        } else {
-            processRun(banks_[bank], bank, rows, count);
-        }
+        processRun(banks_[bank], bank,
+                   partRows_.data() + partOffset_[bank], count);
     }
 }
 

@@ -13,18 +13,16 @@
  * after the ACT that owes it, ARRs first (each blocking the bank for
  * 2*radius row cycles), then the RFM (tRFM) or its MRR skip.
  *
- * Two dispatch modes share all bookkeeping:
- *
- *  - Scalar: the faithful per-ACT port of the historical harness's
- *    activate() — one virtual tracker call per activation.
- *  - Batched (default): activations are partitioned per bank and cut
- *    into maximal runs that cross no REF or RFM boundary; each run is
- *    handed to dram::Protection::activateRun() with precomputed ticks
- *    (tick = run start + i*tRC), so the hot trackers' batch paths
- *    amortize virtual dispatch, table lookup, and scratch management
- *    over the whole run. ARR triggers terminate a run (preventive refreshes advance
- *    the bank clock), which keeps both modes byte-identical at any
- *    batch size — pinned by the engine equivalence golden test.
+ * run() drains a source in batches: activations are partitioned per
+ * bank and cut into maximal runs that cross no REF or RFM boundary;
+ * each run is handed to dram::Protection::activateRun() with
+ * precomputed ticks (tick = run start + i*tRC), so the hot trackers'
+ * batch paths amortize virtual dispatch, table lookup, and scratch
+ * management over the whole run. ARR triggers terminate a run
+ * (preventive refreshes advance the bank clock). activate() is the
+ * same protocol one ACT at a time — one virtual tracker call per
+ * activation — and the engine equivalence tests pin run() to it,
+ * byte for byte, at any batch size.
  *
  * Every buffer (batch, partition scratch, ARR scratch) is reused
  * across the run, so the steady-state loop performs zero heap
@@ -60,18 +58,10 @@ namespace mithril::engine
 /** Engine configuration. */
 struct EngineConfig
 {
-    /** Tracker dispatch strategy (see file header). */
-    enum class Dispatch
-    {
-        Batched,
-        Scalar,
-    };
-
     dram::Timing timing;
     dram::Geometry geometry;
     std::uint32_t flipTh = 6250;
     std::uint32_t blastRadius = 1;
-    Dispatch dispatch = Dispatch::Batched;
     /** Ground-truth safety accounting (dram::Protection's oracle).
      *  Throughput benches may disable it to time the tracker/dispatch
      *  hot loop alone; safety experiments must keep it on. The engine
@@ -105,8 +95,9 @@ class ActStreamEngine
     ActStreamEngine(const EngineConfig &config,
                     trackers::RhProtection *tracker);
 
-    /** Feed one activation on one bank (scalar path; advances that
-     *  bank's clock by tRC, interleaving REF/RFM/ARR work as due). */
+    /** Feed one activation on one bank (the per-ACT step; advances
+     *  that bank's clock by tRC, interleaving REF/RFM/ARR work as
+     *  due). */
     void activate(BankId bank, RowId row);
 
     /** Drain the source until exhausted; returns ACTs performed. */
@@ -181,7 +172,7 @@ class ActStreamEngine
      *  its MRR skip. */
     void settle(BankState &bs, BankId bank);
 
-    /** Batched-dispatch processing of one bank's contiguous rows. */
+    /** Batched processing of one bank's contiguous rows. */
     void processRun(BankState &bs, BankId bank, const RowId *rows,
                     std::size_t n);
 

@@ -778,62 +778,6 @@ ActTraceSource::nextBlock()
     return false;
 }
 
-void
-ActTraceSource::blockTickSpan(const IndexBlock &block, Tick *first,
-                              Tick *last)
-{
-    ByteReader r(parsed_->map.data + block.payloadOffset,
-                 block.payloadBytes, path_, "block payload");
-    r.varint(); // First row (zigzag-encoded raw value; unused here).
-    const std::uint64_t raw_tick = r.varint();
-    if (raw_tick > static_cast<std::uint64_t>(kTickMax))
-        corrupt(path_, "tick overflows");
-    Tick tick = static_cast<Tick>(raw_tick);
-    *first = tick;
-    for (std::uint32_t i = 1; i < block.count; ++i) {
-        r.varint(); // Row delta.
-        const std::uint64_t delta = r.varint();
-        if (delta > static_cast<std::uint64_t>(kTickMax) -
-                        static_cast<std::uint64_t>(tick))
-            corrupt(path_, "tick overflows");
-        tick += static_cast<Tick>(delta);
-    }
-    *last = tick;
-}
-
-std::vector<ActTraceBankSpan>
-ActTraceSource::bankSpans()
-{
-    // The index orders blocks canonically (chunk-major, ascending
-    // bank within a chunk) and each bank's subsequence is tick-
-    // monotone across blocks, so a bank's span is [first tick of its
-    // first block, last tick of its last block] — two block decodes
-    // per touched bank, never a full scan.
-    const std::uint32_t banks = info().totalBanks();
-    std::vector<const IndexBlock *> head(banks, nullptr);
-    std::vector<const IndexBlock *> tail(banks, nullptr);
-    for (const IndexBlock &block : parsed_->blocks) {
-        if (!head[block.bank])
-            head[block.bank] = &block;
-        tail[block.bank] = &block;
-    }
-    std::vector<ActTraceBankSpan> spans(banks);
-    for (std::uint32_t b = 0; b < banks; ++b) {
-        spans[b].count = info().perBank[b];
-        if (!head[b])
-            continue;
-        Tick last_of_first;
-        blockTickSpan(*head[b], &spans[b].first, &last_of_first);
-        if (tail[b] == head[b]) {
-            spans[b].last = last_of_first;
-        } else {
-            Tick first_of_last;
-            blockTickSpan(*tail[b], &first_of_last, &spans[b].last);
-        }
-    }
-    return spans;
-}
-
 std::size_t
 ActTraceSource::fill(ActBatch &batch, std::size_t limit)
 {

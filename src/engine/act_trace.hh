@@ -20,6 +20,10 @@
  *   index    one entry per chunk listing every block's (bank, count,
  *            payload bytes) — what lets a shard reader seek straight
  *            to its own banks without touching the rest of the file.
+ *            The index only locates blocks: every record any caller
+ *            sees (replay, trace ops, acttrace_info's tick spans) is
+ *            decoded by ActTraceSource::fill(), which checks each row
+ *            and tick as it goes.
  *   footer   fixed 24-byte tail: index offset, total records, end
  *            marker.
  *
@@ -92,14 +96,6 @@ struct ActTraceInfo
 void requireSameGeometry(const std::string &what,
                          const dram::Geometry &a,
                          const dram::Geometry &b);
-
-/** One bank's tick extent, computed from the block index alone. */
-struct ActTraceBankSpan
-{
-    std::uint64_t count = 0;
-    Tick first = 0;
-    Tick last = 0;
-};
 
 /**
  * Shim with nothing left to choose: every reader decodes from one
@@ -233,14 +229,6 @@ class ActTraceSource : public ActSource
     std::unique_ptr<ActSource> shardSlice(
         BankId lo, BankId hi, std::uint64_t budget) override;
 
-    /**
-     * Per-bank (count, first tick, last tick), decoding only each
-     * bank's first and last indexed block — O(banks) block decodes,
-     * never a full-stream scan. Entries with count == 0 are banks the
-     * trace never touches.
-     */
-    std::vector<ActTraceBankSpan> bankSpans();
-
   private:
     struct IndexBlock
     {
@@ -292,10 +280,6 @@ class ActTraceSource : public ActSource
     /** Point blockData_ at the current block's validated payload in
      *  the mapping. */
     void loadBlock(const IndexBlock &block);
-
-    /** First and last tick of one indexed block (decodes it). */
-    void blockTickSpan(const IndexBlock &block, Tick *first,
-                       Tick *last);
 
     std::string path_;
     std::shared_ptr<const Parsed> parsed_;

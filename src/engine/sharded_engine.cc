@@ -226,39 +226,12 @@ ShardedActStreamEngine::runShards(
     return total;
 }
 
-std::uint64_t
-ShardedActStreamEngine::acts() const
+dram::Protection::Counts
+ShardedActStreamEngine::counts() const
 {
-    std::uint64_t sum = 0;
+    dram::Protection::Counts sum;
     for (const Shard &s : shards_)
-        sum += s.engine->acts();
-    return sum;
-}
-
-std::uint64_t
-ShardedActStreamEngine::refs() const
-{
-    std::uint64_t sum = 0;
-    for (const Shard &s : shards_)
-        sum += s.engine->refs();
-    return sum;
-}
-
-std::uint64_t
-ShardedActStreamEngine::rfms() const
-{
-    std::uint64_t sum = 0;
-    for (const Shard &s : shards_)
-        sum += s.engine->rfms();
-    return sum;
-}
-
-std::uint64_t
-ShardedActStreamEngine::preventiveRefreshes() const
-{
-    std::uint64_t sum = 0;
-    for (const Shard &s : shards_)
-        sum += s.engine->preventiveRefreshes();
+        sum += s.engine->protection().total();
     return sum;
 }
 

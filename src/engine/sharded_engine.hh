@@ -167,10 +167,17 @@ class ShardedActStreamEngine
     std::uint32_t numBanks() const { return numBanks_; }
 
     // ----------------------------------- merged aggregate counters
-    std::uint64_t acts() const;
-    std::uint64_t refs() const;
-    std::uint64_t rfms() const;
-    std::uint64_t preventiveRefreshes() const;
+
+    /** Every shard's protection step counts, summed. */
+    dram::Protection::Counts counts() const;
+
+    std::uint64_t acts() const { return counts().acts; }
+    std::uint64_t refs() const { return counts().refs; }
+    std::uint64_t rfms() const { return counts().rfms; }
+    std::uint64_t preventiveRefreshes() const
+    {
+        return counts().preventive;
+    }
 
     /** Merged ground-truth oracle reductions. */
     double maxDisturbanceEver() const;

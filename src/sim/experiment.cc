@@ -9,6 +9,7 @@
 #include "common/logging.hh"
 #include "engine/act_trace.hh"
 #include "engine/sharded_engine.hh"
+#include "engine/sources.hh"
 #include "registry/attack_registry.hh"
 #include "registry/scheme_registry.hh"
 #include "registry/source_registry.hh"
@@ -213,9 +214,9 @@ runSystemExperiment(const ExperimentSpec &spec,
     const std::uint32_t benign =
         attacking ? spec.cores - 1 : spec.cores;
 
-    // One address map shared by the attacker generators and the
-    // warm-up profiling; it must outlive the System, which owns
-    // generators that compose addresses through it on every record.
+    // The address map the attacker generators compose through; it
+    // must outlive the System, which owns generators that use it on
+    // every record.
     mc::AddressMap map(sys.geometry);
 
     auto make_benign = [&](std::uint32_t core_id) {
@@ -243,32 +244,24 @@ runSystemExperiment(const ExperimentSpec &spec,
     // its banks, mirroring the engine's per-shard warm-up slicing.
     if (system.tracker(0) && spec.trackerWarmupActs > 0) {
         std::vector<RowId> discard;
-        auto feed = [&](workload::TraceGenerator &gen,
+        auto feed = [&](std::unique_ptr<workload::TraceGenerator> gen,
                         std::uint64_t count) {
-            for (std::uint64_t i = 0; i < count; ++i) {
-                auto rec = gen.next();
-                if (!rec)
-                    break;
-                mc::Request req;
-                req.addr = rec->addr;
-                map.decode(req);
-                discard.clear();
-                system.tracker(req.channel)
-                    ->onActivate(req.bank, req.row, 0, discard);
-            }
+            engine::TraceActSource source(std::move(gen), sys.geometry);
+            engine::forEachRecord(
+                source, count, [&](const engine::ActRecord &rec) {
+                    discard.clear();
+                    system.tracker(system.device().channelOf(rec.bank))
+                        ->onActivate(rec.bank, rec.row, 0, discard);
+                });
         };
         if (spec.warmupFromWorkload) {
             const std::uint64_t per_core =
                 spec.trackerWarmupActs / benign;
-            for (std::uint32_t i = 0; i < benign; ++i) {
-                auto gen = make_benign(i);
-                feed(*gen, per_core);
-            }
+            for (std::uint32_t i = 0; i < benign; ++i)
+                feed(make_benign(i), per_core);
         }
-        if (attacking) {
-            auto gen = make_attacker();
-            feed(*gen, spec.trackerWarmupActs);
-        }
+        if (attacking)
+            feed(make_attacker(), spec.trackerWarmupActs);
     }
 
     system.snapshotTrackerOps();

@@ -290,6 +290,15 @@ ExperimentSpec::validate() const
                         "' needs cores >= 2 (one core becomes the "
                         "attacker)");
     }
+    if (trackerWarmupActs > 0 && !engineRun() && !attacking() &&
+        !warmupFromWorkload) {
+        // Without an attacker, System warm-up draws only from the
+        // benign workload, and only when asked to.
+        throw SpecError("warmup=" + std::to_string(trackerWarmupActs) +
+                        " on a System run without an attack warms no "
+                        "tracker; add warmup-from-workload=1 to warm "
+                        "from the workload, or drop warmup=");
+    }
     if (!attacking() && engineRun() &&
         registry::sourceRegistry().at(source).name == "attack") {
         throw SpecError("source 'attack' needs a real attack entry "

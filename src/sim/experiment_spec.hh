@@ -82,6 +82,9 @@ struct ExperimentSpec
     std::uint64_t instrPerCore = 200000;
     std::uint64_t seed = 42;
     std::uint64_t trackerWarmupActs = 0;
+    /** System warm-up also draws from the benign workload (always
+     *  from the attacker, when there is one); without an attack,
+     *  validate() requires it whenever warmup= is set. */
     bool warmupFromWorkload = false;
 
     /** Capture the run's ACT stream to this path as a

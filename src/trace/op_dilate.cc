@@ -59,7 +59,7 @@ const registry::Registrar<TraceOpTraits> kRegisterDilate{{
     /*description=*/
     "scale every tick by the rational num/den (integer math, "
     "monotone); num=den=1 is the identity",
-    /*aliases=*/{"timescale"},
+    /*aliases=*/{},
     /*uses=*/"filter stage: upstream or one input trace",
     /*params=*/
     {{"num", registry::ParamDesc::Type::Uint, "1", 1, 1u << 20,

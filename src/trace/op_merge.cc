@@ -173,7 +173,7 @@ const registry::Registrar<TraceOpTraits> kRegisterMerge{{
     "k-way tick-ordered merge of N traces into one dense "
     "multi-tenant stream (heap over per-bank block cursors; ties "
     "break by input order)",
-    /*aliases=*/{"interleave"},
+    /*aliases=*/{},
     /*uses=*/"head stage only; inputs = the traces to merge "
              "(geometries must match)",
     /*params=*/{},

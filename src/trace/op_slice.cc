@@ -78,7 +78,7 @@ const registry::Registrar<TraceOpTraits> kRegisterSlice{{
     "keep only records inside a tick window [from, to) and a bank "
     "range [bank-lo, bank-hi); rebase=1 shifts kept ticks down by "
     "`from`",
-    /*aliases=*/{"extract"},
+    /*aliases=*/{},
     /*uses=*/"filter stage: upstream or one input trace",
     /*params=*/
     {{"from", registry::ParamDesc::Type::Uint, "0", 0, 9.3e18,

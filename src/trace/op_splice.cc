@@ -213,7 +213,7 @@ const registry::Registrar<TraceOpTraits> kRegisterSplice{{
     "inject a registered attack burst (attack=) or a second trace "
     "(with=) into the background stream at tick `at`, preserving "
     "per-bank tick order",
-    /*aliases=*/{"inject"},
+    /*aliases=*/{},
     /*uses=*/"filter stage: upstream or one input trace; seed (burst "
              "generation)",
     /*params=*/

@@ -79,6 +79,22 @@ parseStage(const std::string &text)
     return stage;
 }
 
+/** Wire parsed stages into one composed stream. */
+std::unique_ptr<RecordStream>
+buildStages(const std::vector<PipelineStage> &stages,
+            std::uint64_t seed)
+{
+    std::unique_ptr<RecordStream> stream;
+    for (const PipelineStage &stage : stages) {
+        TraceOpContext ctx;
+        ctx.inputs = stage.inputs;
+        ctx.upstream = std::move(stream);
+        ctx.seed = seed;
+        stream = makeTraceOp(stage.op, stage.params, ctx);
+    }
+    return stream;
+}
+
 } // namespace
 
 std::vector<PipelineStage>
@@ -95,15 +111,7 @@ parsePipeline(const std::string &spec)
 std::unique_ptr<RecordStream>
 buildPipeline(const std::string &spec, std::uint64_t seed)
 {
-    std::unique_ptr<RecordStream> stream;
-    for (const PipelineStage &stage : parsePipeline(spec)) {
-        TraceOpContext ctx;
-        ctx.inputs = stage.inputs;
-        ctx.upstream = std::move(stream);
-        ctx.seed = seed;
-        stream = makeTraceOp(stage.op, stage.params, ctx);
-    }
-    return stream;
+    return buildStages(parsePipeline(spec), seed);
 }
 
 engine::ActTraceInfo
@@ -113,7 +121,8 @@ materializePipeline(const std::string &spec,
     if (out_path.empty())
         throw registry::SpecError(
             "trace pipeline needs an output path");
-    for (const PipelineStage &stage : parsePipeline(spec)) {
+    const std::vector<PipelineStage> stages = parsePipeline(spec);
+    for (const PipelineStage &stage : stages) {
         std::vector<std::string> reads = stage.inputs;
         // splice's second trace arrives as a param, not a positional.
         const std::string with = stage.params.getString("with", "");
@@ -127,7 +136,7 @@ materializePipeline(const std::string &spec,
                     "'");
         }
     }
-    std::unique_ptr<RecordStream> stream = buildPipeline(spec, seed);
+    std::unique_ptr<RecordStream> stream = buildStages(stages, seed);
     engine::ActTraceWriter writer(out_path, stream->geometry(), seed,
                                   kPipelineMetaPrefix + spec);
     TraceRecord record;

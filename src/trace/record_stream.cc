@@ -31,10 +31,8 @@ SourceCursor::refill()
         std::make_unique<engine::ActBatch>();
     scratch->clear();
     const std::size_t n = source_->fill(*scratch, kBufferRecords);
-    for (std::size_t i = 0; i < n; ++i) {
-        const engine::ActRecord record = scratch->record(i);
-        buffer_[i] = TraceRecord{record.bank, record.row, record.tick};
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        buffer_[i] = scratch->record(i);
     pos_ = 0;
     size_ = static_cast<std::uint32_t>(n);
     drained_ = n == 0;

@@ -35,13 +35,9 @@
 namespace mithril::trace
 {
 
-/** One activation record as the trace ops see it. */
-struct TraceRecord
-{
-    BankId bank = 0;
-    RowId row = 0;
-    Tick tick = 0;
-};
+/** One activation record as the trace ops see it: the engine's
+ *  record, so a cursor stores what the decoder produced. */
+using TraceRecord = engine::ActRecord;
 
 /** Pull stream of trace records; the product of every trace op. */
 class RecordStream

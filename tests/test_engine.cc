@@ -5,8 +5,8 @@
  * The centrepiece is the golden equivalence suite: a verbatim copy of
  * the pre-refactor single-bank ActHarness loop (ReferenceHarness
  * below, frozen at the PR-2 state) is driven head-to-head against
- * ActStreamEngine — batched dispatch at several batch sizes and
- * scalar dispatch — for EVERY registered scheme, and the two must
+ * ActStreamEngine — run() at several batch sizes and the per-ACT
+ * activate() step — for EVERY registered scheme, and the two must
  * agree byte-for-byte on acts/refs/rfms/preventive counts, virtual
  * time, and the ground-truth oracle. This is what licenses routing
  * all safety sweeps through the batched hot loop.
@@ -210,7 +210,7 @@ struct RunOutcome
     std::uint64_t bitFlips;
     std::uint64_t flippedRows;
     /** Tracker logic-op count: pins the batch fast paths to the exact
-     *  per-ACT accounting of the scalar loop. */
+     *  per-ACT accounting of activate(). */
     std::uint64_t logicOps;
 };
 
@@ -256,22 +256,38 @@ runReference(const std::string &scheme, const dram::Timing &timing)
             tracker ? tracker->logicOps() : 0};
 }
 
+/** Feed every record of `source` through activate(), one ACT at a
+ *  time, in stream order: the per-ACT step run() must reproduce. */
+void
+activateEach(engine::ActStreamEngine &eng, engine::ActSource &source,
+             std::uint64_t budget = ~0ull)
+{
+    engine::forEachRecord(source, budget,
+                          [&](const engine::ActRecord &rec) {
+                              eng.activate(rec.bank, rec.row);
+                          });
+}
+
+/** The pattern through run() in `chunk`-record fills, or through
+ *  activateEach() when `per_act`. */
 RunOutcome
 runEngine(const std::string &scheme, const dram::Timing &timing,
-          engine::EngineConfig::Dispatch dispatch, std::size_t chunk)
+          bool per_act, std::size_t chunk)
 {
     dram::Geometry geom = dram::paperGeometry();
     geom.rowsPerBank = kRows;
     auto tracker = makeTracker(scheme, geom, timing);
-    engine::EngineConfig cfg =
-        engine::EngineConfig::singleBank(timing, kFlipTh, kRows);
-    cfg.dispatch = dispatch;
-    engine::ActStreamEngine eng(cfg, tracker.get());
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, kFlipTh, kRows),
+        tracker.get());
     Rng rng(1234);
     ChunkedSource source(
         kActs, [&](std::uint64_t i) { return patternRow(i, rng); },
         chunk);
-    eng.run(source);
+    if (per_act)
+        activateEach(eng, source);
+    else
+        eng.run(source);
     return {eng.acts(),
             eng.refs(),
             eng.rfms(),
@@ -288,23 +304,22 @@ class EngineEquivalence
 {
 };
 
-/** Scalar dispatch and batched dispatch at several chunk sizes must
- *  each reproduce the reference harness exactly. */
+/** activate() and run() at several chunk sizes must each reproduce
+ *  the reference harness exactly. */
 void
 expectEngineMatchesReference(const std::string &scheme,
                              const dram::Timing &timing)
 {
     const RunOutcome ref = runReference(scheme, timing);
 
-    const RunOutcome scalar = runEngine(
-        scheme, timing, engine::EngineConfig::Dispatch::Scalar, 1024);
+    const RunOutcome scalar =
+        runEngine(scheme, timing, /*per_act=*/true, 1024);
     EXPECT_TRUE(scalar == ref)
         << scheme << "\n  scalar: " << scalar << "\n  ref:    " << ref;
 
     for (std::size_t chunk : {1u, 7u, 64u, 1000u, 4096u}) {
-        const RunOutcome batched = runEngine(
-            scheme, timing, engine::EngineConfig::Dispatch::Batched,
-            chunk);
+        const RunOutcome batched =
+            runEngine(scheme, timing, /*per_act=*/false, chunk);
         EXPECT_TRUE(batched == ref)
             << scheme << " chunk=" << chunk << "\n  batch: " << batched
             << "\n  ref:   " << ref;
@@ -404,13 +419,12 @@ TEST(EngineMultiBank, BatchedMatchesScalarAt16Banks)
     for (const std::string &scheme :
          {std::string("mithril"), std::string("graphene"),
           std::string("para")}) {
-        auto run = [&](engine::EngineConfig::Dispatch dispatch) {
+        auto run = [&](bool per_act) {
             auto tracker = makeTracker(scheme, geom);
             engine::EngineConfig cfg;
             cfg.timing = timing;
             cfg.geometry = geom;
             cfg.flipTh = kFlipTh;
-            cfg.dispatch = dispatch;
             engine::ActStreamEngine eng(cfg, tracker.get());
 
             ParamSet params;
@@ -418,13 +432,15 @@ TEST(EngineMultiBank, BatchedMatchesScalarAt16Banks)
             auto source = registry::makeActSource(
                 "attack", params,
                 {timing, geom, kFlipTh, /*seed=*/7});
-            eng.run(*source, 400000);
+            if (per_act)
+                activateEach(eng, *source, 400000);
+            else
+                eng.run(*source, 400000);
             return eng;
         };
 
-        const auto batched =
-            run(engine::EngineConfig::Dispatch::Batched);
-        const auto scalar = run(engine::EngineConfig::Dispatch::Scalar);
+        const auto batched = run(false);
+        const auto scalar = run(true);
 
         EXPECT_EQ(batched.acts(), 400000u) << scheme;
         EXPECT_EQ(batched.acts(), scalar.acts()) << scheme;

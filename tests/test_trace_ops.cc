@@ -1,9 +1,9 @@
 /**
  * @file
- * The trace-algebra pin suite: every registered trace-op, the
- * pipeline syntax, and the index-only bank spans.
+ * The trace-algebra pin suite: every registered trace-op and the
+ * pipeline syntax.
  *
- * Four layers of guarantees:
+ * Three layers of guarantees:
  *
  *  1. Algebraic identities: merge(slice-by-bank(T)) == T,
  *     dilate(1/1) == identity, remap composed with its inverse
@@ -11,14 +11,13 @@
  *     [bank-lo, bank-hi), splice adds exactly the injection while
  *     preserving every background record — and every materialized
  *     output is byte-deterministic.
- *  2. bankSpans() agrees with a full scan from the index alone.
- *  3. Composed corpora replay shard-invariantly: a 16-tenant merged +
+ *  2. Composed corpora replay shard-invariantly: a 16-tenant merged +
  *     attack-spliced corpus produces one identical outcome for every
  *     registered scheme at shards {1, 4, 16} across pool sizes, and
  *     a fuzzed mutation corpus over composed traces must parse or
  *     raise registry::SpecError — never UB (the CI sanitize job runs
  *     this suite under ASan/UBSan).
- *  4. Crash-safety: ActTraceWriter publishes through a temp file +
+ *  3. Crash-safety: ActTraceWriter publishes through a temp file +
  *     atomic rename — no finalize, no file; re-materializing over an
  *     existing trace replaces it atomically.
  */
@@ -235,12 +234,18 @@ TEST(TracePipelineParse, SyntaxAndParameterErrors)
             << err.what();
     }
 
-    // Aliases resolve to the canonical op.
-    const std::vector<trace::PipelineStage> stages =
-        trace::parsePipeline("interleave:a,b|timescale:num=2");
-    ASSERT_EQ(stages.size(), 2u);
-    EXPECT_EQ(stages[0].op, "merge");
-    EXPECT_EQ(stages[1].op, "dilate");
+    // Trace ops take no aliases: `interleave` is an unknown op, and
+    // its error lists the registered ones, `merge` among them.
+    try {
+        trace::parsePipeline("interleave:a,b");
+        FAIL() << "expected SpecError";
+    } catch (const SpecError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("unknown trace-op 'interleave'"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("merge"), std::string::npos) << what;
+    }
 }
 
 TEST(TracePipelineBuild, StagePlacementErrors)
@@ -652,34 +657,6 @@ TEST(TraceSplice, GeometryMismatchIsRejectedEagerly)
                      "splice:" + bg + ",with=" + narrow + ",at=0",
                      42),
                  SpecError);
-}
-
-// --------------------------------------- bank spans from the index
-
-TEST(TraceMmap, BankSpansMatchAFullScan)
-{
-    // Banks 8..15 stay empty to exercise the zero-count rows.
-    const dram::Geometry geom = smallGeometry();
-    const std::string t = tmpPath("mmap_spans");
-    writeTrace(t, geom, 72, "",
-               randomStream(72, geom, 20000, /*bank_lo=*/0,
-                            /*bank_hi=*/8));
-
-    engine::ActTraceSource source(t);
-    const std::vector<engine::ActTraceBankSpan> spans =
-        source.bankSpans();
-    ASSERT_EQ(spans.size(), kBanks);
-
-    const auto banks = perBank(readRecords(t), kBanks);
-    for (std::uint32_t b = 0; b < kBanks; ++b) {
-        EXPECT_EQ(spans[b].count, banks[b].size()) << "bank " << b;
-        if (banks[b].empty())
-            continue;
-        EXPECT_EQ(spans[b].first, banks[b].front().tick)
-            << "bank " << b;
-        EXPECT_EQ(spans[b].last, banks[b].back().tick)
-            << "bank " << b;
-    }
 }
 
 // ------------------------------------- crash-safe trace publishing
