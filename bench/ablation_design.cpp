@@ -19,7 +19,6 @@
 #include "core/config_solver.hh"
 #include "core/mithril.hh"
 #include "trackers/graphene.hh"
-#include "trackers/rfm_graphene.hh"
 
 using namespace mithril;
 

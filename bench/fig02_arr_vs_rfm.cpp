@@ -19,7 +19,6 @@
 #include "analysis/arr_vs_rfm.hh"
 #include "bench_util.hh"
 #include "trackers/graphene.hh"
-#include "trackers/rfm_graphene.hh"
 
 using namespace mithril;
 

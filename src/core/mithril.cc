@@ -6,21 +6,17 @@
 #include "core/bounds.hh"
 #include "core/config_solver.hh"
 #include "registry/scheme_registry.hh"
-#include "telemetry/event_trace.hh"
 #include "telemetry/metric_sheet.hh"
 
 namespace mithril::core
 {
 
 Mithril::Mithril(std::uint32_t num_banks, const MithrilParams &params)
-    : params_(params)
+    : CbsTracker(num_banks, params.nEntry, params.rowBits,
+                 params.counterBits),
+      params_(params)
 {
-    MITHRIL_ASSERT(num_banks > 0);
-    MITHRIL_ASSERT(params_.nEntry > 0);
     MITHRIL_ASSERT(params_.rfmTh > 0);
-    tables_.reserve(num_banks);
-    for (std::uint32_t b = 0; b < num_banks; ++b)
-        tables_.emplace_back(params_.nEntry, params_.counterBits);
 }
 
 std::string
@@ -30,48 +26,10 @@ Mithril::name() const
 }
 
 void
-Mithril::onActivate(BankId bank, RowId row, Tick now,
-                    std::vector<RowId> &arr_aggressors)
-{
-    (void)arr_aggressors;  // Mithril never requests ARR.
-    CbsTable &table = tables_.at(bank);
-    if (eventRecorder_) {
-        const std::uint64_t inserts = table.inserts();
-        const std::uint64_t evictions = table.evictions();
-        table.touch(row);
-        if (table.evictions() != evictions) {
-            eventRecorder_->record(telemetry::EventKind::CbsEvict,
-                                   now, bank, row);
-        } else if (table.inserts() != inserts) {
-            eventRecorder_->record(telemetry::EventKind::CbsInsert,
-                                   now, bank, row);
-        }
-    } else {
-        table.touch(row);
-    }
-    countOp();
-}
-
-std::size_t
-Mithril::onActivateBatch(const trackers::ActSpan &span,
-                         std::vector<RowId> &arr_aggressors)
-{
-    // While tracing, take the base scalar loop so per-record table
-    // events carry exact ticks; byte-identical in effect by the
-    // onActivateBatch() contract (pinned by the equivalence tests).
-    if (eventRecorder_)
-        return RhProtection::onActivateBatch(span, arr_aggressors);
-    (void)arr_aggressors;  // Mithril never requests ARR.
-    tables_.at(span.bank).touchRun(span.rows, span.size);
-    countOp(span.size);
-    return span.size;
-}
-
-void
 Mithril::onRfm(BankId bank, Tick now, std::vector<RowId> &aggressors)
 {
     (void)now;
-    CbsTable &table = tables_.at(bank);
+    CbsTable &table = mutableTable(bank);
     countOp();  // MaxPtr lookup / spread comparison.
 
     if (params_.adTh > 0 && table.spread() <= params_.adTh) {
@@ -91,39 +49,23 @@ Mithril::rfmPending(BankId bank) const
         return true;
     // The mode-register flag: set when a preventive refresh would
     // actually happen on the next RFM.
-    const CbsTable &table = tables_.at(bank);
-    return params_.adTh == 0 || table.spread() > params_.adTh;
-}
-
-double
-Mithril::tableBytesPerBank() const
-{
-    return static_cast<double>(params_.nEntry) *
-           (params_.rowBits + params_.counterBits) / 8.0;
+    return params_.adTh == 0 || table(bank).spread() > params_.adTh;
 }
 
 void
 Mithril::mergeStatsFrom(const trackers::RhProtection &other)
 {
-    RhProtection::mergeStatsFrom(other);
+    CbsTracker::mergeStatsFrom(other);
     adaptiveSkips_ += dynamic_cast<const Mithril &>(other).adaptiveSkips_;
 }
 
 void
 Mithril::exportMetrics(telemetry::MetricSheet &sheet) const
 {
-    RhProtection::exportMetrics(sheet);
-    std::uint64_t touches = 0, inserts = 0, evictions = 0;
+    CbsTracker::exportMetrics(sheet);
     std::uint64_t spread = 0;
-    for (const CbsTable &table : tables_) {
-        touches += table.touches();
-        inserts += table.inserts();
-        evictions += table.evictions();
-        spread = std::max(spread, table.spread());
-    }
-    sheet.setCounter("tracker.cbs.touches", touches);
-    sheet.setCounter("tracker.cbs.inserts", inserts);
-    sheet.setCounter("tracker.cbs.evictions", evictions);
+    for (BankId b = 0; b < numBanks(); ++b)
+        spread = std::max(spread, table(b).spread());
     sheet.setCounter("tracker.adaptive_skips", adaptiveSkips_);
     sheet.setGauge("tracker.cbs.max_spread",
                    static_cast<double>(spread));

@@ -28,8 +28,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/cbs_table.hh"
-#include "trackers/rh_protection.hh"
+#include "core/cbs_tracker.hh"
 
 namespace mithril::core
 {
@@ -46,8 +45,8 @@ struct MithrilParams
     bool plusMode = false;           //!< Mithril+ MRR-skip extension.
 };
 
-/** Mithril / Mithril+ tracker, one CbS table per bank. */
-class Mithril : public trackers::RhProtection
+/** Mithril / Mithril+ tracker: a CbS tracker that acts on RFM. */
+class Mithril : public CbsTracker
 {
   public:
     Mithril(std::uint32_t num_banks, const MithrilParams &params);
@@ -60,30 +59,15 @@ class Mithril : public trackers::RhProtection
 
     bool usesRfm() const override { return true; }
     std::uint32_t rfmTh() const override { return params_.rfmTh; }
-    bool throttles() const override { return false; }
-
-    void onActivate(BankId bank, RowId row, Tick now,
-                    std::vector<RowId> &arr_aggressors) override;
-
-    /** Batched hot path: Mithril never requests ARR, so the whole
-     *  span collapses into one cached-touch loop per bank table. */
-    std::size_t onActivateBatch(const trackers::ActSpan &span,
-                                std::vector<RowId> &arr_aggressors)
-        override;
 
     void onRfm(BankId bank, Tick now,
                std::vector<RowId> &aggressors) override;
 
     bool rfmPending(BankId bank) const override;
 
-    double tableBytesPerBank() const override;
-
     void mergeStatsFrom(const trackers::RhProtection &other) override;
 
     void exportMetrics(telemetry::MetricSheet &sheet) const override;
-
-    /** Direct table access for tests and analysis. */
-    const CbsTable &table(BankId bank) const { return tables_.at(bank); }
 
     const MithrilParams &params() const { return params_; }
 
@@ -92,7 +76,6 @@ class Mithril : public trackers::RhProtection
 
   private:
     MithrilParams params_;
-    std::vector<CbsTable> tables_;
     std::uint64_t adaptiveSkips_ = 0;
 };
 

@@ -287,6 +287,15 @@ SweepRunner::run(const SweepSpec &spec, JobFn fn) const
         throw registry::SpecError(
             "resume=1 requires journal=<path> — there is nothing to "
             "resume from without a checkpoint journal");
+    // The watchdog abandons a timed-out attempt without stopping it,
+    // so a job that writes a file would keep writing it after its
+    // TIMEOUT row, and a retry would reopen the same file.
+    if (options_.jobTimeout > 0.0 &&
+        (!spec.record.empty() || !spec.traceEvents.empty()))
+        throw registry::SpecError(
+            "job-timeout= cannot guard a job that writes record= or "
+            "trace-events=: a timed-out attempt keeps running and "
+            "writing the file a retry would reopen");
 
     // Arm requested failpoints before anything else can hit a site;
     // an unknown site name is a config error and fails the sweep up

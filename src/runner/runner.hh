@@ -126,7 +126,9 @@ struct RunnerOptions
      *  that exceeds it is reported TIMEOUT (the runaway body is
      *  abandoned, the pool survives). With the watchdog armed each
      *  job body runs on its own helper thread, so only enable it
-     *  when jobs can genuinely hang. */
+     *  when jobs can genuinely hang. SweepRunner::run() rejects it
+     *  for a sweep that writes record= or trace-events=: the
+     *  abandoned attempt would keep writing the file. */
     double jobTimeout = 0.0;
     /** Extra attempts after a failed or timed-out job, with
      *  exponential backoff between attempts (fromParams() admits at

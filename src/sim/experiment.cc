@@ -295,6 +295,24 @@ runSystemExperiment(const ExperimentSpec &spec,
     }
 
     system.run();
+    // A System that stops before every benign core retired its budget
+    // measured a starved machine: a protection that owes work after
+    // every ACT (rfm=1, para-p=1) fences each bank before its column
+    // command, so no request completes and the run spins to the
+    // horizon. Fail the job rather than report it.
+    std::string unfinished;
+    for (const auto &core : system.cores()) {
+        if (!core->excluded() && !core->done())
+            unfinished += ", core " + std::to_string(core->id()) +
+                          " retired " +
+                          std::to_string(core->instructionsRetired()) +
+                          "/" + std::to_string(spec.instrPerCore);
+    }
+    if (!unfinished.empty())
+        throw registry::SpecError(
+            "the System stopped at tick " + std::to_string(system.now()) +
+            " (horizon " + std::to_string(sys.horizon) +
+            ") before every core finished: " + unfinished.substr(2));
     if (recorder)
         recorder->finalize();
 

@@ -22,7 +22,6 @@
 #include "engine/act_stream_engine.hh"
 #include "registry/scheme_registry.hh"
 #include "trackers/graphene.hh"
-#include "trackers/rfm_graphene.hh"
 
 namespace mithril
 {

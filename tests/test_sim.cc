@@ -179,6 +179,37 @@ TEST(SystemIntegration, TelemetrySheetCoversComponents)
     EXPECT_GT(retries, 0u);
 }
 
+TEST(SystemIntegration, StarvedCoresFailTheRunAtTheHorizon)
+{
+    // PARFM at rfm=1 owes an RFM after every ACT, and the controller
+    // settles it before the request's column command: no request ever
+    // completes. The run must fail, naming the horizon, instead of
+    // reporting the IPC of a machine that spun to it.
+    ExperimentSpec spec = smallRun("parfm");
+    spec.cores = 2;
+    spec.instrPerCore = 2000;
+    spec.rfmTh = 1;
+    spec.sys.horizon = usToTick(50.0);
+    try {
+        runExperiment(spec);
+        FAIL() << "a starved run reported success";
+    } catch (const registry::SpecError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("(horizon " +
+                            std::to_string(usToTick(50.0)) + ")"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("core 0 retired "), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("/2000"), std::string::npos) << what;
+    }
+
+    // The same spec at a rate that lets requests through finishes.
+    spec.rfmTh = 0;
+    spec.sys.horizon = SystemConfig{}.horizon;
+    EXPECT_GT(runExperiment(spec).aggIpc, 0.0);
+}
+
 TEST(SystemIntegration, EnergyOverheadHelpers)
 {
     RunMetrics base, value;

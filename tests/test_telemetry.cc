@@ -561,6 +561,34 @@ TEST(TelemetryEngine, SheetCoversEngineOracleTraceHeatmap)
               events.size() + sheet.counterValue("trace.dropped"));
 }
 
+// RFM-Graphene observes through the same CbS path as Mithril and
+// Graphene, so it exports the same table counters and events.
+TEST(TelemetryEngine, RfmGrapheneExportsCbsCountersAndEvents)
+{
+    telemetry::TelemetryConfig tel = allOn();
+    tel.eventCapacityPerBank = 1u << 12;  // Keep every event.
+    engine::ShardedActStreamEngine eng(
+        engineConfig(4, tel), [&] { return makeTracker("rfm-graphene"); });
+    eng.run([&] { return makeAttackStream(); }, kActs);
+
+    telemetry::MetricSheet sheet = eng.telemetrySheet();
+    EXPECT_EQ(sheet.counterValue("tracker.cbs.touches"), eng.acts());
+    EXPECT_EQ(sheet.counterValue("trace.dropped"), 0u);
+    const auto events = eng.mergedEvents();
+    auto count = [&](telemetry::EventKind kind) {
+        return static_cast<std::uint64_t>(std::count_if(
+            events.begin(), events.end(),
+            [&](const telemetry::TraceEvent &ev) { return ev.kind == kind; }));
+    };
+    // An insert that displaced a live entry is traced as an eviction.
+    const std::uint64_t evictions =
+        sheet.counterValue("tracker.cbs.evictions");
+    EXPECT_GT(count(telemetry::EventKind::CbsInsert), 0u);
+    EXPECT_EQ(count(telemetry::EventKind::CbsInsert),
+              sheet.counterValue("tracker.cbs.inserts") - evictions);
+    EXPECT_EQ(count(telemetry::EventKind::CbsEvict), evictions);
+}
+
 // ----------------------------------------- experiment-level plumbing
 
 TEST(TelemetryExperiment, EngineRunExportsSheetAndTraceFile)

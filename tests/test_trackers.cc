@@ -18,7 +18,6 @@
 #include "trackers/graphene.hh"
 #include "trackers/para.hh"
 #include "trackers/parfm.hh"
-#include "trackers/rfm_graphene.hh"
 #include "trackers/twice.hh"
 
 namespace mithril::trackers
