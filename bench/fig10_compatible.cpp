@@ -155,9 +155,8 @@ main(int argc, char **argv)
                  [](const Cell &c) { return c.tableKb; }, 2);
 
     std::printf("\nReading: Mithril/Mithril+ stay near 100%% "
-                "performance with sub-percent energy\noverheads at "
-                "every FlipTH; PARFM's overheads grow as FlipTH falls "
-                "(lower\nRFM_TH); BlockHammer collapses under the "
-                "adversarial pattern — Figure 10's story.\n");
+                "performance; PARFM's overheads grow\nas FlipTH falls "
+                "(lower RFM_TH); BlockHammer collapses under the "
+                "adversarial\npattern — Figure 10's story.\n");
     return 0;
 }

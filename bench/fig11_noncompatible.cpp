@@ -121,8 +121,7 @@ main(int argc, char **argv)
                  [](const Cell &c) { return c.energyOverhead; }, 3);
 
     std::printf("\nReading: Mithril+ matches the ARR-era schemes "
-                "(Graphene/TWiCe/CBT) within\nfractions of a percent; "
-                "Mithril trails by at most ~2%% at the lowest FlipTH "
+                "(Graphene/TWiCe/CBT) within\nfractions of a percent "
                 "—\nwhile being the only ones that work over the "
                 "standard RFM interface.\n");
     return 0;

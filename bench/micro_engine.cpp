@@ -257,7 +257,7 @@ measureShardedActsPerSec(const std::string &scheme,
     // warm-up so the reported breakdown covers the timed run only.
     auto phase_sums = [&] {
         double source = 0.0, dispatch = 0.0;
-        for (std::uint32_t s = 0; s < eng.shardCount(); ++s) {
+        for (std::uint32_t s = 0; s < eng.parts().size(); ++s) {
             const auto &p = eng.shardTelemetry(s)->phases();
             source += p.sourceSec;
             dispatch += p.dispatchSec;

@@ -125,14 +125,14 @@ main(int argc, char **argv)
     table.beginRow().cell("dynamic energy (uJ)").num(
         system.totalEnergyPj() / 1e6, 2);
     table.beginRow().cell("max victim disturbance").num(
-        system.maxDisturbanceEver(), 0);
+        system.parts().maxDisturbanceEver(), 0);
     table.beginRow().cell("bit flips").intCell(
-        static_cast<long long>(system.bitFlips()));
+        static_cast<long long>(system.parts().bitFlips()));
     std::printf("\n%s", table.str().c_str());
 
     if (params.getBool("dump_stats", false)) {
         std::printf("\n--- metric sheet ---\n%s",
                     system.telemetrySheet().dump().c_str());
     }
-    return system.bitFlips() == 0 ? 0 : 1;
+    return system.parts().bitFlips() == 0 ? 0 : 1;
 }

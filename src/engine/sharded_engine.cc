@@ -60,39 +60,20 @@ BankFilterSource::fill(ActBatch &batch, std::size_t limit)
 ShardedActStreamEngine::ShardedActStreamEngine(
     const ShardedEngineConfig &config,
     const TrackerFactory &make_tracker)
-    : config_(config), numBanks_(config.engine.geometry.totalBanks())
+    : config_(config),
+      parts_(config.engine.geometry,
+             config.shards ? config.shards
+                           : config.engine.geometry.channels,
+             make_tracker, config.telemetry)
 {
-    MITHRIL_ASSERT(numBanks_ > 0);
-    std::uint32_t shards = config_.shards;
-    if (shards == 0)
-        shards = config_.engine.geometry.channels;
-    shards = std::max(1u, std::min(shards, numBanks_));
-    config_.shards = shards;
-
-    shards_.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        Shard shard;
-        // Balanced contiguous partition: shard s owns
-        // [s*B/S, (s+1)*B/S).
-        shard.lo = static_cast<BankId>(
-            (static_cast<std::uint64_t>(numBanks_) * s) / shards);
-        shard.hi = static_cast<BankId>(
-            (static_cast<std::uint64_t>(numBanks_) * (s + 1)) /
-            shards);
-        MITHRIL_ASSERT(shard.hi > shard.lo);
-        shard.tracker = make_tracker ? make_tracker() : nullptr;
+    for (std::uint32_t s = 0; s < parts_.size(); ++s) {
         EngineConfig engine_config = config_.engine;
-        if (config_.telemetry.any()) {
-            shard.telemetry =
-                std::make_unique<telemetry::EngineTelemetry>(
-                    config_.telemetry, numBanks_);
-            engine_config.telemetry = shard.telemetry.get();
-        }
-        shard.engine = std::make_unique<ActStreamEngine>(
-            engine_config, shard.tracker.get());
-        shards_.push_back(std::move(shard));
+        engine_config.telemetry = parts_.telemetry(s);
+        engines_.push_back(std::make_unique<ActStreamEngine>(
+            engine_config, parts_.tracker(s)));
+        parts_.bind(s, engines_.back()->protection());
     }
-    slots_.assign(shards_.size(), ShardSlot{});
+    slots_.assign(parts_.size(), ShardSlot{});
 }
 
 bool
@@ -105,88 +86,33 @@ ShardedActStreamEngine::shardSlotsCacheAligned() const
     return true;
 }
 
-std::uint32_t
-ShardedActStreamEngine::shardFor(BankId bank) const
-{
-    MITHRIL_ASSERT(bank < numBanks_);
-    // The inverse of the balanced partition above.
-    const auto s = static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(bank) * shards_.size()) /
-        numBanks_);
-    // Integer rounding can land one off; fix up locally.
-    for (std::uint32_t probe :
-         {s, s > 0 ? s - 1 : s,
-          s + 1 < shards_.size() ? s + 1 : s}) {
-        if (bank >= shards_[probe].lo && bank < shards_[probe].hi)
-            return probe;
-    }
-    MITHRIL_ASSERT_MSG(false, "bank %u not covered by any shard",
-                       bank);
-    return 0;
-}
-
-std::vector<std::unique_ptr<ActSource>>
-ShardedActStreamEngine::shardSources(const StreamFactory &make_stream,
-                                     std::uint64_t budget) const
-{
-    std::vector<std::unique_ptr<ActSource>> sources;
-    sources.reserve(shards_.size());
-    // A stream that can slice itself natively (an act-trace reader
-    // seeking through its bank index) skips the filter-and-discard
-    // scan — and every shard slices off the SAME parsed instance, so
-    // the trace header/index are parsed once per run, not per shard.
-    auto probe = make_stream();
-    if (auto native = probe->shardSlice(shards_[0].lo, shards_[0].hi,
-                                        budget)) {
-        sources.push_back(std::move(native));
-        for (std::size_t s = 1; s < shards_.size(); ++s) {
-            sources.push_back(probe->shardSlice(
-                shards_[s].lo, shards_[s].hi, budget));
-            MITHRIL_ASSERT(sources.back() != nullptr);
-        }
-        return sources;
-    }
-    for (const Shard &shard : shards_) {
-        if (!probe)
-            probe = make_stream();
-        sources.push_back(std::make_unique<BankFilterSource>(
-            std::move(probe), shard.lo, shard.hi, budget));
-    }
-    return sources;
-}
-
 std::uint64_t
 ShardedActStreamEngine::run(const StreamFactory &make_stream,
                             std::uint64_t max_acts)
 {
-    std::vector<std::unique_ptr<ActSource>> sources =
-        shardSources(make_stream, max_acts);
-    return runShards(sources);
-}
-
-void
-ShardedActStreamEngine::warmTrackers(const StreamFactory &make_stream,
-                                     std::uint64_t acts)
-{
-    if (acts == 0 || !shards_.front().tracker)
-        return;
-    std::vector<std::unique_ptr<ActSource>> sources =
-        shardSources(make_stream, acts);
-    std::vector<RowId> discard;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        trackers::RhProtection &tracker = *shards_[s].tracker;
-        forEachRecord(*sources[s], ~0ull, [&](const ActRecord &rec) {
-            discard.clear();
-            tracker.onActivate(rec.bank, rec.row, 0, discard);
-        });
+    // One source per shard over the first `max_acts` records (see
+    // StreamFactory); both kinds deliver the same per-bank
+    // subsequences.
+    std::vector<std::unique_ptr<ActSource>> sources;
+    auto probe = make_stream();
+    for (std::uint32_t s = 0; s < parts_.size(); ++s) {
+        const auto [lo, hi] = parts_.range(s);
+        auto slice = probe ? probe->shardSlice(lo, hi, max_acts) : nullptr;
+        if (!slice) {
+            slice = std::make_unique<BankFilterSource>(
+                probe ? std::move(probe) : make_stream(), lo, hi,
+                max_acts);
+        }
+        sources.push_back(std::move(slice));
     }
+    return runShards(sources);
 }
 
 std::uint64_t
 ShardedActStreamEngine::runShards(
     std::vector<std::unique_ptr<ActSource>> &sources)
 {
-    MITHRIL_ASSERT(sources.size() == shards_.size());
+    MITHRIL_ASSERT(sources.size() == engines_.size());
     // Each shard writes only its own cache-line-padded slot: no
     // false sharing between workers, and the merged result below is
     // deterministic regardless of scheduling or completion order.
@@ -196,7 +122,7 @@ ShardedActStreamEngine::runShards(
     auto body = [&](std::size_t s) {
         MITHRIL_FAILPOINT("engine.shard-dispatch");
         telemetry::PhaseTimer timer;
-        slots_[s].done = shards_[s].engine->run(*sources[s]);
+        slots_[s].done = engines_[s]->run(*sources[s]);
         if (phases)
             slots_[s].wallSec += timer.lap();
     };
@@ -204,10 +130,10 @@ ShardedActStreamEngine::runShards(
     telemetry::PhaseTimer total_timer;
     runner::ThreadPool *pool =
         config_.pool ? config_.pool : runner::ThreadPool::current();
-    if (pool && shards_.size() > 1) {
-        pool->parallelFor(shards_.size(), body);
+    if (pool && engines_.size() > 1) {
+        pool->parallelFor(engines_.size(), body);
     } else {
-        for (std::size_t s = 0; s < shards_.size(); ++s)
+        for (std::size_t s = 0; s < engines_.size(); ++s)
             body(s);
     }
     if (phases) {
@@ -226,101 +152,13 @@ ShardedActStreamEngine::runShards(
     return total;
 }
 
-dram::Protection::Counts
-ShardedActStreamEngine::counts() const
-{
-    dram::Protection::Counts sum;
-    for (const Shard &s : shards_)
-        sum += s.engine->protection().total();
-    return sum;
-}
-
-double
-ShardedActStreamEngine::maxDisturbanceEver() const
-{
-    double max = 0.0;
-    for (const Shard &s : shards_)
-        max = std::max(max, s.engine->oracle().maxDisturbanceEver());
-    return max;
-}
-
-std::uint64_t
-ShardedActStreamEngine::bitFlips() const
-{
-    std::uint64_t sum = 0;
-    for (const Shard &s : shards_)
-        sum += s.engine->oracle().bitFlips();
-    return sum;
-}
-
-std::uint64_t
-ShardedActStreamEngine::flippedRows() const
-{
-    // Shards own disjoint banks, so distinct-row counts add exactly.
-    std::uint64_t sum = 0;
-    for (const Shard &s : shards_)
-        sum += s.engine->oracle().flippedRows();
-    return sum;
-}
-
-std::uint64_t
-ShardedActStreamEngine::logicOps() const
-{
-    std::uint64_t sum = 0;
-    for (const Shard &s : shards_)
-        sum += s.tracker ? s.tracker->logicOps() : 0;
-    return sum;
-}
-
-void
-ShardedActStreamEngine::mergeTrackerStatsInto(
-    trackers::RhProtection &target) const
-{
-    for (const Shard &s : shards_) {
-        MITHRIL_ASSERT(s.tracker.get() != &target);
-        if (s.tracker)
-            target.mergeStatsFrom(*s.tracker);
-    }
-}
-
 telemetry::MetricSheet
 ShardedActStreamEngine::telemetrySheet() const
 {
-    telemetry::MetricSheet merged;
-    for (const Shard &s : shards_) {
-        telemetry::MetricSheet sheet;
-        s.engine->exportMetrics(sheet);
-        if (s.tracker)
-            s.tracker->exportMetrics(sheet);
-        if (s.telemetry)
-            s.telemetry->exportMetrics(sheet);
-        merged.mergeFrom(sheet);
-    }
-    return merged;
-}
-
-std::vector<telemetry::TraceEvent>
-ShardedActStreamEngine::mergedEvents() const
-{
-    std::vector<const telemetry::EventRecorder *> recorders;
-    for (const Shard &s : shards_) {
-        if (s.telemetry && s.telemetry->events())
-            recorders.push_back(s.telemetry->events());
-    }
-    return telemetry::mergeEvents(recorders);
-}
-
-telemetry::ActHeatmap
-ShardedActStreamEngine::mergedHeatmap() const
-{
-    MITHRIL_ASSERT(config_.telemetry.heatmap);
-    telemetry::ActHeatmap merged(
-        numBanks_, config_.telemetry.heatmapRegionBudget);
-    for (const Shard &s : shards_) {
-        if (s.telemetry && s.telemetry->heatmap())
-            merged.mergeFrom(*s.telemetry->heatmap());
-    }
-    return merged;
+    return parts_.sheet(
+        [this](std::uint32_t s, telemetry::MetricSheet &sheet) {
+            engines_[s]->exportMetrics(sheet);
+        });
 }
 
 } // namespace mithril::engine

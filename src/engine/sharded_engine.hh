@@ -11,21 +11,15 @@
  *
  *  - Every bank is an independent virtual clock, and all engine
  *    bookkeeping (REF rotation, and the protection core's RFM cadence,
- *    ARR work, oracle rows and counters) is per-bank state.
- *  - Tracker state is per-bank by construction; the two historic
- *    exceptions — PARA's and PARFM's shared RNG — now draw from
- *    per-bank streams seeded via `RhProtection::bankSeed()`, so a
- *    bank's draw sequence depends only on (seed, bank).
+ *    ARR work, oracle rows and counters) is per-bank state, as is
+ *    every tracker's (see dram::Parts, which the shards are).
  *  - Each shard therefore only needs the *per-bank subsequences* of
  *    the global activation stream for its banks, which is exactly
  *    what a `BankFilterSource` slice (or the stream's own native
  *    `shardSlice()`) delivers. Cross-bank interleaving is irrelevant.
- *  - Each shard runs its own tracker instance (built by the same
- *    factory, observing a disjoint bank set) and its own oracle; the
- *    join reduces counters by sum, high-water marks by max, and the
- *    logic-op counter through `RhProtection::mergeStatsFrom()`. Each
- *    shard writes only its own slot, so the merged result is
- *    independent of completion order.
+ *  - Each shard runs its own tracker instance and oracle and writes
+ *    only its own slot, and the part set does every join in shard
+ *    order, so the merged result is independent of completion order.
  *
  * Parallelism comes from an explicitly passed pool, else the ambient
  * `runner::ThreadPool::current()` when the run is already executing
@@ -41,6 +35,7 @@
 #include <memory>
 #include <vector>
 
+#include "dram/parts.hh"
 #include "engine/act_stream_engine.hh"
 #include "runner/thread_pool.hh"
 #include "telemetry/telemetry.hh"
@@ -103,9 +98,8 @@ struct ShardedEngineConfig
     runner::ThreadPool *pool = nullptr;
 
     /** What to collect (off by default). Each shard gets its own
-     *  telemetry bundle; the accessors below merge deterministically
-     *  in shard order, so sheets/traces are byte-identical at any
-     *  shard/pool count. */
+     *  telemetry bundle; the part set merges them in shard order, so
+     *  sheets/traces are byte-identical at any shard/pool count. */
     telemetry::TelemetryConfig telemetry;
 };
 
@@ -114,13 +108,14 @@ class ShardedActStreamEngine
 {
   public:
     /** Builds one tracker instance per shard (nullptr = untracked). */
-    using TrackerFactory =
-        std::function<std::unique_ptr<trackers::RhProtection>()>;
+    using TrackerFactory = dram::Parts::TrackerFactory;
 
     /** Builds one full-stream instance. A stream that answers
-     *  shardSlice() is built once and sliced per shard; any other is
-     *  built once per shard, serially, in shard order, and wrapped in
-     *  a BankFilterSource. */
+     *  shardSlice() (an act-trace reader seeking through its bank
+     *  index) is built once and sliced per shard, so its header and
+     *  index are parsed once per run and no shard scans and discards
+     *  other banks' records; any other is built once per shard,
+     *  serially, in shard order, and wrapped in a BankFilterSource. */
     using StreamFactory = std::function<std::unique_ptr<ActSource>()>;
 
     ShardedActStreamEngine(const ShardedEngineConfig &config,
@@ -137,55 +132,29 @@ class ShardedActStreamEngine
     std::uint64_t run(const StreamFactory &make_stream,
                       std::uint64_t max_acts = ~0ull);
 
-    /**
-     * Tracker warm-up before run(): each shard's tracker observes its
-     * own banks' records among the first `acts` of the stream, all at
-     * tick 0. The oracle, the bank clocks and the collectors see none
-     * of it (collectors attach when run() starts), so warm-up — like
-     * the run — is byte-identical at any shard count. A no-op when
-     * untracked.
-     */
-    void warmTrackers(const StreamFactory &make_stream,
-                      std::uint64_t acts);
+    /** The shards: bank ranges, trackers, collectors, the tracker
+     *  warm-up and every cross-shard reduction. */
+    dram::Parts &parts() { return parts_; }
+    const dram::Parts &parts() const { return parts_; }
 
-    // ------------------------------------------------ shard topology
-    std::uint32_t shardCount() const
-    {
-        return static_cast<std::uint32_t>(shards_.size());
-    }
-
-    /** Bank range [lo, hi) of a shard. */
-    std::pair<BankId, BankId> shardRange(std::uint32_t shard) const
-    {
-        const Shard &s = shards_.at(shard);
-        return {s.lo, s.hi};
-    }
-
-    /** Shard owning a bank. */
-    std::uint32_t shardFor(BankId bank) const;
-
-    std::uint32_t numBanks() const { return numBanks_; }
+    std::uint32_t numBanks() const { return parts_.numBanks(); }
 
     // ----------------------------------- merged aggregate counters
-
-    /** Every shard's protection step counts, summed. */
-    dram::Protection::Counts counts() const;
-
-    std::uint64_t acts() const { return counts().acts; }
-    std::uint64_t refs() const { return counts().refs; }
-    std::uint64_t rfms() const { return counts().rfms; }
+    std::uint64_t acts() const { return parts_.counts().acts; }
+    std::uint64_t rfms() const { return parts_.counts().rfms; }
     std::uint64_t preventiveRefreshes() const
     {
-        return counts().preventive;
+        return parts_.counts().preventive;
     }
-
-    /** Merged ground-truth oracle reductions. */
-    double maxDisturbanceEver() const;
-    std::uint64_t bitFlips() const;
-    std::uint64_t flippedRows() const;
-
-    /** Total tracker logic operations across all shards. */
-    std::uint64_t logicOps() const;
+    double maxDisturbanceEver() const
+    {
+        return parts_.maxDisturbanceEver();
+    }
+    std::uint64_t bitFlips() const { return parts_.bitFlips(); }
+    void mergeTrackerStatsInto(trackers::RhProtection &target) const
+    {
+        parts_.mergeTrackerStatsInto(target);
+    }
 
     // ----------------------------------------- per-bank accessors
     Tick now(BankId bank) const { return engineFor(bank).now(bank); }
@@ -198,48 +167,28 @@ class ShardedActStreamEngine
         return engineFor(bank).preventiveRefreshesAt(bank);
     }
 
-    /** A shard's tracker (nullptr when untracked). */
-    trackers::RhProtection *tracker(std::uint32_t shard) const
-    {
-        return shards_.at(shard).tracker.get();
-    }
-
-    /**
-     * Fold every shard tracker's statistics into `target` via
-     * RhProtection::mergeStatsFrom() — the join protocol for
-     * cross-bank stat counters (sums) and high-water marks (max).
-     * `target` must be a fresh tracker of the same configuration, not
-     * one of the shard trackers.
-     */
-    void mergeTrackerStatsInto(trackers::RhProtection &target) const;
-
-    const ShardedEngineConfig &config() const { return config_; }
-
     // --------------------------------------------------- telemetry
 
     /** A shard's telemetry bundle (null when telemetry is off). */
     const telemetry::EngineTelemetry *
     shardTelemetry(std::uint32_t shard) const
     {
-        return shards_.at(shard).telemetry.get();
+        return parts_.telemetry(shard);
     }
 
     /**
-     * One fresh sheet per shard — its engine (`engine.*`, `oracle.*`),
-     * tracker (`tracker.*`) and enabled collectors (`trace.*`,
-     * `heatmap.*`) — folded in shard order: counters add, gauges max,
-     * averages/histograms merge exactly. Deterministic at any
-     * shard/pool count; needs no telemetry bundle.
+     * The part set's merged sheet: per shard, its engine (`engine.*`,
+     * `oracle.*`), tracker (`tracker.*`) and enabled collectors
+     * (`trace.*`, `heatmap.*`). Deterministic at any shard/pool count;
+     * needs no telemetry bundle.
      */
     telemetry::MetricSheet telemetrySheet() const;
 
-    /** Tick-ordered merge of every shard's retained trace events
-     *  (empty when event tracing is off). */
-    std::vector<telemetry::TraceEvent> mergedEvents() const;
-
-    /** Union of the per-shard heatmaps (banks are disjoint, so this
-     *  is exact). Callable only when the heatmap is enabled. */
-    telemetry::ActHeatmap mergedHeatmap() const;
+    /** The part set's tick-ordered events. */
+    std::vector<telemetry::TraceEvent> mergedEvents() const
+    {
+        return parts_.events();
+    }
 
     /** True when every per-shard result slot starts on its own cache
      *  line (the padding guarantee runShards() relies on). */
@@ -250,15 +199,6 @@ class ShardedActStreamEngine
     double joinSec() const { return joinSec_; }
 
   private:
-    struct Shard
-    {
-        BankId lo = 0;
-        BankId hi = 0;
-        std::unique_ptr<trackers::RhProtection> tracker;
-        std::unique_ptr<telemetry::EngineTelemetry> telemetry;
-        std::unique_ptr<ActStreamEngine> engine;
-    };
-
     /** Per-shard result slot written by that shard's pool worker
      *  during runShards(). Padded to one cache line: every worker
      *  stores into its own line, so the hot loop never false-shares
@@ -275,16 +215,8 @@ class ShardedActStreamEngine
 
     const ActStreamEngine &engineFor(BankId bank) const
     {
-        return *shards_.at(shardFor(bank)).engine;
+        return *engines_.at(parts_.partOf(bank));
     }
-
-    /** One source per shard over the first `budget` records of the
-     *  stream: native slices of one instance when the stream slices
-     *  itself, else a BankFilterSource over a fresh copy per shard.
-     *  Both deliver the identical per-bank subsequences. */
-    std::vector<std::unique_ptr<ActSource>>
-    shardSources(const StreamFactory &make_stream,
-                 std::uint64_t budget) const;
 
     /** Run `sources[s]` through shard s, on the pool when one is
      *  available (explicit, else ambient), inline otherwise. */
@@ -292,8 +224,8 @@ class ShardedActStreamEngine
     runShards(std::vector<std::unique_ptr<ActSource>> &sources);
 
     ShardedEngineConfig config_;
-    std::uint32_t numBanks_;
-    std::vector<Shard> shards_;
+    dram::Parts parts_;
+    std::vector<std::unique_ptr<ActStreamEngine>> engines_;
     std::vector<ShardSlot> slots_;
     double joinSec_ = 0.0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <functional>
 #include <type_traits>
 
 #include "common/file_util.hh"
@@ -44,32 +45,37 @@ telemetryConfig(const ExperimentSpec &spec, bool observing)
 }
 
 /**
- * The tail both bodies share, over a run's part-order merges (a
- * ShardedActStreamEngine or a System): the merged sheet goes to
- * RunMetrics::telemetry, the merged events to the trace-events=
- * Chrome trace, and both plus the heatmap to `observed`.
+ * The tail both bodies share, over the run's part set (engine shards
+ * or System lanes): RunMetrics' oracle, flip and table-bytes fields,
+ * then, when any collector is on, the merged sheet `merged_sheet`
+ * builds goes to RunMetrics::telemetry, the merged events to the
+ * trace-events= Chrome trace, and both plus the heatmap to
+ * `observed`.
  */
-template <typename Run>
 void
-reportTelemetry(const ExperimentSpec &spec,
-                const telemetry::TelemetryConfig &tel, const Run &run,
-                std::uint32_t parts, std::uint32_t num_banks,
-                RunMetrics &m, Observation *observed)
+reportParts(const ExperimentSpec &spec,
+            const telemetry::TelemetryConfig &tel,
+            const dram::Parts &parts,
+            const std::function<telemetry::MetricSheet()> &merged_sheet,
+            RunMetrics &m, Observation *observed)
 {
+    m.maxDisturbance = parts.maxDisturbanceEver();
+    m.bitFlips = parts.bitFlips();
+    m.trackerBytesPerBank = parts.tableBytesPerBank();
     if (!tel.any())
         return;
-    telemetry::MetricSheet sheet = run.telemetrySheet();
+    telemetry::MetricSheet sheet = merged_sheet();
     m.telemetry = sheet.exportFlat();
-    std::vector<telemetry::TraceEvent> events = run.mergedEvents();
+    std::vector<telemetry::TraceEvent> events = parts.events();
     if (!spec.traceEvents.empty()) {
         telemetry::writeChromeTraceFile(spec.traceEvents, events,
-                                        spec.scheme, num_banks);
+                                        spec.scheme, parts.numBanks());
     }
     if (observed) {
-        observed->parts = parts;
+        observed->parts = parts.size();
         observed->sheet = std::move(sheet);
         observed->events = std::move(events);
-        observed->heatmap = run.mergedHeatmap();
+        observed->heatmap = parts.heatmap();
     }
 }
 
@@ -166,9 +172,10 @@ runEngineExperiment(const ExperimentSpec &spec,
         writer.finalize();
     }
 
-    // Tracker warm-up, mirroring the System path: the trackers
-    // observe `warmup=` ACTs before the measured run.
-    eng.warmTrackers(make_stream, spec.trackerWarmupActs);
+    // Tracker warm-up, as on the System: the trackers observe the
+    // stream's first `warmup=` ACTs before the measured run.
+    if (eng.parts().tracker(0) && spec.trackerWarmupActs > 0)
+        eng.parts().warm(*make_stream(), spec.trackerWarmupActs);
     eng.run(make_stream, spec.engineActs);
 
     // The engine's historical mapping, which perfbench/manifest.json
@@ -180,16 +187,12 @@ runEngineExperiment(const ExperimentSpec &spec,
     m.rfmIssued = eng.rfms();
     m.preventiveRefreshes = eng.preventiveRefreshes();
     m.arrExecuted = eng.preventiveRefreshes();
-    m.maxDisturbance = eng.maxDisturbanceEver();
-    m.bitFlips = eng.bitFlips();
     Tick latest = 0;
     for (BankId b = 0; b < eng.numBanks(); ++b)
         latest = std::max(latest, eng.now(b));
     m.simTicks = latest;
-    if (trackers::RhProtection *t = eng.tracker(0))
-        m.trackerBytesPerBank = t->tableBytesPerBank();
-    reportTelemetry(spec, tel, eng, eng.shardCount(), eng.numBanks(), m,
-                    observed);
+    reportParts(spec, tel, eng.parts(), [&] { return eng.telemetrySheet(); },
+                m, observed);
     return m;
 }
 
@@ -240,28 +243,21 @@ runSystemExperiment(const ExperimentSpec &spec,
         },
         tel);
 
-    // Warm-up feeds each channel's tracker the ACTs that decode to
-    // its banks, mirroring the engine's per-shard warm-up slicing.
-    if (system.tracker(0) && spec.trackerWarmupActs > 0) {
-        std::vector<RowId> discard;
-        auto feed = [&](std::unique_ptr<workload::TraceGenerator> gen,
-                        std::uint64_t count) {
-            engine::TraceActSource source(std::move(gen), sys.geometry);
-            engine::forEachRecord(
-                source, count, [&](const engine::ActRecord &rec) {
-                    discard.clear();
-                    system.tracker(system.device().channelOf(rec.bank))
-                        ->onActivate(rec.bank, rec.row, 0, discard);
-                });
-        };
+    // Tracker warm-up, before the collectors attach: the attacker's
+    // `warmup=` ACTs and, with warmup-from-workload=1, each benign
+    // core's floor(warmup/benign), every one routed to its bank's lane.
+    auto warm = [&](std::unique_ptr<workload::TraceGenerator> gen,
+                    std::uint64_t acts) {
+        engine::TraceActSource source(std::move(gen), sys.geometry);
+        system.parts().warm(source, acts);
+    };
+    if (system.parts().tracker(0) && spec.trackerWarmupActs > 0) {
         if (spec.warmupFromWorkload) {
-            const std::uint64_t per_core =
-                spec.trackerWarmupActs / benign;
             for (std::uint32_t i = 0; i < benign; ++i)
-                feed(make_benign(i), per_core);
+                warm(make_benign(i), spec.trackerWarmupActs / benign);
         }
         if (attacking)
-            feed(make_attacker(), spec.trackerWarmupActs);
+            warm(make_attacker(), spec.trackerWarmupActs);
     }
 
     system.snapshotTrackerOps();
@@ -298,8 +294,9 @@ runSystemExperiment(const ExperimentSpec &spec,
     // A System that stops before every benign core retired its budget
     // measured a starved machine: a protection that owes work after
     // every ACT (rfm=1, para-p=1) fences each bank before its column
-    // command, so no request completes and the run spins to the
-    // horizon. Fail the job rather than report it.
+    // command, so no request completes; run() stops one tREFW into
+    // that stall, or at the horizon. Fail the job rather than report
+    // it.
     std::string unfinished;
     for (const auto &core : system.cores()) {
         if (!core->excluded() && !core->done())
@@ -308,11 +305,18 @@ runSystemExperiment(const ExperimentSpec &spec,
                           std::to_string(core->instructionsRetired()) +
                           "/" + std::to_string(spec.instrPerCore);
     }
-    if (!unfinished.empty())
+    if (!unfinished.empty()) {
+        const std::string stall =
+            system.stalled()
+                ? "the System stalled (no request completed after tick " +
+                      std::to_string(system.lastCompletion()) +
+                      " for one tREFW) and "
+                : "the System ";
         throw registry::SpecError(
-            "the System stopped at tick " + std::to_string(system.now()) +
+            stall + "stopped at tick " + std::to_string(system.now()) +
             " (horizon " + std::to_string(sys.horizon) +
             ") before every core finished: " + unfinished.substr(2));
+    }
     if (recorder)
         recorder->finalize();
 
@@ -337,13 +341,8 @@ runSystemExperiment(const ExperimentSpec &spec,
     m.preventiveRefreshes =
         system.preventiveCount() + stats.arrExecuted;
 
-    m.maxDisturbance = system.maxDisturbanceEver();
-    m.bitFlips = system.bitFlips();
-    if (system.tracker(0))
-        m.trackerBytesPerBank = system.tracker(0)->tableBytesPerBank();
-
-    reportTelemetry(spec, tel, system, system.channels(),
-                    sys.geometry.totalBanks(), m, observed);
+    reportParts(spec, tel, system.parts(),
+                [&] { return system.telemetrySheet(); }, m, observed);
     return m;
 }
 

@@ -8,9 +8,12 @@
 namespace mithril::sim
 {
 
-System::System(const SystemConfig &config, TrackerFactory make_tracker,
+System::System(const SystemConfig &config,
+               const TrackerFactory &make_tracker,
                const telemetry::TelemetryConfig &telemetry)
-    : config_(config), telemetry_(telemetry)
+    : config_(config),
+      parts_(config.geometry, config.geometry.channels, make_tracker,
+             telemetry)
 {
     map_ = std::make_unique<mc::AddressMap>(config_.geometry);
     lookahead_ =
@@ -23,15 +26,10 @@ System::System(const SystemConfig &config, TrackerFactory make_tracker,
         lane->device = std::make_unique<dram::Device>(
             config_.timing, config_.geometry, config_.flipTh,
             config_.blastRadius);
-        if (make_tracker)
-            lane->tracker = make_tracker();
-        lane->device->setTracker(lane->tracker.get());
+        lane->device->setTracker(parts_.tracker(ch));
+        parts_.bind(ch, lane->device->protection());
         lane->controller = std::make_unique<mc::Controller>(
             *lane->device, *map_, config_.mcParams, ch);
-        if (telemetry_.any()) {
-            lane->telemetry = std::make_unique<telemetry::EngineTelemetry>(
-                telemetry_, config_.geometry.totalBanks());
-        }
 
         // Completions are buffered lane-locally and turned into event
         // queue entries only at the window drain, in channel order:
@@ -91,7 +89,10 @@ System::access(std::uint32_t core_id, const workload::TraceRecord &rec,
         req.tracked = tracked;
         req.coreId = core_id;
         map_->decode(req);
-        return lanes_[req.channel]->controller->enqueue(req, now);
+        if (!lanes_[req.channel]->controller->enqueue(req, now))
+            return false;
+        lastEnqueue_ = now;
+        return true;
     };
 
     if (rec.uncached) {
@@ -214,12 +215,12 @@ System::run()
     // Observers attach here, after any warm-up fed the trackers.
     // Each lane's collectors attach to its protection core; its device
     // tap buffers records for the channel-order observer drain below.
-    for (auto &lane : lanes_) {
-        if (lane->telemetry)
-            lane->device->protection().attach(*lane->telemetry);
+    for (std::uint32_t ch = 0; ch < lanes_.size(); ++ch) {
+        Lane *lp = lanes_[ch].get();
+        if (telemetry::EngineTelemetry *tel = parts_.telemetry(ch))
+            lp->device->protection().attach(*tel);
         if (actObserver_) {
-            Lane *lp = lane.get();
-            lane->device->setActObserver(
+            lp->device->setActObserver(
                 [lp](BankId b, RowId r, Tick t) {
                     lp->acts.push_back({b, r, t});
                 });
@@ -234,6 +235,19 @@ System::run()
         for (const auto &lane : lanes_)
             t_mc = std::min(t_mc, lane->next);
         const Tick t_ev = events_.empty() ? kTickMax : events_.front().tick;
+
+        // A stall (see run()'s contract): the time test costs O(1) per
+        // pass, and the cores are scanned only once it holds.
+        const Tick t_next = std::min(t_mc, t_ev);
+        if (t_next <= config_.horizon &&
+            t_next > std::max(lastCompletion_, lastEnqueue_) +
+                         config_.timing.tREFW &&
+            std::any_of(cores_.begin(), cores_.end(), [](const auto &c) {
+                return !c->excluded() && c->outstanding() > 0;
+            })) {
+            stalled_ = true;
+            break;
+        }
 
         if (t_mc <= t_ev) {
             // Lanes are due strictly before the next event: advance
@@ -256,7 +270,7 @@ System::run()
                 if (lane->next <= window_end)
                     now_ = std::max(now_, advanceLane(*lane, window_end));
                 if (actObserver_) {
-                    for (const Lane::Act &act : lane->acts)
+                    for (const engine::ActRecord &act : lane->acts)
                         actObserver_(act.bank, act.row, act.tick);
                 }
                 lane->acts.clear();
@@ -275,6 +289,7 @@ System::run()
         now_ = eventNow_ = ev.tick;
         if (ev.kind == Event::Kind::Completion) {
             cores_[ev.core]->onCompletion(ev.tick);
+            lastCompletion_ = ev.tick;
         } else if (coreWake_[ev.core] == ev.tick) {
             coreWake_[ev.core] = kTickMax;
         }
@@ -315,99 +330,32 @@ System::energy() const
     return merged;
 }
 
-std::uint64_t
-System::bitFlips() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &lane : lanes_)
-        sum += lane->device->oracle().bitFlips();
-    return sum;
-}
-
-double
-System::maxDisturbanceEver() const
-{
-    double max_d = 0.0;
-    for (const auto &lane : lanes_)
-        max_d = std::max(max_d,
-                         lane->device->oracle().maxDisturbanceEver());
-    return max_d;
-}
-
-std::uint64_t
-System::preventiveCount() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &lane : lanes_)
-        sum += lane->device->protection().total().preventive;
-    return sum;
-}
-
-std::uint64_t
-System::trackerLogicOps() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &lane : lanes_) {
-        if (lane->tracker)
-            sum += lane->tracker->logicOps();
-    }
-    return sum;
-}
-
 double
 System::totalEnergyPj() const
 {
     dram::EnergyMeter meter = energy();
-    meter.addTrackerOps(trackerLogicOps() - trackerOpBaseline_);
+    meter.addTrackerOps(parts_.logicOps() - trackerOpBaseline_);
     return meter.totalPj();
 }
 
 void
 System::snapshotTrackerOps()
 {
-    trackerOpBaseline_ = trackerLogicOps();
+    trackerOpBaseline_ = parts_.logicOps();
 }
 
 telemetry::MetricSheet
 System::telemetrySheet() const
 {
-    telemetry::MetricSheet merged;
-    for (const auto &lane : lanes_) {
-        telemetry::MetricSheet sheet;
-        lane->controller->exportMetrics(sheet);
-        lane->device->exportMetrics(sheet);
-        if (lane->tracker)
-            lane->tracker->exportMetrics(sheet);
-        if (lane->telemetry)
-            lane->telemetry->exportMetrics(sheet);
-        merged.mergeFrom(sheet);
-    }
+    telemetry::MetricSheet merged = parts_.sheet(
+        [this](std::uint32_t ch, telemetry::MetricSheet &sheet) {
+            lanes_[ch]->controller->exportMetrics(sheet);
+            lanes_[ch]->device->exportMetrics(sheet);
+        });
     // The LLC and the cores are shared by every lane.
     cache_->exportMetrics(merged);
     for (const auto &core : cores_)
         core->exportMetrics(merged);
-    return merged;
-}
-
-std::vector<telemetry::TraceEvent>
-System::mergedEvents() const
-{
-    std::vector<const telemetry::EventRecorder *> recorders;
-    for (const auto &lane : lanes_) {
-        if (lane->telemetry && lane->telemetry->events())
-            recorders.push_back(lane->telemetry->events());
-    }
-    return telemetry::mergeEvents(recorders);
-}
-
-telemetry::ActHeatmap
-System::mergedHeatmap() const
-{
-    MITHRIL_ASSERT(telemetry_.heatmap);
-    telemetry::ActHeatmap merged(config_.geometry.totalBanks(),
-                                 telemetry_.heatmapRegionBudget);
-    for (const auto &lane : lanes_)
-        merged.mergeFrom(*lane->telemetry->heatmap());
     return merged;
 }
 

@@ -14,10 +14,9 @@
  * can run up to that horizon without observing the others. Buffered
  * completions and ACT-trace records are drained in channel order after
  * each lane's window — the same partition-and-merge discipline the
- * sharded ActStream engine applies to banks. Telemetry follows it too:
- * each lane carries the per-part collector bundle an engine shard
- * has, and telemetrySheet()/mergedEvents()/mergedHeatmap() merge the
- * lanes in channel order.
+ * sharded ActStream engine applies to banks. The lanes are a
+ * dram::Parts, as the engine's shards are: it owns each lane's tracker
+ * and collector bundle and merges the lanes in channel order.
  */
 
 #ifndef MITHRIL_SIM_SYSTEM_HH
@@ -30,6 +29,8 @@
 #include "cpu/cache.hh"
 #include "cpu/core.hh"
 #include "dram/device.hh"
+#include "dram/parts.hh"
+#include "engine/act_source.hh"
 #include "mc/controller.hh"
 #include "telemetry/telemetry.hh"
 #include "trackers/rh_protection.hh"
@@ -55,24 +56,34 @@ class System
 {
   public:
     /** Builds one tracker instance per channel lane (a null factory —
-     *  or one returning null — leaves the lanes unprotected). Matches
-     *  the sharded engine's per-shard factory discipline so per-bank
-     *  RNG streams stay structural via RhProtection::bankSeed. */
-    using TrackerFactory =
-        std::function<std::unique_ptr<trackers::RhProtection>()>;
+     *  or one returning null — leaves the lanes unprotected). */
+    using TrackerFactory = dram::Parts::TrackerFactory;
 
     /** `telemetry` selects the collectors every lane carries (off by
      *  default); they attach when run() starts, so nothing fed to the
      *  trackers before (warm-up) is observed. */
-    System(const SystemConfig &config, TrackerFactory make_tracker,
+    System(const SystemConfig &config, const TrackerFactory &make_tracker,
            const telemetry::TelemetryConfig &telemetry = {});
 
     /** Add a core running the given trace. The System owns both. */
     cpu::Core &addCore(const cpu::CoreParams &params,
                        std::unique_ptr<workload::TraceGenerator> trace);
 
-    /** Run until every non-excluded core finishes (or the horizon). */
+    /**
+     * Run until every non-excluded core finishes, or the horizon, or a
+     * stall: no request completed or was enqueued for one tREFW while a
+     * benign core waits on a miss. No legitimate wait is that long
+     * (BlockHammer's throttle delay, the longest, stays below tCBF =
+     * tREFW), so a stall means a protection that fences every bank
+     * forever, e.g. an RFM owed after every ACT.
+     */
     void run();
+
+    /** True when run() stopped at a stall. */
+    bool stalled() const { return stalled_; }
+
+    /** Tick of the last request completion (0 when none). */
+    Tick lastCompletion() const { return lastCompletion_; }
 
     /** Sum of non-excluded cores' IPC (the paper's aggregate metric). */
     double aggregateIpc() const;
@@ -83,26 +94,14 @@ class System
         return static_cast<std::uint32_t>(lanes_.size());
     }
 
-    dram::Device &device(std::uint32_t channel = 0)
-    {
-        return *lanes_.at(channel)->device;
-    }
-    const dram::Device &device(std::uint32_t channel = 0) const
-    {
-        return *lanes_.at(channel)->device;
-    }
     mc::Controller &controller(std::uint32_t channel = 0)
     {
         return *lanes_.at(channel)->controller;
     }
-    const mc::Controller &controller(std::uint32_t channel = 0) const
-    {
-        return *lanes_.at(channel)->controller;
-    }
-    trackers::RhProtection *tracker(std::uint32_t channel = 0)
-    {
-        return lanes_.at(channel)->tracker.get();
-    }
+    /** The lanes: trackers, collectors, the tracker warm-up and
+     *  every cross-lane protection reduction. */
+    dram::Parts &parts() { return parts_; }
+    const dram::Parts &parts() const { return parts_; }
     cpu::Cache &cache() { return *cache_; }
     const std::vector<std::unique_ptr<cpu::Core>> &cores() const
     {
@@ -124,15 +123,11 @@ class System
     /** Energy counters merged across channels. */
     dram::EnergyMeter energy() const;
 
-    /** Oracle ground truth merged across channels. */
-    std::uint64_t bitFlips() const;
-    double maxDisturbanceEver() const;
-
     /** Aggressors treated by RFM or ARR, summed across channels. */
-    std::uint64_t preventiveCount() const;
-
-    /** Tracker logic operations summed across channels. */
-    std::uint64_t trackerLogicOps() const;
+    std::uint64_t preventiveCount() const
+    {
+        return parts_.counts().preventive;
+    }
 
     /** Total dynamic energy incl. tracker logic ops, in picojoules. */
     double totalEnergyPj() const;
@@ -141,30 +136,21 @@ class System
     void snapshotTrackerOps();
 
     /**
-     * One fresh sheet per lane — its controller (`mc.*`), device
-     * (`dram.*`, `oracle.*`), tracker (`tracker.*`) and enabled
-     * collectors (`trace.*`, `heatmap.*`) — folded in channel order,
-     * plus the shared LLC (`cache.*`) and every core
-     * (`core<N>.instructions`, gauge `core<N>.ipc`). Needs no
-     * telemetry bundle.
+     * The part set's merged sheet — per lane, its controller (`mc.*`),
+     * device (`dram.*`, `oracle.*`), tracker (`tracker.*`) and enabled
+     * collectors (`trace.*`, `heatmap.*`) — plus the shared LLC
+     * (`cache.*`) and every core (`core<N>.instructions`, gauge
+     * `core<N>.ipc`). Needs no telemetry bundle.
      */
     telemetry::MetricSheet telemetrySheet() const;
-
-    /** Tick-ordered merge of every lane's retained trace events
-     *  (empty when event tracing is off). */
-    std::vector<telemetry::TraceEvent> mergedEvents() const;
-
-    /** Union of the per-lane heatmaps (lanes own disjoint banks, so
-     *  this is exact). Callable only when the heatmap is enabled. */
-    telemetry::ActHeatmap mergedHeatmap() const;
 
   private:
     /** One channel's frontend: its controller, its Device partition
      *  (full-geometry instance of which only this channel's banks are
      *  driven — bank state is per-bank and the oracle is sparse, so
-     *  the unused slice costs nothing), its tracker, its telemetry
-     *  bundle (null when off), and the buffers that defer cross-lane
-     *  effects to the window drain. */
+     *  the unused slice costs nothing) over the lane's tracker in
+     *  parts_, and the buffers that defer cross-lane effects to the
+     *  window drain. */
     struct Lane
     {
         struct Completion
@@ -172,19 +158,11 @@ class System
             Tick tick;
             std::uint32_t coreId;
         };
-        struct Act
-        {
-            BankId bank;
-            RowId row;
-            Tick tick;
-        };
 
         std::unique_ptr<dram::Device> device;
-        std::unique_ptr<trackers::RhProtection> tracker;
         std::unique_ptr<mc::Controller> controller;
-        std::unique_ptr<telemetry::EngineTelemetry> telemetry;
         std::vector<Completion> completions;
-        std::vector<Act> acts;
+        std::vector<engine::ActRecord> acts;
         Tick next = 0;  //!< Next tick the controller needs service.
     };
 
@@ -236,8 +214,8 @@ class System
     bool benignDone() const;
 
     SystemConfig config_;
-    telemetry::TelemetryConfig telemetry_;
     std::unique_ptr<mc::AddressMap> map_;
+    dram::Parts parts_;
     std::vector<std::unique_ptr<Lane>> lanes_;
     std::unique_ptr<cpu::Cache> cache_;
     std::vector<std::unique_ptr<cpu::Core>> cores_;
@@ -249,7 +227,10 @@ class System
     dram::Device::ActObserver actObserver_;
     Tick lookahead_;                  //!< min(tCL,tCWL)+tBL causality.
     Tick now_ = 0;
+    Tick lastCompletion_ = 0;
+    Tick lastEnqueue_ = 0;            //!< Tick of the last enqueue.
     bool started_ = false;
+    bool stalled_ = false;
     std::uint64_t trackerOpBaseline_ = 0;
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Telemetry configuration and the per-part bundle every partition of
- * a run carries: one per engine shard, one per System channel lane.
+ * a run carries: one per engine shard, one per System channel lane,
+ * each owned by the run's dram::Parts.
  *
  * Everything here is off by default, and the hot-path contract is
  * strict: with telemetry disabled the engine pays one pointer check
@@ -10,10 +11,11 @@
  * observes the simulation, it never participates in it.
  *
  * Metric sheets are not collected here: each component that owns
- * counters exports them with `exportMetrics(MetricSheet &)`, the part
- * owner (ShardedActStreamEngine, sim::System) exports every component
- * of a part into one fresh sheet, and the part sheets merge in part
- * order.
+ * counters exports them with `exportMetrics(MetricSheet &)`, and
+ * dram::Parts::sheet() exports every component of a part into one
+ * fresh sheet (the frontend's own, then the part's tracker and
+ * collectors) and merges the part sheets in part order. The same part
+ * set merges the bundles' events and heatmaps.
  */
 
 #ifndef MITHRIL_TELEMETRY_TELEMETRY_HH

@@ -41,25 +41,20 @@ Cbt::findLeaf(Tree &tree, RowId row) const
     return idx;
 }
 
-void
-Cbt::onActivate(BankId bank, RowId row, Tick now,
-                std::vector<RowId> &arr_aggressors)
+bool
+Cbt::countAct(Tree &tree, std::size_t &idx, RowId row,
+              std::vector<RowId> &arr_aggressors)
 {
-    Tree &tree = trees_.at(bank);
-    if (now - tree.lastReset >= params_.resetInterval)
-        resetTree(tree, now);
-
     countOp();
-    std::size_t idx = findLeaf(tree, row);
     ++tree.nodes[idx].count;
 
-    // Split while the leaf is hot, space remains, and it still covers
-    // more than one row. Children inherit the parent's count: any row
-    // in the range may own every activation seen so far.
-    while (tree.nodes[idx].count >= params_.splitThreshold &&
-           tree.nodes[idx].count < params_.refreshThreshold &&
-           tree.nodes[idx].hi - tree.nodes[idx].lo > 1 &&
-           tree.nodes.size() + 2 <= params_.nCounters) {
+    // Split once while the leaf is hot, space remains, and it still
+    // covers more than one row. Children inherit the parent's count:
+    // any row in the range may own every activation seen so far.
+    if (tree.nodes[idx].count >= params_.splitThreshold &&
+        tree.nodes[idx].count < params_.refreshThreshold &&
+        tree.nodes[idx].hi - tree.nodes[idx].lo > 1 &&
+        tree.nodes.size() + 2 <= params_.nCounters) {
         const RowId lo = tree.nodes[idx].lo;
         const RowId hi = tree.nodes[idx].hi;
         const RowId mid = lo + (hi - lo) / 2;
@@ -72,19 +67,29 @@ Cbt::onActivate(BankId bank, RowId row, Tick now,
         idx = static_cast<std::size_t>(row < mid ? left : left + 1);
         countOp();
         // Inherited counts can already sit at the refresh threshold;
-        // the loop exit below handles that leaf.
-        break;
+        // the check below handles that leaf.
     }
 
-    if (tree.nodes[idx].count >= params_.refreshThreshold) {
-        // Refresh the victims of every row in the group.
-        const Node &leaf = tree.nodes[idx];
-        const std::uint32_t span = leaf.hi - leaf.lo;
-        maxGroupRefreshed_ = std::max(maxGroupRefreshed_, span);
-        for (RowId r = leaf.lo; r < leaf.hi; ++r)
-            arr_aggressors.push_back(r);
-        tree.nodes[idx].count = 0;
-    }
+    if (tree.nodes[idx].count < params_.refreshThreshold)
+        return false;
+    // Refresh the victims of every row in the group.
+    const Node &leaf = tree.nodes[idx];
+    maxGroupRefreshed_ = std::max(maxGroupRefreshed_, leaf.hi - leaf.lo);
+    for (RowId r = leaf.lo; r < leaf.hi; ++r)
+        arr_aggressors.push_back(r);
+    tree.nodes[idx].count = 0;
+    return true;
+}
+
+void
+Cbt::onActivate(BankId bank, RowId row, Tick now,
+                std::vector<RowId> &arr_aggressors)
+{
+    Tree &tree = trees_.at(bank);
+    if (now - tree.lastReset >= params_.resetInterval)
+        resetTree(tree, now);
+    std::size_t idx = findLeaf(tree, row);
+    countAct(tree, idx, row, arr_aggressors);
 }
 
 std::size_t
@@ -110,7 +115,6 @@ Cbt::onActivateBatch(const ActSpan &span,
     while (consumed < span.size) {
         const RowId row = span.rows[consumed];
         ++consumed;
-        countOp();
 
         std::size_t idx;
         if (row == cached_row[0]) {
@@ -126,43 +130,18 @@ Cbt::onActivateBatch(const ActSpan &span,
             cached_row[0] = row;
             cached_leaf[0] = idx;
         }
-        ++tree.nodes[idx].count;
 
-        // At most one split per ACT, exactly as the scalar loop.
-        if (tree.nodes[idx].count >= params_.splitThreshold &&
-            tree.nodes[idx].count < params_.refreshThreshold &&
-            tree.nodes[idx].hi - tree.nodes[idx].lo > 1 &&
-            tree.nodes.size() + 2 <= params_.nCounters) {
-            const RowId lo = tree.nodes[idx].lo;
-            const RowId hi = tree.nodes[idx].hi;
-            const RowId mid = lo + (hi - lo) / 2;
-            const std::uint32_t inherited = tree.nodes[idx].count;
-            const auto left =
-                static_cast<std::int32_t>(tree.nodes.size());
-            tree.nodes.push_back(Node{lo, mid, inherited, -1, -1});
-            tree.nodes.push_back(Node{mid, hi, inherited, -1, -1});
-            tree.nodes[idx].left = left;
-            tree.nodes[idx].right = left + 1;
-            idx = static_cast<std::size_t>(row < mid ? left
-                                                     : left + 1);
-            countOp();
-            // The split node is interior now; both cache ways may
+        const std::size_t leaf = idx;
+        const bool refreshed = countAct(tree, idx, row, arr_aggressors);
+        if (idx != leaf) {
+            // The leaf split and is interior now; both cache ways may
             // point at it, so re-prime with the fresh child only.
             cached_row[0] = row;
             cached_leaf[0] = idx;
             cached_row[1] = kInvalidRow;
         }
-
-        if (tree.nodes[idx].count >= params_.refreshThreshold) {
-            const Node &leaf = tree.nodes[idx];
-            const std::uint32_t group_span = leaf.hi - leaf.lo;
-            maxGroupRefreshed_ =
-                std::max(maxGroupRefreshed_, group_span);
-            for (RowId r = leaf.lo; r < leaf.hi; ++r)
-                arr_aggressors.push_back(r);
-            tree.nodes[idx].count = 0;
+        if (refreshed)
             break;
-        }
     }
     return consumed;
 }

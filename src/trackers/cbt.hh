@@ -50,8 +50,8 @@ class Cbt : public RhProtection
     void onActivate(BankId bank, RowId row, Tick now,
                     std::vector<RowId> &arr_aggressors) override;
 
-    /** Batched hot path: the counter-tree walk with the bank/reset
-     *  bookkeeping hoisted out of the per-ACT loop and a 2-way
+    /** Batched hot path: onActivate()'s per-ACT step with the
+     *  bank/reset bookkeeping hoisted out of the loop and a 2-way
      *  (row -> leaf) cache, so repeated hammer rows skip the root
      *  walk; falls back to the scalar loop for the rare span that
      *  crosses a tree-reset boundary. Byte-identical to the scalar
@@ -91,6 +91,12 @@ class Cbt : public RhProtection
 
     /** Walk to the leaf covering the row. */
     std::size_t findLeaf(Tree &tree, RowId row) const;
+
+    /** Count one ACT on the row's leaf `idx`, split it at most once
+     *  (`idx` moves to the row's child), and at the refresh threshold
+     *  book the leaf's whole group for ARR and return true. */
+    bool countAct(Tree &tree, std::size_t &idx, RowId row,
+                  std::vector<RowId> &arr_aggressors);
 
     void resetTree(Tree &tree, Tick now) const;
 

@@ -21,39 +21,51 @@ Twice::Twice(std::uint32_t num_banks, const TwiceParams &params)
     MITHRIL_ASSERT(params_.pruneRateDen > 0);
 }
 
+Twice::Table::iterator
+Twice::entryOf(Table &table, RowId row, bool &inserted)
+{
+    auto it = table.find(row);
+    inserted = it == table.end();
+    if (!inserted)
+        return it;
+    if (table.size() >= params_.capacity) {
+        // Correctly sized TWiCe never overflows; count it so the
+        // sizing tests can assert the invariant, and drop the entry
+        // with the lowest count to keep going.
+        ++overflows_;
+        auto victim = table.begin();
+        for (auto cur = table.begin(); cur != table.end(); ++cur) {
+            if (cur->second.count < victim->second.count)
+                victim = cur;
+        }
+        table.erase(victim);
+    }
+    it = table.emplace(row, EntryState{}).first;
+    peakOccupancy_ = std::max(peakOccupancy_, table.size());
+    return it;
+}
+
+bool
+Twice::countAct(Table &table, Table::iterator it, RowId row,
+                std::vector<RowId> &arr_aggressors)
+{
+    countOp();
+    if (++it->second.count < params_.rhThreshold)
+        return false;
+    arr_aggressors.push_back(row);
+    ++arrCount_;
+    table.erase(it);  // Victims refreshed; restart tracking.
+    return true;
+}
+
 void
 Twice::onActivate(BankId bank, RowId row, Tick now,
                   std::vector<RowId> &arr_aggressors)
 {
     (void)now;
-    auto &table = tables_.at(bank);
-    countOp();
-
-    auto it = table.find(row);
-    if (it == table.end()) {
-        if (table.size() >= params_.capacity) {
-            // Correctly sized TWiCe never overflows; count it so the
-            // sizing tests can assert the invariant, and drop the entry
-            // with the lowest count to keep going.
-            ++overflows_;
-            auto victim = table.begin();
-            for (auto cur = table.begin(); cur != table.end(); ++cur) {
-                if (cur->second.count < victim->second.count)
-                    victim = cur;
-            }
-            table.erase(victim);
-        }
-        it = table.emplace(row, EntryState{}).first;
-        peakOccupancy_ = std::max(peakOccupancy_, table.size());
-    }
-
-    EntryState &entry = it->second;
-    ++entry.count;
-    if (entry.count >= params_.rhThreshold) {
-        arr_aggressors.push_back(row);
-        ++arrCount_;
-        table.erase(it);  // Victims refreshed; restart tracking.
-    }
+    Table &table = tables_.at(bank);
+    bool inserted;
+    countAct(table, entryOf(table, row, inserted), row, arr_aggressors);
 }
 
 std::size_t
@@ -66,18 +78,16 @@ Twice::onActivateBatch(const ActSpan &span,
     // keeps the entries of the last two distinct rows — the hammer
     // pair in the patterns that matter — and is invalidated on every
     // insert (possible rehash) and erase.
-    auto &table = tables_.at(span.bank);
-    using Iter = std::unordered_map<RowId, EntryState>::iterator;
+    Table &table = tables_.at(span.bank);
     RowId cached_row[2] = {kInvalidRow, kInvalidRow};
-    Iter cached_it[2] = {table.end(), table.end()};
+    Table::iterator cached_it[2] = {table.end(), table.end()};
 
     std::size_t consumed = 0;
     while (consumed < span.size) {
         const RowId row = span.rows[consumed];
         ++consumed;
-        countOp();
 
-        Iter it;
+        Table::iterator it;
         if (row == cached_row[0]) {
             it = cached_it[0];
         } else if (row == cached_row[1]) {
@@ -85,21 +95,9 @@ Twice::onActivateBatch(const ActSpan &span,
             std::swap(cached_row[0], cached_row[1]);
             std::swap(cached_it[0], cached_it[1]);
         } else {
-            it = table.find(row);
-            if (it == table.end()) {
-                if (table.size() >= params_.capacity) {
-                    ++overflows_;
-                    auto victim = table.begin();
-                    for (auto cur = table.begin(); cur != table.end();
-                         ++cur) {
-                        if (cur->second.count < victim->second.count)
-                            victim = cur;
-                    }
-                    table.erase(victim);
-                }
-                it = table.emplace(row, EntryState{}).first;
-                peakOccupancy_ =
-                    std::max(peakOccupancy_, table.size());
+            bool inserted;
+            it = entryOf(table, row, inserted);
+            if (inserted) {
                 cached_row[1] = kInvalidRow;
             } else {
                 cached_row[1] = cached_row[0];
@@ -108,15 +106,8 @@ Twice::onActivateBatch(const ActSpan &span,
             cached_row[0] = row;
             cached_it[0] = it;
         }
-
-        EntryState &entry = it->second;
-        ++entry.count;
-        if (entry.count >= params_.rhThreshold) {
-            arr_aggressors.push_back(row);
-            ++arrCount_;
-            table.erase(it);
+        if (countAct(table, it, row, arr_aggressors))
             break;
-        }
     }
     return consumed;
 }

@@ -51,10 +51,10 @@ class Twice : public RhProtection
     void onActivate(BankId bank, RowId row, Tick now,
                     std::vector<RowId> &arr_aggressors) override;
 
-    /** Batched hot path: the per-ACT table walk with the bank lookup
-     *  hoisted and a 2-way (row -> entry) iterator cache, so the hot
-     *  hammer pair skips the hash probe; stops at the first ARR per
-     *  the batch contract. Byte-identical to the scalar loop. */
+    /** Batched hot path: onActivate()'s per-ACT step with the bank
+     *  lookup hoisted and a 2-way (row -> entry) iterator cache, so
+     *  the hot hammer pair skips the hash probe; stops at the first
+     *  ARR per the batch contract. Byte-identical to the scalar loop. */
     std::size_t onActivateBatch(const ActSpan &span,
                                 std::vector<RowId> &arr_aggressors)
         override;
@@ -90,8 +90,19 @@ class Twice : public RhProtection
         std::uint32_t life = 0;
     };
 
+    using Table = std::unordered_map<RowId, EntryState>;
+
+    /** The row's entry, inserted (`inserted` says so) when missing,
+     *  after evicting the lowest count from a full table. */
+    Table::iterator entryOf(Table &table, RowId row, bool &inserted);
+
+    /** Count one ACT on the row's entry; at the threshold book its ARR
+     *  and erase the entry, and return true. */
+    bool countAct(Table &table, Table::iterator it, RowId row,
+                  std::vector<RowId> &arr_aggressors);
+
     TwiceParams params_;
-    std::vector<std::unordered_map<RowId, EntryState>> tables_;
+    std::vector<Table> tables_;
     std::size_t peakOccupancy_ = 0;
     std::uint64_t arrCount_ = 0;
     std::uint64_t overflows_ = 0;

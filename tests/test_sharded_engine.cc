@@ -25,6 +25,7 @@
 #include "registry/scheme_registry.hh"
 #include "registry/source_registry.hh"
 #include "runner/thread_pool.hh"
+#include "sim/system.hh"
 #include "trackers/graphene.hh"
 
 namespace mithril
@@ -147,13 +148,13 @@ runSharded(const std::string &scheme, std::uint32_t shards,
 
     Outcome o;
     o.acts = eng.acts();
-    o.refs = eng.refs();
+    o.refs = eng.parts().counts().refs;
     o.rfms = eng.rfms();
     o.preventive = eng.preventiveRefreshes();
     o.maxDisturbance = eng.maxDisturbanceEver();
     o.bitFlips = eng.bitFlips();
-    o.flippedRows = eng.flippedRows();
-    o.logicOps = eng.logicOps();
+    o.flippedRows = eng.parts().flippedRows();
+    o.logicOps = eng.parts().logicOps();
     for (BankId b = 0; b < kBanks; ++b) {
         o.bankActs.push_back(eng.actsAt(b));
         o.bankPrev.push_back(eng.preventiveRefreshesAt(b));
@@ -317,18 +318,114 @@ TEST(ShardedEngine, ShardRangesPartitionBanks)
         cfg.shards = shards;
         engine::ShardedActStreamEngine eng(cfg, nullptr);
         BankId next = 0;
-        for (std::uint32_t s = 0; s < eng.shardCount(); ++s) {
-            const auto [lo, hi] = eng.shardRange(s);
+        for (std::uint32_t s = 0; s < eng.parts().size(); ++s) {
+            const auto [lo, hi] = eng.parts().range(s);
             EXPECT_EQ(lo, next);
             EXPECT_GT(hi, lo);
             next = hi;
         }
         EXPECT_EQ(next, kBanks);
         for (BankId b = 0; b < kBanks; ++b) {
-            const auto [lo, hi] = eng.shardRange(eng.shardFor(b));
+            const auto [lo, hi] = eng.parts().range(eng.parts().partOf(b));
             EXPECT_TRUE(b >= lo && b < hi) << "bank " << b;
         }
     }
+}
+
+/** Records every ACT it observes, with the tick it was handed. */
+class RecordingTracker : public trackers::RhProtection
+{
+  public:
+    std::string name() const override { return "Recording"; }
+    trackers::Location location() const override
+    {
+        return trackers::Location::Mc;
+    }
+    double tableBytesPerBank() const override { return 0.0; }
+    void onActivate(BankId bank, RowId row, Tick now,
+                    std::vector<RowId> &) override
+    {
+        seen.push_back({bank, row, now});
+    }
+
+    std::vector<engine::ActRecord> seen;
+};
+
+/** Record i: bank 7i mod 64, row i, tick i + 1 (never 0). */
+engine::ActRecord
+spreadRecord(std::uint64_t i)
+{
+    return {static_cast<BankId>((7 * i) % 64), static_cast<RowId>(i),
+            static_cast<Tick>(i + 1)};
+}
+
+class SpreadSource : public engine::ActSource
+{
+  public:
+    std::string name() const override { return "spread"; }
+    std::size_t fill(engine::ActBatch &batch, std::size_t limit) override
+    {
+        std::size_t n = 0;
+        for (; n < limit && !batch.full(); ++n, ++next_) {
+            const engine::ActRecord rec = spreadRecord(next_);
+            batch.push(rec.bank, rec.row, rec.tick);
+        }
+        return n;
+    }
+
+  private:
+    std::uint64_t next_ = 0;
+};
+
+/** Warm `parts` with the first 5000 records of an endless 64-bank
+ *  stream: each part's tracker must see exactly the records on its own
+ *  banks, in stream order, every one at tick 0. */
+void
+expectRoutedWarmup(dram::Parts &parts)
+{
+    constexpr std::uint64_t kWarm = 5000;
+    SpreadSource source;
+    parts.warm(source, kWarm);
+    std::uint64_t total = 0;
+    for (std::uint32_t p = 0; p < parts.size(); ++p) {
+        const auto [lo, hi] = parts.range(p);
+        std::vector<std::tuple<BankId, RowId, Tick>> expected, seen;
+        for (std::uint64_t i = 0; i < kWarm; ++i) {
+            const engine::ActRecord rec = spreadRecord(i);
+            if (rec.bank >= lo && rec.bank < hi)
+                expected.emplace_back(rec.bank, rec.row, 0);
+        }
+        const auto &tracker =
+            dynamic_cast<const RecordingTracker &>(*parts.tracker(p));
+        for (const engine::ActRecord &rec : tracker.seen)
+            seen.emplace_back(rec.bank, rec.row, rec.tick);
+        EXPECT_EQ(seen, expected) << "part " << p;
+        total += seen.size();
+    }
+    EXPECT_EQ(total, kWarm);
+}
+
+TEST(Parts, WarmupHandsEachPartItsOwnBanksAtTickZero)
+{
+    const dram::Geometry geom = dram::paperGeometry();
+    ASSERT_EQ(geom.totalBanks(), 64u);
+    auto make = [] { return std::make_unique<RecordingTracker>(); };
+
+    engine::ShardedEngineConfig cfg;
+    cfg.engine.timing = dram::ddr5_4800();
+    cfg.engine.geometry = geom;
+    cfg.shards = 3;
+    engine::ShardedActStreamEngine eng(cfg, make);
+    ASSERT_EQ(eng.parts().size(), 3u);
+    expectRoutedWarmup(eng.parts());
+
+    sim::SystemConfig sys;
+    sys.geometry = geom;
+    sim::System system(sys, make);
+    ASSERT_EQ(system.parts().size(), 2u);
+    for (BankId b = 0; b < geom.totalBanks(); ++b)
+        EXPECT_EQ(system.parts().partOf(b), b / geom.banksPerRank);
+    expectRoutedWarmup(system.parts());
 }
 
 } // namespace

@@ -131,7 +131,7 @@ TEST(SystemIntegration, UnprotectedLongAttackFlipsBits)
                    std::make_unique<workload::DoubleSidedAttack>(
                        target));
     system.run();
-    EXPECT_GT(system.bitFlips(), 0u);
+    EXPECT_GT(system.parts().bitFlips(), 0u);
 }
 
 TEST(SystemIntegration, TelemetrySheetCoversComponents)

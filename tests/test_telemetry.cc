@@ -120,13 +120,13 @@ outcomeOf(engine::ShardedActStreamEngine &eng)
 {
     Outcome o;
     o.acts = eng.acts();
-    o.refs = eng.refs();
+    o.refs = eng.parts().counts().refs;
     o.rfms = eng.rfms();
     o.preventive = eng.preventiveRefreshes();
     o.maxDisturbance = eng.maxDisturbanceEver();
     o.bitFlips = eng.bitFlips();
-    o.flippedRows = eng.flippedRows();
-    o.logicOps = eng.logicOps();
+    o.flippedRows = eng.parts().flippedRows();
+    o.logicOps = eng.parts().logicOps();
     for (BankId b = 0; b < eng.numBanks(); ++b)
         o.bankNow.push_back(eng.now(b));
     return o;
@@ -531,7 +531,7 @@ TEST(TelemetryEngine, HeatmapShardInvariant)
             engineConfig(shards, allOn()),
             [&] { return makeTracker("mithril"); });
         eng.run([&] { return makeAttackStream(); }, kActs);
-        return eng.mergedHeatmap().dump();
+        return eng.parts().heatmap().dump();
     };
     const std::string ref = run(1);
     EXPECT_FALSE(ref.empty());
@@ -548,7 +548,7 @@ TEST(TelemetryEngine, SheetCoversEngineOracleTraceHeatmap)
 
     telemetry::MetricSheet sheet = eng.telemetrySheet();
     EXPECT_EQ(sheet.counterValue("engine.acts"), eng.acts());
-    EXPECT_EQ(sheet.counterValue("engine.refs"), eng.refs());
+    EXPECT_EQ(sheet.counterValue("engine.refs"), eng.parts().counts().refs);
     EXPECT_EQ(sheet.counterValue("oracle.bit_flips"),
               eng.bitFlips());
     EXPECT_DOUBLE_EQ(sheet.gaugeValue("oracle.max_disturbance"),

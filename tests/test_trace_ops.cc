@@ -871,13 +871,13 @@ replayCorpusSharded(const std::string &scheme,
 
     Outcome o;
     o.acts = eng.acts();
-    o.refs = eng.refs();
+    o.refs = eng.parts().counts().refs;
     o.rfms = eng.rfms();
     o.preventive = eng.preventiveRefreshes();
     o.maxDisturbance = eng.maxDisturbanceEver();
     o.bitFlips = eng.bitFlips();
-    o.flippedRows = eng.flippedRows();
-    o.logicOps = eng.logicOps();
+    o.flippedRows = eng.parts().flippedRows();
+    o.logicOps = eng.parts().logicOps();
     for (BankId b = 0; b < kBanks; ++b) {
         o.bankActs.push_back(eng.actsAt(b));
         o.bankPrev.push_back(eng.preventiveRefreshesAt(b));
