@@ -11,8 +11,9 @@
  *       instr=50000
  *
  * Any ExperimentSpec key is accepted. Engine runs (source=) and
- * System runs print the same three sections, each merged in part
- * order (engine shards or System channel lanes). Pass
+ * System runs print the same three sections: an engine run's merged
+ * in shard order, a System run's from its one tracker and collector
+ * bundle, with each channel's controller counters folded in. Pass
  * trace-events=PATH to also write the Chrome trace-event JSON
  * (loadable at ui.perfetto.dev). Everything printed is deterministic
  * at any shard/thread count.
@@ -43,8 +44,14 @@ main(int argc, char **argv)
         fatal("%s", err.what());
     }
 
-    std::printf("== metric sheet (merged, %u %s) ==\n%s", seen.parts,
-                spec.engineRun() ? "shards" : "lanes",
+    std::uint32_t merged = seen.parts;
+    const char *what = "shards";
+    if (!spec.engineRun()) {
+        // One part; its sheet folds in every channel's controller.
+        merged = spec.channels ? spec.channels : spec.sys.geometry.channels;
+        what = "channels";
+    }
+    std::printf("== metric sheet (merged, %u %s) ==\n%s", merged, what,
                 seen.sheet.dump().c_str());
 
     std::printf("\n== mitigation events (%zu retained) ==\n",

@@ -77,7 +77,7 @@ main(int argc, char **argv)
     const ParamSet scheme_params = knobs.toParams();
     try {
         // Probe the name once so a typo fails before the System (and
-        // its per-channel tracker instances) is built.
+        // its tracker) is built.
         registry::makeScheme(scheme, scheme_params,
                              {cfg.timing, cfg.geometry});
     } catch (const registry::SpecError &err) {

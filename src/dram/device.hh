@@ -3,10 +3,11 @@
  * Whole-system DRAM device model.
  *
  * Owns every bank's state machine, rank-level ACT pacing, the energy
- * meter, and the lane's dram::Protection core (the tracker, the ground
- * truth RH oracle and the RFM/ARR protocol state). The memory
- * controller drives it by committing commands; the device adds each
- * command's bank timing and energy to the core's protocol step.
+ * meter, and the run's dram::Protection core (the tracker, the ground
+ * truth RH oracle and the RFM/ARR protocol state). A System builds one
+ * Device, and each channel's memory controller drives that channel's
+ * banks by committing commands; the device adds each command's bank
+ * timing and energy to the core's protocol step.
  */
 
 #ifndef MITHRIL_DRAM_DEVICE_HH
@@ -75,12 +76,6 @@ class Device
     std::uint32_t rankOf(BankId b) const
     {
         return b / geometry_.banksPerRank;
-    }
-
-    /** Channel index of a bank. */
-    std::uint32_t channelOf(BankId b) const
-    {
-        return b / (geometry_.banksPerRank * geometry_.ranksPerChannel);
     }
 
     /** Earliest tick an ACT anywhere in a flat rank satisfies its

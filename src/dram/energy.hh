@@ -63,20 +63,6 @@ class EnergyMeter
 
     void reset();
 
-    /** Fold another meter's counts into this one (per-channel meters
-     *  merge in channel order for deterministic totals). Energy
-     *  params are taken from *this. */
-    void mergeFrom(const EnergyMeter &other)
-    {
-        acts_ += other.acts_;
-        pres_ += other.pres_;
-        reads_ += other.reads_;
-        writes_ += other.writes_;
-        refRows_ += other.refRows_;
-        prevRows_ += other.prevRows_;
-        trackerOps_ += other.trackerOps_;
-    }
-
   private:
     EnergyParams params_;
     std::uint64_t acts_ = 0;

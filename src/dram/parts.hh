@@ -1,8 +1,9 @@
 /**
  * @file
- * The part set of a run: its banks split into contiguous ranges (the
- * sharded engine's bank shards, or a System's channel lanes), each
- * part with its own tracker instance and collector bundle.
+ * The part set of a run: its banks split into contiguous ranges, each
+ * part with its own tracker instance and collector bundle. The
+ * sharded engine has one part per bank shard; a System has one part
+ * at any channel count, bound to its one dram::Device.
  *
  * Mithril keeps its protection state per bank (each bank's CbS table
  * and RAA count), and so does every other scheme here (PARA and PARFM

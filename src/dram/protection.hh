@@ -1,7 +1,7 @@
 /**
  * @file
  * The RH protection protocol of one part of a run (an engine shard or
- * a System channel lane), per bank.
+ * a whole System), per bank.
  *
  * Mithril relies on DDR5's RFM interface, which splits protection into
  * two sides. The memory controller counts each bank's RAA (rolling

@@ -166,8 +166,9 @@ class RhOracle
      * at most 1/2) of 8-row blocks keyed by blockKey(), keys and
      * blocks in parallel arrays. A block exists only while one of its
      * rows has a nonzero count, so memory follows the disturbed rows.
-     * Not dense per bank: every System lane owns a full-geometry
-     * Device, and 64 banks x 65,536 rows of counts is 32 MB a lane.
+     * Not dense per bank: every engine shard owns a full-geometry
+     * oracle, and 64 banks x 65,536 rows of counts is 32 MB a shard
+     * (or a System), most of it for rows a run never disturbs.
      */
     std::vector<std::uint64_t> keys_;
     std::vector<Block> blocks_;

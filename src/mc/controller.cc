@@ -75,6 +75,7 @@ Controller::Controller(dram::Device &device, const AddressMap &map,
     banks_.resize(geom.ranksPerChannel * geom.banksPerRank);
     wordsPerRank_ = (geom.banksPerRank + 63) / 64;
     nonEmpty_.assign(geom.ranksPerChannel * wordsPerRank_, 0);
+    owing_.assign(nonEmpty_.size(), 0);
 
     const std::uint32_t total_ranks =
         geom.channels * geom.ranksPerChannel;
@@ -128,7 +129,7 @@ Controller::enqueue(const Request &req, Tick now)
     if (ctl.open && req.row == device_.bank(req.bank).openRow())
         ++ctl.openHits;
     refreshFence(req.bank);
-    const auto [word, bit] = nonEmptyBit(req.bank);
+    const auto [word, bit] = bankBit(req.bank);
     nonEmpty_[word] |= bit;
     ++queued_;
     hintUntil_ = 0;
@@ -148,7 +149,7 @@ Controller::release(std::uint32_t id)
     if (ctl.open && slot.req.row == device_.bank(slot.req.bank).openRow())
         --ctl.openHits;
     if (ctl.head == kNoSlot) {
-        const auto [word, bit] = nonEmptyBit(slot.req.bank);
+        const auto [word, bit] = bankBit(slot.req.bank);
         nonEmpty_[word] &= ~bit;
     }
     freeSlots_.push_back(id);
@@ -156,7 +157,7 @@ Controller::release(std::uint32_t id)
 }
 
 std::pair<std::size_t, std::uint64_t>
-Controller::nonEmptyBit(BankId bank) const
+Controller::bankBit(BankId bank) const
 {
     const std::uint32_t bpr = device_.geometry().banksPerRank;
     const std::uint32_t rank = device_.rankOf(bank) - firstRank_;
@@ -185,7 +186,9 @@ Controller::refreshFence(BankId b)
 bool
 Controller::idle() const
 {
-    return queued_ == 0 && protectionWork_ == 0;
+    return queued_ == 0 &&
+           std::all_of(owing_.begin(), owing_.end(),
+                       [](std::uint64_t word) { return word == 0; });
 }
 
 void
@@ -223,8 +226,6 @@ Controller::Decision
 Controller::choose(Tick t0)
 {
     const auto &geom = device_.geometry();
-    const std::uint32_t banks_per_channel =
-        geom.ranksPerChannel * geom.banksPerRank;
 
     // Commands that cannot issue yet only lower the wake-up hint, so
     // that a stalled high-priority command never blocks ready work on
@@ -282,38 +283,52 @@ Controller::choose(Tick t0)
         pass.future = std::min(pass.future, d.issue);
     }
 
-    // Priority 2: banks owing an RFM or ARR work.
-    if (protectionWork_ > 0) {
-        Decision best;
-        const dram::Protection &prot = device_.protection();
-        for (std::uint32_t i = 0; i < banks_per_channel; ++i) {
-            const BankId b = firstBank_ + i;
-            if (!prot.owes(b))
-                continue;
-            const auto &bank = device_.bank(b);
-            Decision d;
-            d.bank = b;
-            if (prot.rfmSkippable(b)) {
-                // Mithril+ MRR poll says no refresh needed: skip the
-                // RFM.
-                d.kind = Decision::Kind::MrrSkip;
-                d.issue = t0;
-            } else if (bank.isOpen()) {
-                d.kind = Decision::Kind::Pre;
-                d.issue = bank.earliestPre(t0);
-            } else {
-                d.kind = prot.rfmOwed(b) ? Decision::Kind::Rfm
-                                         : Decision::Kind::Arr;
-                d.issue = bank.earliestRefresh(t0);
+    // Priority 2: banks owing an RFM or ARR work, in bank order; the
+    // first with the least issue tick wins.
+    const dram::Protection &prot = device_.protection();
+#ifndef NDEBUG
+    // The mask agrees with the protection core on every owned bank.
+    for (std::uint32_t i = 0; i < banks_.size(); ++i) {
+        const std::uint32_t k = i % geom.banksPerRank;
+        const std::uint64_t word =
+            owing_[i / geom.banksPerRank * wordsPerRank_ + k / 64];
+        MITHRIL_ASSERT((((word >> (k % 64)) & 1) != 0) ==
+                       prot.owes(firstBank_ + i));
+    }
+#endif
+    Decision owed;
+    for (std::uint32_t r = 0; r < geom.ranksPerChannel; ++r) {
+        for (std::uint32_t w = 0; w < wordsPerRank_; ++w) {
+            std::uint64_t bits = owing_[r * wordsPerRank_ + w];
+            for (; bits; bits &= bits - 1) {
+                const BankId b =
+                    firstBank_ + r * geom.banksPerRank + w * 64 +
+                    static_cast<std::uint32_t>(__builtin_ctzll(bits));
+                const auto &bank = device_.bank(b);
+                Decision d;
+                d.bank = b;
+                if (prot.rfmSkippable(b)) {
+                    // Mithril+ MRR poll says no refresh needed: skip
+                    // the RFM.
+                    d.kind = Decision::Kind::MrrSkip;
+                    d.issue = t0;
+                } else if (bank.isOpen()) {
+                    d.kind = Decision::Kind::Pre;
+                    d.issue = bank.earliestPre(t0);
+                } else {
+                    d.kind = prot.rfmOwed(b) ? Decision::Kind::Rfm
+                                             : Decision::Kind::Arr;
+                    d.issue = bank.earliestRefresh(t0);
+                }
+                if (d.issue < owed.issue)
+                    owed = d;
             }
-            if (d.issue < best.issue)
-                best = d;
         }
-        if (best.kind != Decision::Kind::None) {
-            if (best.issue <= t0)
-                return best;
-            pass.future = std::min(pass.future, best.issue);
-        }
+    }
+    if (owed.kind != Decision::Kind::None) {
+        if (owed.issue <= t0)
+            return owed;
+        pass.future = std::min(pass.future, owed.issue);
     }
 
     // Priority 3: demand requests.
@@ -359,15 +374,16 @@ Controller::chooseDemand(Pass &pass)
         const Tick rank_act =
             device_.rankEarliestAct(firstRank_ + r, pass.t0);
         for (std::uint32_t w = 0; w < wordsPerRank_; ++w) {
-            std::uint64_t bits = nonEmpty_[r * wordsPerRank_ + w];
+            const std::size_t word = r * wordsPerRank_ + w;
+            std::uint64_t bits = nonEmpty_[word] & ~owing_[word];
             for (; bits; bits &= bits - 1) {
                 const std::uint32_t k =
                     w * 64 +
                     static_cast<std::uint32_t>(__builtin_ctzll(bits));
                 const BankCtl &ctl = banks_[r * bpr + k];
                 const BankId b = firstBank_ + r * bpr + k;
-                if (k == fenced || device_.protection().owes(b))
-                    continue;  // Draining for REF or owing RFM/ARR.
+                if (k == fenced)
+                    continue;  // Draining for REF.
                 const Tick fence =
                     ctl.open ? ctl.fence : std::max(ctl.fence, rank_act);
                 const bool skip =
@@ -513,7 +529,7 @@ Controller::execute(const Decision &d)
             throttledActs_.pop_back();
         }
         device_.activate(d.bank, req.row, d.issue);
-        noteProtection(d.bank, false);  // Demand skips owing banks.
+        noteProtection(d.bank);
         BankCtl &ctl = bankCtl(d.bank);
         ctl.rowHitStreak = 0;
         ctl.open = true;
@@ -581,16 +597,16 @@ Controller::execute(const Decision &d)
       }
       case Decision::Kind::Rfm:
         device_.rfm(d.bank, d.issue);
-        noteProtection(d.bank, true);
+        noteProtection(d.bank);
         break;
       case Decision::Kind::MrrSkip:
         device_.protection().skipRfm(d.bank, d.issue);
-        noteProtection(d.bank, true);
+        noteProtection(d.bank);
         bus_done = d.issue + params_.mrrLatency;
         break;
       case Decision::Kind::Arr:
         device_.arr(d.bank, d.issue);
-        noteProtection(d.bank, true);
+        noteProtection(d.bank);
         break;
       case Decision::Kind::None:
         panic("executing a None decision");

@@ -14,14 +14,12 @@
  * BLISS (FR-FCFS + served-streak blacklisting) under a minimalist-open
  * page policy.
  *
- * A multi-channel System builds one Controller per channel and
- * interleaves their service() loops deterministically (min-tick, ties
- * by channel index); because a controller touches only its own
- * channel's ranks/banks of the Device, the per-channel instances may
- * also advance in parallel within a causality window. Cross-channel
+ * A multi-channel System builds one Controller per channel over its
+ * one Device and services them one after another, deterministically
+ * (min-tick, ties by channel index); a controller touches only its
+ * own channel's ranks and banks of the Device. Cross-channel
  * statistics merge through ControllerStats::mergeFrom() in channel
- * order — the same partition-and-merge discipline the sharded
- * ActStream engine uses for banks.
+ * order.
  *
  * The controller is event-driven: service(now) issues every command
  * legal at `now` and returns the next tick it needs servicing.
@@ -30,11 +28,14 @@
  * requests of banks that can issue. Each bank links its requests in
  * arrival order and caches its fence, the least tick any of them can
  * issue, which changes only when a request or command changes the
- * bank. The demand phase visits the non-empty, unfenced banks; a bank
- * whose fence is past the pass tick only offers that fence as a
- * wake-up candidate, which is all its requests would offer. A pass
- * that finds nothing ready leaves a wake-up hint that later passes
- * reuse until anything could change it (see service()).
+ * bank. Two bitmasks name the banks worth a look: the non-empty ones
+ * and the ones owing RFM/ARR work. The protection phase walks only
+ * the owing banks; the demand phase visits the non-empty banks that
+ * owe nothing and are not draining for REF. A bank whose fence is
+ * past the pass tick only offers that fence as a wake-up candidate,
+ * which is all its requests would offer. A pass that finds nothing
+ * ready leaves a wake-up hint that later passes reuse until anything
+ * could change it (see service()).
  */
 
 #ifndef MITHRIL_MC_CONTROLLER_HH
@@ -106,8 +107,7 @@ struct ControllerStats
     }
 
     /** Fold another channel's statistics into this one (sums; the
-     *  latency histogram merges bucket-wise). Folding in channel
-     *  order makes the merged sheet deterministic at any pool size. */
+     *  latency histogram merges bucket-wise), in channel order. */
     void mergeFrom(const ControllerStats &other);
 };
 
@@ -277,8 +277,9 @@ class Controller
     Decision choose(Tick t0);
 
     /** The demand phase of choose(): BLISS + FR-FCFS +
-     *  minimalist-open over the non-empty, unfenced banks, scanning
-     *  only those whose fence is at or below the pass tick. */
+     *  minimalist-open over the non-empty banks that owe no RFM/ARR
+     *  work and are not draining for REF, scanning only those whose
+     *  fence is at or below the pass tick. */
     void chooseDemand(Pass &pass);
 
     /** Offer an open bank's requests: row hits behind its column
@@ -320,15 +321,18 @@ class Controller
      *  buffer, hit streak or timing changed. */
     void refreshFence(BankId bank);
 
-    /** The nonEmpty_ word and bit of an owned bank. */
-    std::pair<std::size_t, std::uint64_t> nonEmptyBit(BankId bank) const;
+    /** The word and bit of an owned bank in nonEmpty_ and owing_. */
+    std::pair<std::size_t, std::uint64_t> bankBit(BankId bank) const;
 
-    /** Keep protectionWork_ in step after a command on `bank`
-     *  changed whether it owes RFM/ARR work from `was_owed`. */
-    void noteProtection(BankId bank, bool was_owed)
+    /** Set or clear the bank's owing_ bit from the protection core
+     *  after a command on it (ACT, RFM, MRR skip or ARR). */
+    void noteProtection(BankId bank)
     {
-        if (device_.protection().owes(bank) != was_owed)
-            was_owed ? --protectionWork_ : ++protectionWork_;
+        const auto [word, bit] = bankBit(bank);
+        if (device_.protection().owes(bank))
+            owing_[word] |= bit;
+        else
+            owing_[word] &= ~bit;
     }
 
     /** Per-bank control state of a global bank id in our channel. */
@@ -348,9 +352,10 @@ class Controller
     /** One bit per owned bank that has a queued request, rank by
      *  rank in wordsPerRank_ words each. */
     std::vector<std::uint64_t> nonEmpty_;
+    /** One bit per owned bank that owes RFM or ARR work, laid out
+     *  like nonEmpty_. */
+    std::vector<std::uint64_t> owing_;
     std::uint32_t wordsPerRank_;
-    /** Owned banks that owe RFM or ARR work. */
-    std::uint32_t protectionWork_ = 0;
     /** The last hint a pass found nothing ready at, reusable by
      *  service() for t0 in [hintFrom_, hintUntil_) (hintUntil_ is 0
      *  after any state change). */

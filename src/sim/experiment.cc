@@ -28,7 +28,7 @@ namespace
 
 /**
  * The spec's telemetry knobs as the collectors every part (engine
- * shard or System lane) carries: the heatmap under telemetry=, events
+ * shard or System) carries: the heatmap under telemetry=, events
  * under trace-events=, both when the caller asks for the observation.
  * A run with any collector on also reports its merged sheet.
  * Observation only — outcomes are byte-identical either way.
@@ -46,11 +46,11 @@ telemetryConfig(const ExperimentSpec &spec, bool observing)
 
 /**
  * The tail both bodies share, over the run's part set (engine shards
- * or System lanes): RunMetrics' oracle, flip and table-bytes fields,
- * then, when any collector is on, the merged sheet `merged_sheet`
- * builds goes to RunMetrics::telemetry, the merged events to the
- * trace-events= Chrome trace, and both plus the heatmap to
- * `observed`.
+ * or a System's one part): RunMetrics' oracle, flip and table-bytes
+ * fields, then, when any collector is on, the merged sheet
+ * `merged_sheet` builds goes to RunMetrics::telemetry, the merged
+ * events to the trace-events= Chrome trace, and both plus the heatmap
+ * to `observed`.
  */
 void
 reportParts(const ExperimentSpec &spec,
@@ -196,8 +196,8 @@ runEngineExperiment(const ExperimentSpec &spec,
     return m;
 }
 
-/** The full-System body: cores, LLC and one frontend lane per
- *  channel, each lane with its own tracker and collectors. */
+/** The full-System body: cores, LLC, one memory controller per
+ *  channel, and one Device, tracker and collector bundle. */
 RunMetrics
 runSystemExperiment(const ExperimentSpec &spec,
                     const telemetry::TelemetryConfig &tel,
@@ -232,9 +232,8 @@ runSystemExperiment(const ExperimentSpec &spec,
         return registry::makeAttack(spec.attack, params, ctx);
     };
 
-    // One tracker instance and one collector bundle per channel lane
-    // — the same per-partition discipline the sharded engine applies
-    // to bank shards.
+    // One tracker instance and one collector bundle over every
+    // channel: protection state is per bank.
     System system(
         sys,
         [&] {
@@ -245,7 +244,7 @@ runSystemExperiment(const ExperimentSpec &spec,
 
     // Tracker warm-up, before the collectors attach: the attacker's
     // `warmup=` ACTs and, with warmup-from-workload=1, each benign
-    // core's floor(warmup/benign), every one routed to its bank's lane.
+    // core's floor(warmup/benign), all to the one tracker.
     auto warm = [&](std::unique_ptr<workload::TraceGenerator> gen,
                     std::uint64_t acts) {
         engine::TraceActSource source(std::move(gen), sys.geometry);
@@ -262,11 +261,12 @@ runSystemExperiment(const ExperimentSpec &spec,
 
     system.snapshotTrackerOps();
 
-    // record=: tap every ACT the controller commits (bank, row,
-    // issue tick) — exactly the stream the tracker observes; warm-up
-    // above fed generators directly, so it is not captured. System
-    // delivers ACTs channel-major per service window with per-bank
-    // ticks monotone — the exact order contract of the writer.
+    // record=: tap every ACT the Device commits (bank, row, issue
+    // tick) — exactly the stream the tracker observes; warm-up above
+    // fed generators directly, so it is not captured. Lanes advance
+    // one at a time, so ACTs arrive channel-major per service window
+    // with per-bank ticks monotone — the exact order contract of the
+    // writer.
     std::unique_ptr<engine::ActTraceWriter> recorder;
     if (!spec.record.empty()) {
         recorder = std::make_unique<engine::ActTraceWriter>(

@@ -94,10 +94,10 @@ inline constexpr MetricField kMetricFields[] = {
 };
 
 /** What a run observed beyond its RunMetrics, each part merged in
- *  part order (System lanes or engine shards). */
+ *  part order (engine shards; a System is one part). */
 struct Observation
 {
-    std::uint32_t parts = 0;                   //!< Lanes or shards.
+    std::uint32_t parts = 0;                   //!< Shards, or 1.
     telemetry::MetricSheet sheet;              //!< Merged sheet.
     std::vector<telemetry::TraceEvent> events; //!< Tick-ordered.
     telemetry::ActHeatmap heatmap{0, 1};       //!< Per-bank regions.

@@ -117,8 +117,9 @@ struct ExperimentSpec
 
     // ------------------------------------------- geometry/parallelism
     /** DRAM channels (0 = the geometry preset's count, a power of
-     *  two). A System run builds one frontend lane per channel; an
-     *  engine run shards over the same widened geometry. */
+     *  two). A System run builds one memory controller per channel,
+     *  all over one Device and one tracker; an engine run shards over
+     *  the same widened geometry. */
     std::uint32_t channels = 0;
 
     /** Entry-declared extra tunables (e.g. victims=, mean-gap=),

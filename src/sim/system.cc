@@ -12,37 +12,32 @@ System::System(const SystemConfig &config,
                const TrackerFactory &make_tracker,
                const telemetry::TelemetryConfig &telemetry)
     : config_(config),
-      parts_(config.geometry, config.geometry.channels, make_tracker,
-             telemetry)
+      map_(config.geometry),
+      device_(config.timing, config.geometry, config.flipTh,
+              config.blastRadius),
+      parts_(config.geometry, 1, make_tracker, telemetry)
 {
-    map_ = std::make_unique<mc::AddressMap>(config_.geometry);
     lookahead_ =
         std::min(config_.timing.tCL, config_.timing.tCWL) +
         config_.timing.tBL;
+    device_.setTracker(parts_.tracker(0));
+    parts_.bind(0, device_.protection());
 
-    lanes_.reserve(config_.geometry.channels);
-    for (std::uint32_t ch = 0; ch < config_.geometry.channels; ++ch) {
-        auto lane = std::make_unique<Lane>();
-        lane->device = std::make_unique<dram::Device>(
-            config_.timing, config_.geometry, config_.flipTh,
-            config_.blastRadius);
-        lane->device->setTracker(parts_.tracker(ch));
-        parts_.bind(ch, lane->device->protection());
-        lane->controller = std::make_unique<mc::Controller>(
-            *lane->device, *map_, config_.mcParams, ch);
-
-        // Completions are buffered lane-locally and turned into event
-        // queue entries only at the window drain, in channel order:
-        // that order fixes the event queue's tie-breaking sequence
-        // numbers.
-        Lane *lp = lane.get();
-        lane->controller->setCompletionCallback(
-            [this, lp](const mc::Request &req, Tick completion) {
-                if (!req.tracked || req.coreId >= cores_.size())
-                    return;
-                lp->completions.push_back({completion, req.coreId});
+    // Every controller drives the one Device; run() services them one
+    // after another. A completion becomes an event-queue entry as it
+    // is reported, so a window's completions are numbered lane by
+    // lane in channel order, which fixes the queue's tie-breaking.
+    lanes_.resize(config_.geometry.channels);
+    for (std::uint32_t ch = 0; ch < lanes_.size(); ++ch) {
+        Lane &lane = lanes_[ch];
+        lane.controller = std::make_unique<mc::Controller>(
+            device_, map_, config_.mcParams, ch);
+        lane.controller->setCompletionCallback(
+            [this](const mc::Request &req, Tick completion) {
+                if (req.tracked && req.coreId < cores_.size())
+                    pushEvent(completion, req.coreId,
+                              Event::Kind::Completion);
             });
-        lanes_.push_back(std::move(lane));
     }
     cache_ = std::make_unique<cpu::Cache>(config_.cacheParams);
 }
@@ -51,7 +46,7 @@ void
 System::setActObserver(dram::Device::ActObserver observer)
 {
     MITHRIL_ASSERT(!started_);
-    actObserver_ = std::move(observer);
+    device_.setActObserver(std::move(observer));
 }
 
 cpu::Core &
@@ -79,7 +74,7 @@ System::access(std::uint32_t core_id, const workload::TraceRecord &rec,
     auto channelOf = [&](Addr addr) {
         mc::Request probe;
         probe.addr = addr;
-        map_->decode(probe);
+        map_.decode(probe);
         return probe.channel;
     };
     auto enqueue = [&](Addr addr, bool write, bool tracked) -> bool {
@@ -88,8 +83,8 @@ System::access(std::uint32_t core_id, const workload::TraceRecord &rec,
         req.isWrite = write;
         req.tracked = tracked;
         req.coreId = core_id;
-        map_->decode(req);
-        if (!lanes_[req.channel]->controller->enqueue(req, now))
+        map_.decode(req);
+        if (!lanes_[req.channel].controller->enqueue(req, now))
             return false;
         lastEnqueue_ = now;
         return true;
@@ -115,13 +110,13 @@ System::access(std::uint32_t core_id, const workload::TraceRecord &rec,
             const std::uint32_t wb_ch = channelOf(found.writebackAddr);
             if (wb_ch == fill_ch) {
                 ++fill_need;
-            } else if (lanes_[wb_ch]->controller->queueDepth() + 1 >
+            } else if (lanes_[wb_ch].controller->queueDepth() + 1 >
                        config_.mcParams.queueCapacity) {
                 outcome.accepted = false;
                 return outcome;
             }
         }
-        if (lanes_[fill_ch]->controller->queueDepth() + fill_need >
+        if (lanes_[fill_ch].controller->queueDepth() + fill_need >
             config_.mcParams.queueCapacity) {
             outcome.accepted = false;
             return outcome;
@@ -212,28 +207,17 @@ System::run()
     MITHRIL_ASSERT(!started_);
     started_ = true;
 
-    // Observers attach here, after any warm-up fed the trackers.
-    // Each lane's collectors attach to its protection core; its device
-    // tap buffers records for the channel-order observer drain below.
-    for (std::uint32_t ch = 0; ch < lanes_.size(); ++ch) {
-        Lane *lp = lanes_[ch].get();
-        if (telemetry::EngineTelemetry *tel = parts_.telemetry(ch))
-            lp->device->protection().attach(*tel);
-        if (actObserver_) {
-            lp->device->setActObserver(
-                [lp](BankId b, RowId r, Tick t) {
-                    lp->acts.push_back({b, r, t});
-                });
-        }
-    }
+    // The collectors attach here, after any warm-up fed the tracker.
+    if (telemetry::EngineTelemetry *tel = parts_.telemetry(0))
+        device_.protection().attach(*tel);
 
     for (std::uint32_t i = 0; i < cores_.size(); ++i)
         scheduleWake(i, 0);
 
     while (!benignDone()) {
         Tick t_mc = kTickMax;
-        for (const auto &lane : lanes_)
-            t_mc = std::min(t_mc, lane->next);
+        for (const Lane &lane : lanes_)
+            t_mc = std::min(t_mc, lane.next);
         const Tick t_ev = events_.empty() ? kTickMax : events_.front().tick;
 
         // A stall (see run()'s contract): the time test costs O(1) per
@@ -261,22 +245,13 @@ System::run()
             Tick window_end = std::min(t_ev, config_.horizon);
             window_end = std::min(window_end, t_mc + lookahead_);
 
-            // Service and drain lane by lane in channel order:
-            // completions become event-queue entries (tie-broken by
-            // insertion sequence — hence by channel), ACT records
-            // reach the observer channel-major with per-bank ticks
-            // monotone.
-            for (auto &lane : lanes_) {
-                if (lane->next <= window_end)
-                    now_ = std::max(now_, advanceLane(*lane, window_end));
-                if (actObserver_) {
-                    for (const engine::ActRecord &act : lane->acts)
-                        actObserver_(act.bank, act.row, act.tick);
-                }
-                lane->acts.clear();
-                for (const Lane::Completion &c : lane->completions)
-                    pushEvent(c.tick, c.coreId, Event::Kind::Completion);
-                lane->completions.clear();
+            // Advance lane by lane in channel order: completions enter
+            // the event queue (tie-broken by insertion sequence, hence
+            // by channel) and ACTs reach the observer channel-major,
+            // per-bank ticks monotone.
+            for (Lane &lane : lanes_) {
+                if (lane.next <= window_end)
+                    now_ = std::max(now_, advanceLane(lane, window_end));
             }
             continue;
         }
@@ -296,8 +271,8 @@ System::run()
         wakeCore(ev.core, ev.tick);
         // The event may have enqueued requests; give every lane a
         // chance to act at the current tick.
-        for (auto &lane : lanes_)
-            lane->next = std::min(lane->next, now_);
+        for (Lane &lane : lanes_)
+            lane.next = std::min(lane.next, now_);
     }
 }
 
@@ -316,17 +291,8 @@ mc::ControllerStats
 System::stats() const
 {
     mc::ControllerStats merged;
-    for (const auto &lane : lanes_)
-        merged.mergeFrom(lane->controller->stats());
-    return merged;
-}
-
-dram::EnergyMeter
-System::energy() const
-{
-    dram::EnergyMeter merged;
-    for (const auto &lane : lanes_)
-        merged.mergeFrom(lane->device->energy());
+    for (const Lane &lane : lanes_)
+        merged.mergeFrom(lane.controller->stats());
     return merged;
 }
 
@@ -348,10 +314,16 @@ telemetry::MetricSheet
 System::telemetrySheet() const
 {
     telemetry::MetricSheet merged = parts_.sheet(
-        [this](std::uint32_t ch, telemetry::MetricSheet &sheet) {
-            lanes_[ch]->controller->exportMetrics(sheet);
-            lanes_[ch]->device->exportMetrics(sheet);
+        [this](std::uint32_t, telemetry::MetricSheet &sheet) {
+            device_.exportMetrics(sheet);
         });
+    // Controllers set their counters, so each exports into a fresh
+    // sheet that folds in channel order.
+    for (const Lane &lane : lanes_) {
+        telemetry::MetricSheet sheet;
+        lane.controller->exportMetrics(sheet);
+        merged.mergeFrom(sheet);
+    }
     // The LLC and the cores are shared by every lane.
     cache_->exportMetrics(merged);
     for (const auto &core : cores_)

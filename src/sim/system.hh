@@ -3,20 +3,21 @@
  * Full-system simulation: cores + shared LLC + per-channel memory
  * controllers + DRAM + protection scheme, co-simulated event-driven.
  *
- * The memory side is partitioned by channel: each channel owns a
- * frontend lane (Device slice, Controller, tracker instance,
- * completion/ACT buffers) and the event loop interleaves lane service
- * ticks deterministically — minimum next-tick first, ties broken by
- * channel index. Due lanes advance serially, in channel order, through
- * a causality window bounded by the DRAM data latency: a command
- * issued at tick t cannot produce a cross-lane effect (a core wakeup,
- * hence a new request) before t + min(tCL, tCWL) + tBL, so every lane
- * can run up to that horizon without observing the others. Buffered
- * completions and ACT-trace records are drained in channel order after
- * each lane's window — the same partition-and-merge discipline the
- * sharded ActStream engine applies to banks. The lanes are a
- * dram::Parts, as the engine's shards are: it owns each lane's tracker
- * and collector bundle and merges the lanes in channel order.
+ * The memory side is one dram::Device, one tracker and one collector
+ * bundle: a dram::Parts of one part. Mithril keeps its protection
+ * state per bank and RFM is a per-bank command, so nothing needs a
+ * per-channel copy. Each channel is a lane that holds only its
+ * mc::Controller and its next service tick; every controller drives
+ * the one Device. The event loop interleaves lane service ticks
+ * deterministically — minimum next-tick first, ties broken by channel
+ * index. Due lanes advance one at a time, in channel order, through a
+ * causality window bounded by the DRAM data latency: a command issued
+ * at tick t cannot produce a cross-lane effect (a core wakeup, hence
+ * a new request) before t + min(tCL, tCWL) + tBL, so every lane can
+ * run up to that horizon without observing the others. A completion
+ * enters the event queue as its controller reports it and an ACT
+ * reaches the observer as the Device commits it, so both arrive
+ * channel-major within a window.
  */
 
 #ifndef MITHRIL_SIM_SYSTEM_HH
@@ -30,7 +31,6 @@
 #include "cpu/core.hh"
 #include "dram/device.hh"
 #include "dram/parts.hh"
-#include "engine/act_source.hh"
 #include "mc/controller.hh"
 #include "telemetry/telemetry.hh"
 #include "trackers/rh_protection.hh"
@@ -55,15 +55,20 @@ struct SystemConfig
 class System
 {
   public:
-    /** Builds one tracker instance per channel lane (a null factory —
-     *  or one returning null — leaves the lanes unprotected). */
+    /** Builds the one tracker instance (a null factory — or one
+     *  returning null — leaves the System unprotected). */
     using TrackerFactory = dram::Parts::TrackerFactory;
 
-    /** `telemetry` selects the collectors every lane carries (off by
-     *  default); they attach when run() starts, so nothing fed to the
-     *  trackers before (warm-up) is observed. */
+    /** `telemetry` selects the collectors (off by default); they
+     *  attach when run() starts, so nothing fed to the tracker before
+     *  (warm-up) is observed. */
     System(const SystemConfig &config, const TrackerFactory &make_tracker,
            const telemetry::TelemetryConfig &telemetry = {});
+
+    /** The controllers and their callbacks hold this System's address
+     *  and its Device's. */
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
 
     /** Add a core running the given trace. The System owns both. */
     cpu::Core &addCore(const cpu::CoreParams &params,
@@ -88,7 +93,7 @@ class System
     /** Sum of non-excluded cores' IPC (the paper's aggregate metric). */
     double aggregateIpc() const;
 
-    /** Number of channel lanes (== geometry.channels). */
+    /** Number of channels, one lane each (== geometry.channels). */
     std::uint32_t channels() const
     {
         return static_cast<std::uint32_t>(lanes_.size());
@@ -96,10 +101,10 @@ class System
 
     mc::Controller &controller(std::uint32_t channel = 0)
     {
-        return *lanes_.at(channel)->controller;
+        return *lanes_.at(channel).controller;
     }
-    /** The lanes: trackers, collectors, the tracker warm-up and
-     *  every cross-lane protection reduction. */
+    /** The one part: its tracker, collectors, the tracker warm-up and
+     *  the protection reductions. */
     dram::Parts &parts() { return parts_; }
     const dram::Parts &parts() const { return parts_; }
     cpu::Cache &cache() { return *cache_; }
@@ -110,20 +115,21 @@ class System
     Tick now() const { return now_; }
 
     /**
-     * Observe every committed ACT across all channels. Records are
-     * delivered in channel-major batches after each service window
-     * (per-bank tick order is preserved — exactly what the act-trace
-     * capture format requires). Takes effect when run() starts.
+     * Observe every committed ACT across all channels: the Device's
+     * tap, called as each ACT commits. Lanes advance one at a time,
+     * so records arrive channel-major within each service window with
+     * per-bank ticks monotone — exactly what the act-trace capture
+     * format requires.
      */
     void setActObserver(dram::Device::ActObserver observer);
 
     /** Controller statistics merged across channels (channel order). */
     mc::ControllerStats stats() const;
 
-    /** Energy counters merged across channels. */
-    dram::EnergyMeter energy() const;
+    /** The Device's energy counters. */
+    const dram::EnergyMeter &energy() const { return device_.energy(); }
 
-    /** Aggressors treated by RFM or ARR, summed across channels. */
+    /** Aggressors treated by RFM or ARR. */
     std::uint64_t preventiveCount() const
     {
         return parts_.counts().preventive;
@@ -136,33 +142,19 @@ class System
     void snapshotTrackerOps();
 
     /**
-     * The part set's merged sheet — per lane, its controller (`mc.*`),
-     * device (`dram.*`, `oracle.*`), tracker (`tracker.*`) and enabled
-     * collectors (`trace.*`, `heatmap.*`) — plus the shared LLC
-     * (`cache.*`) and every core (`core<N>.instructions`, gauge
-     * `core<N>.ipc`). Needs no telemetry bundle.
+     * The run's sheet: the Device (`dram.*`, `oracle.*`), tracker
+     * (`tracker.*`) and enabled collectors (`trace.*`, `heatmap.*`),
+     * each controller's `mc.*` folded in channel order, plus the
+     * shared LLC (`cache.*`) and every core (`core<N>.instructions`,
+     * gauge `core<N>.ipc`). Needs no telemetry bundle.
      */
     telemetry::MetricSheet telemetrySheet() const;
 
   private:
-    /** One channel's frontend: its controller, its Device partition
-     *  (full-geometry instance of which only this channel's banks are
-     *  driven — bank state is per-bank and the oracle is sparse, so
-     *  the unused slice costs nothing) over the lane's tracker in
-     *  parts_, and the buffers that defer cross-lane effects to the
-     *  window drain. */
+    /** One channel: its controller over the shared Device. */
     struct Lane
     {
-        struct Completion
-        {
-            Tick tick;
-            std::uint32_t coreId;
-        };
-
-        std::unique_ptr<dram::Device> device;
         std::unique_ptr<mc::Controller> controller;
-        std::vector<Completion> completions;
-        std::vector<engine::ActRecord> acts;
         Tick next = 0;  //!< Next tick the controller needs service.
     };
 
@@ -214,9 +206,10 @@ class System
     bool benignDone() const;
 
     SystemConfig config_;
-    std::unique_ptr<mc::AddressMap> map_;
+    mc::AddressMap map_;
+    dram::Device device_;
     dram::Parts parts_;
-    std::vector<std::unique_ptr<Lane>> lanes_;
+    std::vector<Lane> lanes_;
     std::unique_ptr<cpu::Cache> cache_;
     std::vector<std::unique_ptr<cpu::Core>> cores_;
     std::vector<std::unique_ptr<workload::TraceGenerator>> traces_;
@@ -224,7 +217,6 @@ class System
     std::uint64_t eventSeq_ = 0;
     Tick eventNow_ = 0;               //!< Tick of the last popped event.
     std::vector<Tick> coreWake_;      //!< Pending wake per core.
-    dram::Device::ActObserver actObserver_;
     Tick lookahead_;                  //!< min(tCL,tCWL)+tBL causality.
     Tick now_ = 0;
     Tick lastCompletion_ = 0;

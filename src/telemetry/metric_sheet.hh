@@ -6,11 +6,13 @@
  * A MetricSheet is the telemetry analogue of a tracker's statistics.
  * Components keep their own native counters and export them after a
  * run with `exportMetrics(MetricSheet &)`, which sets values; a part
- * owner (engine shard, System lane) exports its components into one
- * fresh sheet per part, and the part sheets fold in part order with
- * the same discipline as RhProtection::mergeStatsFrom: counters add,
- * gauges take the max, averages and histograms merge exactly. The
- * result is byte-identical at any shard/pool count.
+ * owner (an engine shard, or a System's one part) exports its
+ * components into one fresh sheet per part, and the part sheets fold
+ * in part order with the same discipline as
+ * RhProtection::mergeStatsFrom: counters add, gauges take the max,
+ * averages and histograms merge exactly. A System folds in one fresh
+ * sheet per channel controller the same way. The result is
+ * byte-identical at any shard/pool count.
  */
 
 #ifndef MITHRIL_TELEMETRY_METRIC_SHEET_HH

@@ -1,8 +1,8 @@
 /**
  * @file
  * Telemetry configuration and the per-part bundle every partition of
- * a run carries: one per engine shard, one per System channel lane,
- * each owned by the run's dram::Parts.
+ * a run carries: one per engine shard, one per System, each owned by
+ * the run's dram::Parts.
  *
  * Everything here is off by default, and the hot-path contract is
  * strict: with telemetry disabled the engine pays one pointer check
@@ -44,7 +44,7 @@ struct TelemetryConfig
     bool any() const { return events || heatmap || phases; }
 };
 
-/** One part's collectors (an engine shard or a System lane). */
+/** One part's collectors (an engine shard or a System). */
 class EngineTelemetry
 {
   public:

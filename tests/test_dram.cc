@@ -639,15 +639,13 @@ TEST(DeviceTest, AutoRefreshBlocksEveryBankOfRank)
     EXPECT_EQ(device.bank(32).earliestAct(1000), 1000);
 }
 
-TEST(DeviceTest, RankAndChannelIndexing)
+TEST(DeviceTest, RankIndexing)
 {
     const Timing timing = ddr5_4800();
     Device device(timing, paperGeometry(), 1000);
     EXPECT_EQ(device.rankOf(0), 0u);
     EXPECT_EQ(device.rankOf(31), 0u);
     EXPECT_EQ(device.rankOf(32), 1u);
-    EXPECT_EQ(device.channelOf(31), 0u);
-    EXPECT_EQ(device.channelOf(32), 1u);
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
  * Multi-channel System frontend tests: the cross-channel writeback
- * conservation law (the silent-drop regression), and full-channel
- * coverage and ACT conservation of the capture tap.
+ * conservation law (the silent-drop regression), full-channel
+ * coverage and ACT conservation of the capture tap, and one tracker
+ * and one part at any channel count.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/mithril.hh"
@@ -149,52 +151,78 @@ TEST(MultiChannel, WritebackConservationUnderVictimChannelPressure)
 
 TEST(MultiChannel, CapturedActsCoverEveryChannel)
 {
-    // record= capture taps the merged observer: the stream must carry
-    // ACTs from every channel's banks, with per-bank ticks monotone
-    // (the act-trace format's ordering requirement), and every ACT a
-    // lane's controller issues must reach its device and the tap
+    // record= capture taps the Device: the stream must carry ACTs
+    // from every channel's banks, with per-bank ticks monotone (the
+    // act-trace format's ordering requirement), and every ACT a
+    // channel's controller issues must reach the device and the tap
     // exactly once.
-    SystemConfig cfg;
-    core::MithrilParams mp;
-    mp.nEntry = 64;
-    System system(cfg, [&] {
-        return std::make_unique<core::Mithril>(
-            cfg.geometry.totalBanks(), mp);
-    });
-    std::vector<std::tuple<BankId, RowId, Tick>> acts;
-    system.setActObserver([&](BankId b, RowId r, Tick t) {
-        acts.emplace_back(b, r, t);
-    });
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        cpu::CoreParams params;
-        params.instrBudget = 20000;
-        system.addCore(params, registry::makeWorkload(
-                                   "mix-high", {}, {i, 4, 1}));
-    }
-    system.run();
-
-    EXPECT_GT(acts.size(), 100u);
-    EXPECT_EQ(system.stats().activates, acts.size());
-    EXPECT_EQ(system.energy().acts(), acts.size());
-
-    const dram::Geometry geom = cfg.geometry;
-    const std::uint32_t banks_per_channel =
-        geom.ranksPerChannel * geom.banksPerRank;
-
-    std::vector<std::uint64_t> per_channel(geom.channels, 0);
-    std::map<BankId, Tick> last_tick;
-    for (const auto &[bank, row, tick] : acts) {
-        ASSERT_LT(bank, geom.totalBanks());
-        ++per_channel[bank / banks_per_channel];
-        auto [it, fresh] = last_tick.try_emplace(bank, tick);
-        if (!fresh) {
-            EXPECT_GE(tick, it->second);
-            it->second = tick;
+    for (std::uint32_t channels : {2u, 4u}) {
+        SCOPED_TRACE(channels);
+        SystemConfig cfg;
+        cfg.geometry.channels = channels;
+        core::MithrilParams mp;
+        mp.nEntry = 64;
+        System system(cfg, [&] {
+            return std::make_unique<core::Mithril>(
+                cfg.geometry.totalBanks(), mp);
+        });
+        std::vector<std::tuple<BankId, RowId, Tick>> acts;
+        system.setActObserver([&](BankId b, RowId r, Tick t) {
+            acts.emplace_back(b, r, t);
+        });
+        for (std::uint32_t i = 0; i < 4; ++i) {
+            cpu::CoreParams params;
+            params.instrBudget = 20000;
+            system.addCore(params, registry::makeWorkload(
+                                       "mix-high", {}, {i, 4, 1}));
         }
+        system.run();
+
+        EXPECT_GT(acts.size(), 100u);
+        EXPECT_EQ(system.stats().activates, acts.size());
+        EXPECT_EQ(system.energy().acts(), acts.size());
+
+        const dram::Geometry geom = cfg.geometry;
+        const std::uint32_t banks_per_channel =
+            geom.ranksPerChannel * geom.banksPerRank;
+
+        std::vector<std::uint64_t> per_channel(channels, 0);
+        std::map<BankId, Tick> last_tick;
+        for (const auto &[bank, row, tick] : acts) {
+            ASSERT_LT(bank, geom.totalBanks());
+            ++per_channel[bank / banks_per_channel];
+            auto [it, fresh] = last_tick.try_emplace(bank, tick);
+            if (!fresh) {
+                EXPECT_GE(tick, it->second);
+                it->second = tick;
+            }
+        }
+        for (std::uint32_t ch = 0; ch < channels; ++ch)
+            EXPECT_GT(per_channel[ch], 0u) << "channel " << ch;
     }
-    ASSERT_EQ(per_channel.size(), 2u);
-    for (std::uint32_t ch = 0; ch < geom.channels; ++ch)
-        EXPECT_GT(per_channel[ch], 0u) << "channel " << ch;
+}
+
+// ------------------------------------------------ one part per System
+
+TEST(MultiChannel, OneTrackerAndOnePartAtAnyChannelCount)
+{
+    // Protection state is per bank, so every channel's controller
+    // drives one Device over one tracker: the factory runs once.
+    for (std::uint32_t channels : {1u, 2u, 4u}) {
+        SystemConfig cfg;
+        cfg.geometry.channels = channels;
+        std::uint32_t built = 0;
+        System system(cfg, [&] {
+            ++built;
+            return std::make_unique<core::Mithril>(
+                cfg.geometry.totalBanks(), core::MithrilParams{});
+        });
+        EXPECT_EQ(system.channels(), channels);
+        EXPECT_EQ(built, 1u) << channels << " channels";
+        ASSERT_EQ(system.parts().size(), 1u) << channels << " channels";
+        EXPECT_EQ(system.parts().range(0),
+                  std::make_pair(BankId{0}, cfg.geometry.totalBanks()));
+    }
 }
 
 } // namespace

@@ -419,12 +419,15 @@ TEST(Parts, WarmupHandsEachPartItsOwnBanksAtTickZero)
     ASSERT_EQ(eng.parts().size(), 3u);
     expectRoutedWarmup(eng.parts());
 
+    // A System is one part at any channel count: its tracker gets
+    // every record.
     sim::SystemConfig sys;
     sys.geometry = geom;
     sim::System system(sys, make);
-    ASSERT_EQ(system.parts().size(), 2u);
+    ASSERT_EQ(system.channels(), 2u);
+    ASSERT_EQ(system.parts().size(), 1u);
     for (BankId b = 0; b < geom.totalBanks(); ++b)
-        EXPECT_EQ(system.parts().partOf(b), b / geom.banksPerRank);
+        EXPECT_EQ(system.parts().partOf(b), 0u);
     expectRoutedWarmup(system.parts());
 }
 
